@@ -1,8 +1,9 @@
 """A tour of the layers that make up the classifier.
 
 Shows the 3D convolution geometry, batch normalization's two modes, the
-resampling ops, the separable residual unit with its parameter budget, and
-finally the assembled network with its parameter ledger.
+resampling op, the squeeze-excitation channel gate, the separable residual
+unit with its parameter budget, and finally the assembled network with its
+parameter ledger.
 """
 
 import numpy as np
@@ -48,12 +49,15 @@ with T.no_grad():
 print("1D ramp 0..3 resampled to 7 points:", up.data.ravel())
 
 print()
-print("== adaptive average pooling covers the grid with near-equal cells ==")
-plane = T.Tensor(np.arange(10.0).reshape(1, 1, 1, 10))
+print("== the squeeze-excitation channel gate ==")
+gate = M._Attention(M.ModelParams(), "attn", 3, rng)
+feat = T.Tensor(rng.normal(size=(3, 4, 5, 5)))
 with T.no_grad():
-    pooled = ops.adaptive_avg_pool(plane, (1, 1, 3))
-print("10 values into 3 cells:", pooled.data.ravel(),
-      "(cells cover indices 0-3, 3-6, 6-9)")
+    gated = gate(feat)
+scale = (gated.data / feat.data).reshape(3, -1)
+print("per-channel scale in (0, 1), one value per channel:",
+      np.round(scale[:, 0], 3), "| constant across voxels:",
+      bool(np.allclose(scale, scale[:, :1])))
 
 print()
 print("== the separable residual unit ==")

@@ -26,8 +26,7 @@ print()
 print("== a constant map does not drift ==")
 flat = T.Tensor(np.full((1, 12, 12), 5.0))
 out = cspn.refine(flat, cspn.normalize_affinity(
-    T.Tensor(rng.uniform(0.2, 1.0, (8, 12, 12)))),
-    cspn.PropagationConfig(steps=2))
+    T.Tensor(rng.uniform(0.2, 1.0, (8, 12, 12)))), steps=2)
 print("interior exactly 5.0:", bool(np.all(out.data[0, 2:-2, 2:-2] == 5.0)))
 print("border pixels leak toward the zero padding:",
       f"corner = {out.data[0, 0, 0]:.3f}")
@@ -62,7 +61,7 @@ noisy.flat[hit] = (noisy.flat[hit] - 1 + rng.integers(1, 3, hit.size)) % 3 + 1
 
 onehot = T.Tensor(np.eye(3)[noisy - 1].transpose(2, 0, 1))
 with T.no_grad():
-    refined = cspn.refine(onehot, aff, cspn.PropagationConfig(steps=2))
+    refined = cspn.refine(onehot, aff, steps=2)
 repaired = np.argmax(refined.data, axis=0) + 1
 
 glyphs = np.array([" ", ".", "o", "#"])

@@ -17,16 +17,13 @@ from .tensor import (
 from .ops import (
     BatchNormState,
     Conv3dSpec,
-    adaptive_avg_pool,
     batchnorm,
     concat_channels,
     conv3d,
-    softmax_channels,
     trilinear_upsample,
 )
 from .cspn import (
     AffinityBranch,
-    PropagationConfig,
     normalize_affinity,
     propagate_step,
     refine,
@@ -62,10 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FormatError", "NumericError", "ShapeError", "Tensor", "backward", "no_grad",
-    "BatchNormState", "Conv3dSpec", "adaptive_avg_pool", "batchnorm",
-    "concat_channels", "conv3d", "softmax_channels", "trilinear_upsample",
-    "AffinityBranch", "PropagationConfig", "normalize_affinity",
-    "propagate_step", "refine",
+    "BatchNormState", "Conv3dSpec", "batchnorm", "concat_channels", "conv3d",
+    "trilinear_upsample",
+    "AffinityBranch", "normalize_affinity", "propagate_step", "refine",
     "FcspnModel", "ModelConfig", "build", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "focal_loss", "l2_penalty", "sgd_step",
     "HsiCube", "LabelMap", "SplitMask", "load_cube", "load_labels",

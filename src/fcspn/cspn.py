@@ -40,23 +40,6 @@ OFFSETS: Tuple[Tuple[int, int], ...] = (
 
 
 @dataclass(frozen=True)
-class PropagationConfig:
-    """Recurrence length and (fixed) stencil geometry."""
-
-    steps: int
-    kernel: int = 3
-    boundary: str = "zero"
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ShapeError(f"steps must be >= 0, got {self.steps}")
-        if self.kernel != 3:
-            raise ShapeError("only the 3x3 stencil (8 neighbors) is supported")
-        if self.boundary != "zero":
-            raise ShapeError("only the zero-neighbor boundary policy is supported")
-
-
-@dataclass(frozen=True)
 class AffinityField:
     """Raw per-pixel neighbor weights and their normalized form.
 
@@ -133,10 +116,16 @@ def propagate_step(h: Tensor, aff: AffinityField) -> Tensor:
     return record("propagate_step", (h, k), out, fn)
 
 
-def refine(logits: Tensor, aff: AffinityField, config: PropagationConfig) -> Tensor:
-    """Apply ``config.steps`` propagation steps; zero steps is the identity."""
+def refine(logits: Tensor, aff: AffinityField, steps: int) -> Tensor:
+    """Apply :func:`propagate_step` ``steps`` times; zero steps is the identity.
+
+    The stencil is always the 3x3 one of :data:`OFFSETS`, with off-image
+    neighbors reading zero.
+    """
+    if steps < 0:
+        raise ShapeError(f"steps must be >= 0, got {steps}")
     out = logits
-    for _ in range(config.steps):
+    for _ in range(steps):
         out = propagate_step(out, aff)
     return out
 
@@ -192,9 +181,3 @@ class AffinityBranch:
         mixed = T.relu(mixed)
         raw = ops.conv3d(mixed, self.head_w, self.head_b, self.SPEC)
         return T.reshape(raw, (8, nh, nw))
-
-
-def affinity_branch(features: Tensor, branch: AffinityBranch,
-                    training: bool = False) -> Tensor:
-    """Raw (8, H, W) affinities for ``features``; see :class:`AffinityBranch`."""
-    return branch.forward(features, training)

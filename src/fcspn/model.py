@@ -6,7 +6,8 @@ Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
   axis by five while widening to ``base_channels``;
 * three down blocks, each conv(3,3,3)/(2,1,1) -> norm -> relu ->
   conv(1,3,3)/(1,2,2) -> norm -> relu -> dual separable residual unit(s) ->
-  channel attention; channels double per block, extents halve (ceil);
+  squeeze-excitation channel gate; channels double per block, extents
+  halve (ceil);
 * three up blocks, each resampling to the extents of the matching down
   block's input, concatenating with it, then conv(5,1,1) -> norm -> relu ->
   conv(3,3,3) -> norm -> relu; channels retrace 8x -> 4x -> 2x -> 1x;
@@ -14,14 +15,13 @@ Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
   logits of shape ``(num_classes, H, W)``.
 
 Convolutions that feed a normalization layer carry no bias (the shift would
-be absorbed); the attention context conv and the head conv do.  All weights
+be absorbed); the attention gate conv and the head conv do.  All weights
 come from one caller-supplied generator so builds are reproducible.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +32,7 @@ from . import tensor as T
 from .tensor import FormatError, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"FCSP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class ModelParams:
         if arr.shape != t.shape:
             raise FormatError(
                 f"checkpoint tensor {path!r} has shape {arr.shape}, expected {t.shape}")
-        t.data = np.asarray(arr, dtype=T.default_dtype(), order="C")
+        t.data = np.asarray(arr, dtype=T.DTYPE, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +184,18 @@ class _DsrUnit:
 
 
 class _Attention:
-    """Per-channel gate: context conv, global pool, 1x1 conv, norm, gate."""
+    """Squeeze-excitation gate: x * sigmoid(gate(mean over D, H, W of x)).
 
-    def __init__(self, params, path, channels, rng, states):
-        self.context = _Conv(params, path + ".context", channels, channels,
-                             (3, 3, 3), (1, 1, 1), rng, bias=True)
+    The same function in training and inference; it keeps no statistics.
+    """
+
+    def __init__(self, params, path, channels, rng):
         self.gate = _Conv(params, path + ".gate", channels, channels,
-                          (1, 1, 1), (1, 1, 1), rng, bias=False)
-        self.norm = _Norm(params, path + ".norm", channels, states)
+                          (1, 1, 1), (1, 1, 1), rng, bias=True)
 
-    def __call__(self, x, training):
-        # The pooled context is a single element per channel, so the norm's
-        # statistics path always reduces to its shift parameter.  Inference
-        # reads the shift directly: the running variance of a one-element
-        # batch decays to zero and the running-stat form would divide by
-        # nearly nothing, blowing the gate wide open.
-        if training:
-            w = ops.adaptive_avg_pool(self.context(x), (1, 1, 1))
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message="batchnorm over a single element")
-                w = self.norm(self.gate(w), True)
-        else:
-            w = T.reshape(self.norm.shift, (self.norm.shift.shape[0], 1, 1, 1))
-        return T.mul(x, T.sigmoid(T.relu(w)))
+    def __call__(self, x):
+        squeezed = T.reshape(T.reduce_mean(x, axes=(1, 2, 3)), (x.shape[0], 1, 1, 1))
+        return T.mul(x, T.sigmoid(self.gate(squeezed)))
 
 
 class _DownBlock:
@@ -220,7 +208,7 @@ class _DownBlock:
         self.norm_b = _Norm(params, path + ".norm_b", cout, states)
         self.dsr = [_DsrUnit(params, f"{path}.dsr{j + 1}", cout, rng, states)
                     for j in range(config.dsr_per_stage)]
-        self.attention = (_Attention(params, path + ".attn", cout, rng, states)
+        self.attention = (_Attention(params, path + ".attn", cout, rng)
                           if config.attention_enabled else None)
 
     def __call__(self, x, training):
@@ -229,7 +217,7 @@ class _DownBlock:
         for unit in self.dsr:
             t = unit(t, training)
         if self.attention is not None:
-            t = self.attention(t, training)
+            t = self.attention(t)
         return t
 
     def out_extents(self, extents):
@@ -356,7 +344,7 @@ class FcspnModel:
         raw = self.affinity.forward(feats, training)
         aff = cspn.normalize_affinity(raw)
         steps = self.config.cspn_steps if steps is None else steps
-        return cspn.refine(logits, aff, cspn.PropagationConfig(steps=steps)), logits
+        return cspn.refine(logits, aff, steps), logits
 
 
 def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> FcspnModel:
@@ -411,8 +399,8 @@ def load_checkpoint(path) -> FcspnModel:
             var = T.read_tensor_record(fh)
             if mean.shape != state.running_mean.shape:
                 raise FormatError("checkpoint running statistics have wrong shape")
-            state.running_mean = mean.astype(T.default_dtype())
-            state.running_var = var.astype(T.default_dtype())
+            state.running_mean = mean.astype(T.DTYPE)
+            state.running_var = var.astype(T.DTYPE)
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after checkpoint payload")

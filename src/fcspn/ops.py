@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .tensor import NumericError, ShapeError, Tensor, accumulate, record
+from .tensor import ShapeError, Tensor, accumulate, record
 
 Triple = Tuple[int, int, int]
 
@@ -141,8 +141,8 @@ class BatchNormState:
     def __init__(self, channels: int):
         if channels < 1:
             raise ShapeError("channels must be >= 1")
-        self.running_mean = np.zeros(channels, dtype=T.default_dtype())
-        self.running_var = np.ones(channels, dtype=T.default_dtype())
+        self.running_mean = np.zeros(channels, dtype=T.DTYPE)
+        self.running_var = np.ones(channels, dtype=T.DTYPE)
 
     @property
     def channels(self) -> int:
@@ -263,43 +263,6 @@ def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
     return record("trilinear_upsample", (x,), out, fn)
 
 
-def adaptive_avg_pool(x: Tensor, target: Triple) -> Tensor:
-    """Average (C,D,H,W) into a (C,*target) grid of near-equal spans.
-
-    Cell o on an axis of extent n covers [floor(o*n/m), ceil((o+1)*n/m)).
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"adaptive_avg_pool input must be rank 4, got {x.shape}")
-    target = tuple(int(t) for t in target)
-    if len(target) != 3 or any(t < 1 for t in target):
-        raise ShapeError(f"target extents must be three values >= 1, got {target}")
-    for n, m in zip(x.shape[1:], target):
-        if m > n:
-            raise ShapeError(f"pool target {target} exceeds input extents {x.shape[1:]}")
-
-    def spans(n, m):
-        return [(o * n // m, -((o + 1) * n // -m)) for o in range(m)]
-
-    sd, sh, sw = (spans(n, m) for n, m in zip(x.shape[1:], target))
-    out = np.empty((x.shape[0],) + target, dtype=x.data.dtype)
-    for i, (d0, d1) in enumerate(sd):
-        for j, (h0, h1) in enumerate(sh):
-            for k, (w0, w1) in enumerate(sw):
-                out[:, i, j, k] = x.data[:, d0:d1, h0:h1, w0:w1].mean(axis=(1, 2, 3))
-
-    def fn(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for i, (d0, d1) in enumerate(sd):
-                for j, (h0, h1) in enumerate(sh):
-                    for k, (w0, w1) in enumerate(sw):
-                        cell = dx[:, d0:d1, h0:h1, w0:w1]
-                        cell += (g[:, i, j, k] / cell[0].size)[:, None, None, None]
-            accumulate(x, dx)
-
-    return record("adaptive_avg_pool", (x,), out, fn)
-
-
 # ---------------------------------------------------------------------------
 # channel plumbing
 # ---------------------------------------------------------------------------
@@ -319,16 +282,3 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
             accumulate(b, g[ca:])
 
     return record("concat", (a, b), np.concatenate([a.data, b.data], axis=0), fn)
-
-
-def softmax_channels(x: Tensor) -> Tensor:
-    """Softmax across the channel axis, independently at each location."""
-    z = x.data - x.data.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=0, keepdims=True)
-
-    def fn(g):
-        if x.requires_grad:
-            accumulate(x, p * (g - (g * p).sum(axis=0, keepdims=True)))
-
-    return record("softmax", (x,), p, fn)

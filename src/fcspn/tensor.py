@@ -9,8 +9,8 @@ walks it once in reverse.
 
 Numeric conventions:
 
-* dtype is float64 by default (``set_default_dtype`` switches the build to
-  float32 for speed runs; all stated tolerances assume float64);
+* dtype is float64 throughout (:data:`DTYPE`); all stated tolerances
+  assume it;
 * reductions delegate to numpy's pairwise summation, so results are
   bit-deterministic for a given build mode;
 * every public operation checks its output for NaN/Inf and raises
@@ -23,7 +23,7 @@ Tensors themselves are safe to share for concurrent reads.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,19 +40,7 @@ class FormatError(ValueError):
     """Raised on malformed binary container data (bad magic, truncation)."""
 
 
-_DTYPE = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the build's numeric width: "float64" (tests) or "float32"."""
-    global _DTYPE
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported dtype {name!r}")
-    _DTYPE = np.float64 if name == "float64" else np.float32
-
-
-def default_dtype():
-    return _DTYPE
+DTYPE = np.float64
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -67,7 +55,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense array plus an optional gradient slot.
 
-    ``data`` is always a C-contiguous numpy array of the build dtype.
+    ``data`` is always a C-contiguous numpy array of :data:`DTYPE`.
     ``grad``, once populated by :func:`backward`, has the same shape.
     """
 
@@ -76,7 +64,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # asarray with order="C", not ascontiguousarray: the latter turns
         # rank-0 arrays into shape (1,)
-        arr = np.asarray(data, dtype=_DTYPE, order="C")
+        arr = np.asarray(data, dtype=DTYPE, order="C")
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -101,36 +89,19 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Small amount of operator sugar; the functional API below is primary.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class TapeNode:
-    """One recorded operation: op id, inputs, output, and a pullback closure.
+    """One recorded operation: op id, output, and a pullback closure.
 
     The closure receives dLoss/dOutput and accumulates dLoss/dInput into each
-    input tensor's ``grad`` slot.  Saved activations live in the closure.
+    input tensor's ``grad`` slot.  Inputs and saved activations live in the
+    closure.
     """
 
-    __slots__ = ("op", "inputs", "out", "fn")
+    __slots__ = ("op", "out", "fn")
 
-    def __init__(self, op: str, inputs, out: Tensor, fn: Callable[[np.ndarray], None]):
+    def __init__(self, op: str, out: Tensor, fn: Callable[[np.ndarray], None]):
         self.op = op
-        self.inputs = inputs
         self.out = out
         self.fn = fn
 
@@ -175,18 +146,18 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     _check_finite(out_data, op)
     needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(out_data, dtype=_DTYPE, order="C")
+    out.data = np.asarray(out_data, dtype=DTYPE, order="C")
     out.requires_grad = needs
     out.grad = None
     if needs:
-        _TAPE.append(TapeNode(op, tuple(inputs), out, fn))
+        _TAPE.append(TapeNode(op, out, fn))
     return out
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad`` (allocating on first touch, never in place)."""
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=_DTYPE).copy()
+        t.grad = np.asarray(g, dtype=DTYPE).copy()
     else:
         t.grad = t.grad + g
 
@@ -227,11 +198,11 @@ def _validate_shape(shape) -> tuple:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(_validate_shape(shape), dtype=_DTYPE), requires_grad)
+    return Tensor(np.zeros(_validate_shape(shape), dtype=DTYPE), requires_grad)
 
 
 def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_validate_shape(shape), value, dtype=_DTYPE), requires_grad)
+    return Tensor(np.full(_validate_shape(shape), value, dtype=DTYPE), requires_grad)
 
 
 def uniform(shape, low: float, high: float, rng: np.random.Generator,
@@ -249,7 +220,7 @@ def kaiming_normal(shape, fan_in: int, rng: np.random.Generator,
 
 
 def scalar(value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.asarray(value, dtype=_DTYPE), requires_grad)
+    return Tensor(np.asarray(value, dtype=DTYPE), requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +370,6 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
     return record("mean", (a,), a.data.mean(axis=axes), fn)
 
 
-def reduce_max(a: Tensor, axes=None) -> Tensor:
-    """Max over ``axes``; ties split the subgradient equally."""
-    axes = _normalize_axes(a, axes, "max")
-    if not axes:
-        return _identity(a, "max")
-    out = a.data.max(axis=axes)
-    expanded = np.expand_dims(out, axes)
-    mask = (a.data == expanded)
-    ties = mask.sum(axis=axes)
-
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, mask * np.expand_dims(g / ties, axes))
-
-    return record("max", (a,), out, fn)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.shape
@@ -468,7 +422,7 @@ def read_tensor_record(fh) -> np.ndarray:
     payload = fh.read(4 * count)
     if len(payload) != 4 * count:
         raise FormatError(f"truncated tensor payload at offset {fh.tell()}")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(_DTYPE)
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(DTYPE)
 
 
 def save_tensor(t: Tensor, path) -> None:

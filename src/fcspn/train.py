@@ -124,7 +124,7 @@ class OptimizerState:
 
     def __init__(self, params: ModelParams):
         self.velocity: Dict[str, np.ndarray] = {
-            path: np.zeros(t.shape, dtype=T.default_dtype())
+            path: np.zeros(t.shape, dtype=T.DTYPE)
             for path, t, _ in params.items()
         }
 

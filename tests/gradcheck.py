@@ -6,10 +6,12 @@ import oracles
 from fcspn import tensor as T
 
 
-def check_grads(build, arrays, tol=1e-4, h=1e-5):
+def check_grads(build, arrays, tol=1e-4, h=1e-5, nonzero=False):
     """Assert analytic gradients of ``build`` match central differences.
 
     ``build(*tensors)`` must return a scalar Tensor and be deterministic.
+    With ``nonzero``, also assert that every input gets a gradient with at
+    least one nonzero entry, so a dead path cannot pass as 0 == 0.
     Returns the worst relative error across all inputs.
     """
     T.clear_tape()
@@ -18,6 +20,9 @@ def check_grads(build, arrays, tol=1e-4, h=1e-5):
     T.backward(loss)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data)
                 for t in tensors]
+    if nonzero:
+        dead = [i for i, g in enumerate(analytic) if not np.any(g)]
+        assert not dead, f"gradcheck: inputs {dead} get an all-zero gradient"
 
     def f(*arrs):
         with T.no_grad():

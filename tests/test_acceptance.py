@@ -97,39 +97,24 @@ def _grad_trilinear(rng):
     return worst
 
 
-def _grad_pool(rng):
-    worst = 0.0
-    for _ in range(20):
-        c = int(rng.integers(1, 3))
-        extents = tuple(int(rng.integers(2, 6)) for _ in range(3))
-        x = rng.normal(0.0, 1.0, (c,) + extents)
-        target = tuple(int(rng.integers(1, n + 1)) for n in extents)
-        proj = gradcheck.projection((c,) + target, rng)
-
-        def build(xt):
-            return gradcheck.project(ops.adaptive_avg_pool(xt, target), proj)
-
-        worst = max(worst, gradcheck.check_grads(build, [x]))
-    return worst
-
-
 def _grad_attention(rng):
     worst = 0.0
-    for i in range(20):
+    for _ in range(20):
         channels = int(rng.integers(1, 4))
         x = rng.normal(0.0, 1.0, (channels, int(rng.integers(2, 4)),
                                   int(rng.integers(3, 5)),
                                   int(rng.integers(3, 5))))
-        params, states = M.ModelParams(), []
-        att = M._Attention(params, "att", channels, rng, states)
-        att.norm.shift.data[...] = rng.uniform(-0.6, 0.6, channels)
-        training = i % 2 == 0
+        att = M._Attention(M.ModelParams(), "att", channels, rng)
+        w = rng.normal(0.0, 1.0, (channels, channels, 1, 1, 1))
+        b = rng.uniform(-0.5, 0.5, channels)
         proj = gradcheck.projection(x.shape, rng)
 
-        def build(xt):
-            return gradcheck.project(att(xt, training), proj)
+        def build(xt, wt, bt):
+            att.gate.w, att.gate.b = wt, bt
+            return gradcheck.project(att(xt), proj)
 
-        worst = max(worst, gradcheck.check_grads(build, [x]))
+        worst = max(worst, gradcheck.check_grads(build, [x, w, b],
+                                                 nonzero=True))
     return worst
 
 
@@ -149,21 +134,6 @@ def _grad_dsr(rng):
 
         def build(xt):
             return gradcheck.project(unit(xt, training), proj)
-
-        worst = max(worst, gradcheck.check_grads(build, [x]))
-    return worst
-
-
-def _grad_softmax(rng):
-    worst = 0.0
-    for _ in range(20):
-        c = int(rng.integers(2, 5))
-        x = rng.normal(0.0, 1.5, (c, int(rng.integers(2, 5)),
-                                  int(rng.integers(2, 5))))
-        proj = gradcheck.projection(x.shape, rng)
-
-        def build(xt):
-            return gradcheck.project(ops.softmax_channels(xt), proj)
 
         worst = max(worst, gradcheck.check_grads(build, [x]))
     return worst
@@ -223,28 +193,29 @@ def _grad_propagate(rng):
 
 def test_a1_gradient_oracle():
     """Analytic gradients match central differences (< 1e-4) for every op."""
+    # (name, check, seed); each seed is fixed so that the instances of one
+    # check do not depend on which other checks are listed
     checks = [
-        ("conv3d", _grad_conv3d),
-        ("batchnorm", _grad_batchnorm),
-        ("trilinear_upsample", _grad_trilinear),
-        ("adaptive_avg_pool", _grad_pool),
-        ("attention", _grad_attention),
-        ("dsr_unit", _grad_dsr),
-        ("softmax_channels", _grad_softmax),
-        ("focal_loss", _grad_focal),
-        ("normalize_affinity", _grad_normalize_affinity),
-        ("propagate_step", _grad_propagate),
+        ("conv3d", _grad_conv3d, 11),
+        ("batchnorm", _grad_batchnorm, 12),
+        ("trilinear_upsample", _grad_trilinear, 13),
+        ("attention", _grad_attention, 15),
+        ("dsr_unit", _grad_dsr, 16),
+        ("focal_loss", _grad_focal, 18),
+        ("normalize_affinity", _grad_normalize_affinity, 19),
+        ("propagate_step", _grad_propagate, 20),
     ]
     start = time.perf_counter()
     worst = {}
-    for seed, (name, fn) in enumerate(checks, start=11):
+    for name, fn, seed in checks:
         worst[name] = fn(np.random.default_rng(seed))
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"gradient suite took {elapsed:.1f}s"
     peak = max(worst.values())
     assert peak < 1e-4
     _verdict("A1 gradient oracle",
-             f"10 ops x 20 instances, max rel err {peak:.2e}, {elapsed:.1f}s")
+             f"{len(checks)} ops x 20 instances, max rel err {peak:.2e}, "
+             f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +324,7 @@ def test_a4_propagation_identities():
             h = T.Tensor(np.full((2, 16, 16), 3.7))
             field = cspn.normalize_affinity(
                 T.Tensor(rng.uniform(0.1, 1.0, (8, 16, 16))))
-            out = cspn.refine(h, field, cspn.PropagationConfig(steps=steps))
+            out = cspn.refine(h, field, steps)
             interior = out.data[:, steps:-steps, steps:-steps]
             assert np.all(interior == 3.7)
 
@@ -365,8 +336,7 @@ def test_a4_propagation_identities():
             field = cspn.normalize_affinity(
                 T.Tensor(rng.uniform(0.0, 1.0, (8, 8, 8))))
             steps = int(rng.integers(0, 33))
-            out = cspn.refine(T.Tensor(h0), field,
-                              cspn.PropagationConfig(steps=steps)).data
+            out = cspn.refine(T.Tensor(h0), field, steps).data
             breach = max(breach, float(np.max(out - h0.max())),
                          float(np.max(h0.min() - out)))
         assert breach <= 1e-12
@@ -405,7 +375,7 @@ def test_a5_refinement_benefit(overfit_run):
     base_pred = np.argmax(logits.data, axis=0).astype(np.int64) + 1
     field = cspn.normalize_affinity(
         T.Tensor(_scene_affinity(cube.values.astype(np.float64), sharp=0.25)))
-    config = cspn.PropagationConfig(steps=3)
+    steps = 3
     ref = labels.grid
     total = ref.size
 
@@ -418,7 +388,7 @@ def test_a5_refinement_benefit(overfit_run):
         noisy.flat[hit] = (noisy.flat[hit] - 1 + bump) % classes + 1
         onehot = np.eye(classes)[noisy - 1].transpose(2, 0, 1)
         with T.no_grad():
-            refined = cspn.refine(T.Tensor(onehot), field, config).data
+            refined = cspn.refine(T.Tensor(onehot), field, steps).data
         oa_noisy = float(np.mean(noisy == ref))
         oa_refined = float(np.mean(np.argmax(refined, axis=0) + 1 == ref))
         margins.append(oa_refined - oa_noisy)

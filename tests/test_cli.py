@@ -1,9 +1,10 @@
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from fcspn import cli, data
+from fcspn import cli, data, model
 
 TINY_CONFIG = """\
 # tiny setup so the pipeline finishes in seconds
@@ -192,6 +193,18 @@ def test_classify_steps_zero_equals_refine_off(workdir, tmp_path):
                                    "--refine", "on", "--steps", "0")) == 0
     assert (tmp_path / "off.hsl1").read_bytes() == \
         (tmp_path / "zero.hsl1").read_bytes()
+
+
+def test_classify_other_checkpoint_version_is_data_error(workdir, tmp_path, capsys):
+    raw = bytearray((workdir / "model.ckpt").read_bytes())
+    struct.pack_into("<I", raw, 4, model.CHECKPOINT_VERSION - 1)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(bytes(raw))
+    rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
+                   "--ckpt", str(old), "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert "version" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
 
 
 def test_classify_band_mismatch(workdir, tmp_path):

@@ -118,7 +118,7 @@ def test_constant_map_is_exact_interior_fixed_point():
         steps = int(rng.integers(1, 4))
         h = T.full((3, 11, 10), c0)
         aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (11, 10))))
-        out = cspn.refine(h, aff, cspn.PropagationConfig(steps=steps))
+        out = cspn.refine(h, aff, steps)
         core = out.data[:, steps:-steps, steps:-steps]
         assert np.array_equal(core, np.full(core.shape, c0))
 
@@ -127,7 +127,7 @@ def test_refine_zero_steps_identity():
     rng = np.random.default_rng(36)
     h = T.Tensor(rng.uniform(-1, 1, (2, 4, 4)))
     aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (4, 4))))
-    out = cspn.refine(h, aff, cspn.PropagationConfig(steps=0))
+    out = cspn.refine(h, aff, 0)
     assert np.array_equal(out.data, h.data)
 
 
@@ -135,7 +135,7 @@ def test_refine_two_steps_is_composition():
     rng = np.random.default_rng(37)
     h = T.Tensor(rng.uniform(-1, 1, (2, 5, 5)))
     aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (5, 5))))
-    twice = cspn.refine(h, aff, cspn.PropagationConfig(steps=2)).data
+    twice = cspn.refine(h, aff, 2).data
     manual = cspn.propagate_step(cspn.propagate_step(h, aff), aff).data
     assert np.array_equal(twice, manual)
 
@@ -144,7 +144,7 @@ def test_zero_affinity_refine_is_identity():
     rng = np.random.default_rng(38)
     h = T.Tensor(rng.uniform(-1, 1, (3, 6, 6)))
     aff = cspn.normalize_affinity(T.zeros((8, 6, 6)))
-    out = cspn.refine(h, aff, cspn.PropagationConfig(steps=7))
+    out = cspn.refine(h, aff, 7)
     assert out.data.tobytes() == h.data.tobytes()
 
 
@@ -155,7 +155,7 @@ def test_max_principle_nonnegative_affinities():
         h -= h.mean()  # keep zero inside the value range (zero boundary reads)
         aff = cspn.normalize_affinity(T.Tensor(rng.uniform(0, 1, (8, 8, 8))))
         steps = int(rng.integers(0, 33))
-        out = cspn.refine(T.Tensor(h), aff, cspn.PropagationConfig(steps=steps)).data
+        out = cspn.refine(T.Tensor(h), aff, steps).data
         interior = out[:, 1:-1, 1:-1]
         assert interior.min() >= h.min() - 1e-12
         assert interior.max() <= h.max() + 1e-12
@@ -167,7 +167,7 @@ def test_propagate_gradcheck_h_and_raw():
 
     def build(h, raw):
         aff = cspn.normalize_affinity(raw)
-        out = cspn.refine(h, aff, cspn.PropagationConfig(steps=3))
+        out = cspn.refine(h, aff, 3)
         return gradcheck.project(out, proj)
 
     for _ in range(5):
@@ -183,10 +183,10 @@ def test_propagate_shape_mismatch():
 
 
 def test_config_validation():
+    h = T.zeros((2, 4, 4))
+    aff = cspn.normalize_affinity(T.zeros((8, 4, 4)))
     with pytest.raises(T.ShapeError):
-        cspn.PropagationConfig(steps=-1)
-    with pytest.raises(T.ShapeError):
-        cspn.PropagationConfig(steps=1, kernel=5)
+        cspn.refine(h, aff, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +197,11 @@ def test_branch_zero_init_gives_identity_refine():
     rng = np.random.default_rng(41)
     branch = cspn.AffinityBranch(4, rng)
     feats = T.Tensor(rng.uniform(-1, 1, (4, 3, 5, 6)))
-    raw = cspn.affinity_branch(feats, branch)
+    raw = branch.forward(feats)
     assert raw.shape == (8, 5, 6)
     assert np.array_equal(raw.data, np.zeros((8, 5, 6)))
     h = T.Tensor(rng.uniform(-1, 1, (3, 5, 6)))
-    out = cspn.refine(h, cspn.normalize_affinity(raw),
-                      cspn.PropagationConfig(steps=4))
+    out = cspn.refine(h, cspn.normalize_affinity(raw), 4)
     assert out.data.tobytes() == h.data.tobytes()
 
 
@@ -218,9 +217,8 @@ def test_branch_gradcheck_through_refine():
     def build(feats, head_w, gamma):
         branch.head_w = head_w
         branch.norm_scale = gamma
-        raw = cspn.affinity_branch(feats, branch, training=True)
-        out = cspn.refine(T.Tensor(base_h), cspn.normalize_affinity(raw),
-                          cspn.PropagationConfig(steps=2))
+        raw = branch.forward(feats, training=True)
+        out = cspn.refine(T.Tensor(base_h), cspn.normalize_affinity(raw), 2)
         return gradcheck.project(out, proj)
 
     base_h = rng.uniform(-1, 1, (2, 4, 4))

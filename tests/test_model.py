@@ -1,4 +1,4 @@
-import warnings
+import struct
 
 import numpy as np
 import pytest
@@ -99,23 +99,25 @@ def test_dsr_separable_weight_budget():
     assert cells < 3 * 3 * 3
 
 
-def test_attention_initial_gate_is_half():
+def test_attention_matches_squeeze_excitation():
     rng = np.random.default_rng(4)
-    attn = M._Attention(M.ModelParams(), "attn", 3, rng, [])
-    x = T.Tensor(rng.uniform(-1, 1, (3, 2, 4, 4)))
-    # The gate's one-element normalization is intentional, so its degenerate
-    # batch must not leak the usual warning to callers.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = attn(x, training=True)
-    assert np.allclose(out.data, 0.5 * x.data, atol=1e-12)
+    attn = M._Attention(M.ModelParams(), "attn", 3, rng)
+    attn.gate.b.data[:] = rng.uniform(-0.5, 0.5, 3)
+    x = rng.uniform(-1, 1, (3, 2, 4, 4))
+    z = attn.gate.w.data.reshape(3, 3) @ x.mean(axis=(1, 2, 3)) + attn.gate.b.data
+    want = x / (1.0 + np.exp(-z))[:, None, None, None]
+    out = attn(T.Tensor(x)).data
+    assert np.allclose(out, want, atol=1e-12)
+    # the gate depends on the input, unlike a fixed per-channel scale
+    other = attn(T.Tensor(2.0 * x)).data
+    assert not np.allclose(other, 2.0 * out, atol=1e-6)
 
 
 def test_attention_bounds():
     rng = np.random.default_rng(5)
-    attn = M._Attention(M.ModelParams(), "attn", 2, rng, [])
+    attn = M._Attention(M.ModelParams(), "attn", 2, rng)
     x = T.Tensor(rng.uniform(-2, 2, (2, 3, 5, 5)))
-    out = attn(x, training=False)
+    out = attn(x)
     ratio = out.data / np.where(x.data == 0, 1, x.data)
     assert np.all(np.abs(out.data) <= np.abs(x.data))
     assert np.all((ratio > 0) | (x.data == 0))
@@ -166,7 +168,7 @@ def _expected_count(cfg):
         total += 9 * m * m + 2 * m            # conv_b + norm_b
         total += r * (24 * m * m + 8 * m)     # dsr units
         if cfg.attention_enabled:
-            total += 27 * m * m + m + m * m + 2 * m  # context(+bias), gate, norm
+            total += m * m + m                # gate conv + bias
         ch = m
     for cx, cout in ((8 * b, 4 * b), (4 * b, 2 * b), (2 * b, b)):
         total += 5 * (cx + cout) * cout + 2 * cout
@@ -189,7 +191,7 @@ def test_param_count_closed_form(cfg):
 def test_param_count_default_config_regression():
     m = M.build(M.ModelConfig(in_bands=204, num_classes=15))
     assert m.params.total_count() == _expected_count(m.config)
-    assert m.params.total_count() == 1835511
+    assert m.params.total_count() == 1254455
 
 
 def test_duplicate_path_rejected():
@@ -248,6 +250,19 @@ def test_checkpoint_bad_magic(tmp_path):
         M.load_checkpoint(p)
 
 
+@pytest.mark.parametrize("delta", [-1, 1], ids=["older", "newer"])
+def test_checkpoint_other_version_rejected(tmp_path, delta):
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(16))
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+    raw = bytearray(p.read_bytes())
+    assert struct.unpack_from("<I", raw, 4)[0] == M.CHECKPOINT_VERSION
+    struct.pack_into("<I", raw, 4, M.CHECKPOINT_VERSION + delta)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(T.FormatError, match="version"):
+        M.load_checkpoint(p)
+
+
 def test_checkpoint_truncated(tmp_path):
     m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(11))
     p = tmp_path / "model.fcsp"
@@ -280,18 +295,18 @@ def test_dsr_gradcheck():
 
 def test_attention_gradcheck():
     rng = np.random.default_rng(13)
-    attn = M._Attention(M.ModelParams(), "attn", 2, rng, [])
+    attn = M._Attention(M.ModelParams(), "attn", 2, rng)
     proj = gradcheck.projection((2, 2, 3, 3), rng)
 
-    def build(x, wc, wg):
-        attn.context.w = wc
+    def build(x, wg, bg):
         attn.gate.w = wg
-        return gradcheck.project(attn(x, training=False), proj)
+        attn.gate.b = bg
+        return gradcheck.project(attn(x), proj)
 
     arrs = [rng.uniform(-1, 1, (2, 2, 3, 3)),
-            rng.uniform(-0.5, 0.5, (2, 2, 3, 3, 3)),
-            rng.uniform(-0.5, 0.5, (2, 2, 1, 1, 1))]
-    gradcheck.check_grads(build, arrs)
+            rng.uniform(-1, 1, (2, 2, 1, 1, 1)),
+            rng.uniform(-0.5, 0.5, 2)]
+    gradcheck.check_grads(build, arrs, nonzero=True)
 
 
 def test_end_to_end_directional_gradcheck():

@@ -213,33 +213,6 @@ def test_trilinear_gradcheck():
     gradcheck.check_grads(build, [rng.uniform(-1, 1, (2, 3, 4, 3))])
 
 
-def test_pool_global_is_mean():
-    rng = np.random.default_rng(10)
-    x = rng.uniform(-1, 1, (3, 4, 5, 6))
-    out = ops.adaptive_avg_pool(T.Tensor(x), (1, 1, 1)).data
-    assert out.shape == (3, 1, 1, 1)
-    assert np.allclose(out.ravel(), x.mean(axis=(1, 2, 3)), atol=1e-12)
-
-
-def test_pool_bins_cover_input():
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-1, 1, (1, 5, 4, 7))
-    out = ops.adaptive_avg_pool(T.Tensor(x), (2, 2, 3)).data
-    # first bin on the depth axis spans rows [0, ceil(5/2)) = [0, 3)
-    assert np.allclose(out[0, 0, 0, 0], x[0, 0:3, 0:2, 0:3].mean(), atol=1e-12)
-    assert np.allclose(out[0, 1, 1, 2], x[0, 2:5, 2:4, 4:7].mean(), atol=1e-12)
-
-
-def test_pool_gradcheck():
-    rng = np.random.default_rng(12)
-    proj = gradcheck.projection((2, 2, 2, 2), rng)
-
-    def build(x):
-        return gradcheck.project(ops.adaptive_avg_pool(x, (2, 2, 2)), proj)
-
-    gradcheck.check_grads(build, [rng.uniform(-1, 1, (2, 5, 4, 3))])
-
-
 # ---------------------------------------------------------------------------
 # channel plumbing
 # ---------------------------------------------------------------------------
@@ -263,25 +236,3 @@ def test_concat_values_and_grads():
 def test_concat_extent_mismatch():
     with pytest.raises(T.ShapeError):
         ops.concat_channels(T.zeros((2, 3, 3, 3)), T.zeros((2, 3, 3, 4)))
-
-
-def test_softmax_properties():
-    rng = np.random.default_rng(14)
-    x = rng.uniform(-5, 5, (4, 2, 3, 3))
-    p = ops.softmax_channels(T.Tensor(x)).data
-    assert np.allclose(p.sum(axis=0), 1, atol=1e-12)
-    assert np.all(p > 0)
-    shifted = ops.softmax_channels(T.Tensor(x + 100.0)).data
-    assert np.allclose(p, shifted, atol=1e-12)
-    half = ops.softmax_channels(T.zeros((2, 1, 1, 1))).data
-    assert np.allclose(half, 0.5, atol=1e-12)
-
-
-def test_softmax_gradcheck():
-    rng = np.random.default_rng(15)
-    proj = gradcheck.projection((3, 2, 2, 2), rng)
-
-    def build(x):
-        return gradcheck.project(ops.softmax_channels(x), proj)
-
-    gradcheck.check_grads(build, [rng.uniform(-1, 1, (3, 2, 2, 2))])

@@ -102,8 +102,6 @@ def test_broadcast_matches_materialization_oracle():
 def test_reduce_examples():
     assert T.reduce_mean(T.Tensor([[1.0, 3.0], [5.0, 7.0]])).item() == 4.0
     assert T.reduce_sum(T.Tensor([1.0, 2.0, 3.0]), axes=(0,)).item() == 6.0
-    out = T.reduce_max(T.Tensor([[1.0, 9.0], [2.0, 0.0]]), axes=(1,))
-    assert np.array_equal(out.data, [9, 2])
 
 
 def test_reduce_empty_axes_is_identity():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gradcheck
+from fcspn import data as D
 from fcspn import model as M
 from fcspn import tensor as T
 from fcspn import train as TR
@@ -259,6 +260,58 @@ def test_train_requires_labeled_split():
     with pytest.raises(ValueError):
         TR.train(values, labels, np.zeros_like(labels, dtype=bool),
                  model, _fast_cfg())
+
+
+# ---------------------------------------------------------------------------
+# gradient reach
+# ---------------------------------------------------------------------------
+
+NETWORK = ("stem.", "down", "up", "head.")
+
+
+def _first_step_loss_grads(crop):
+    """Loss gradient of every registered parameter after one seeded step.
+
+    ``grad`` of a conv weight also holds the L2 term ``weight_decay * w``,
+    which would make a tensor the loss never reaches look alive; that term
+    is taken out again, so such a tensor reads exactly zero.
+    """
+    cube, labels = D.synth_scene(classes=3, size=32, bands=20, noise=0.02,
+                                 seed=21)
+    cube = D.normalize(cube)
+    split = D.sample_split(labels, "per_class:50", seed=21)
+    model = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=4,
+                                  cspn_steps=2), np.random.default_rng(21))
+    before = {path: t.data.copy() for path, t, _ in model.params.items()}
+    cfg = TR.TrainConfig(batch_size=2, epochs=1, crop_size=(crop, crop), seed=21)
+    TR.train(cube, labels, split, model, cfg)
+    grads = {}
+    for path, t, kind in model.params.items():
+        g = np.zeros_like(t.data) if t.grad is None else t.grad
+        if kind == "conv_weight":
+            g = g - (1.0 * cfg.weight_decay) * before[path]
+        grads[path] = g
+    return grads
+
+
+@pytest.mark.parametrize("crop, prefixes", [
+    pytest.param(32, NETWORK, id="32x32-network"),
+    pytest.param(32, ("affinity.",), id="32x32-affinity", marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'CSPN refinement does nothing': the affinity head "
+               "starts at zero, where normalize_affinity passes no gradient")),
+    pytest.param(8, NETWORK, id="8x8-network", marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'MIN_SPATIAL' defect: at 8x8 the deepest batchnorm "
+               "sees one element per channel, so no gradient reaches down3")),
+])
+def test_first_step_reaches_every_parameter(crop, prefixes):
+    grads = _first_step_loss_grads(crop)
+    for prefix in prefixes:
+        assert any(path.startswith(prefix) for path in grads), prefix
+    dead = [path for path, g in grads.items()
+            if path.startswith(prefixes) and not np.any(g)]
+    assert not dead, f"no loss gradient reaches {dead}"
 
 
 def test_config_validation():
