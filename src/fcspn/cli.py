@@ -147,13 +147,18 @@ def _maybe_normalize(cube: data.HsiCube, cfg: RunConfig) -> data.HsiCube:
     return data.normalize(cube) if cfg.get_bool("data.normalize") else cube
 
 
-def write_ppm(grid: np.ndarray, palette, path) -> None:
-    """Render a class-id grid as a P6 pixmap; id 0 stays black."""
+def _colorize(grid: np.ndarray, palette) -> np.ndarray:
+    """(H, W, 3) uint8 image of a class-id grid; ids without a color stay black."""
     colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
     for cls, red, green, blue, _name in palette:
         if cls < colors.shape[0]:
             colors[cls] = (red, green, blue)
-    image = colors[grid]
+    return colors[grid]
+
+
+def write_ppm(grid: np.ndarray, palette, path) -> None:
+    """Render a class-id grid as a P6 pixmap; id 0 stays black."""
+    image = _colorize(grid, palette)
     height, width = grid.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
@@ -222,12 +227,13 @@ def cmd_classify(args) -> int:
             f"checkpoint expects {net.config.in_bands} bands, cube has {cube.bands}")
     cube = _maybe_normalize(cube, cfg)
 
+    steps = net.config.cspn_steps if args.steps is None else args.steps
     with no_grad():
         x = Tensor(cube.values[None].astype(np.float64))
-        if args.refine == "on":
-            logits, _ = net.forward_refined(x, steps=args.steps, training=False)
-        else:
+        if steps == 0:
             logits = net.forward(x, training=False)
+        else:
+            logits, _ = net.forward_refined(x, steps=steps, training=False)
     scores = logits.data
     if not np.isfinite(scores).all():
         raise NumericError("logits contain non-finite values")
@@ -254,11 +260,7 @@ def _write_png(grid: np.ndarray, palette, path) -> None:
     except ImportError:
         raise ConfigError(
             "PNG output needs Pillow; install the 'png' extra or use the PPM") from None
-    colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
-    for cls, red, green, blue, _name in palette:
-        if cls < colors.shape[0]:
-            colors[cls] = (red, green, blue)
-    Image.fromarray(colors[grid], mode="RGB").save(path, format="PNG")
+    Image.fromarray(_colorize(grid, palette), mode="RGB").save(path, format="PNG")
 
 
 def cmd_eval(args) -> int:
@@ -323,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube", required=True, help="HSC1 cube file")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--config", help="INI-style config file")
-    p.add_argument("--refine", choices=("on", "off"), default="on")
-    p.add_argument("--steps", type=int, help="propagation steps (default: checkpoint)")
+    p.add_argument("--steps", type=int,
+                   help="propagation steps, 0 for the unrefined map (default: checkpoint)")
     p.add_argument("--out-map", required=True, help="HSL1 output path")
     p.add_argument("--out-ppm", help="P6 pixmap (default <out-map>.ppm)")
     p.add_argument("--out-png", help="optional PNG (needs Pillow)")

@@ -2,14 +2,15 @@
 
 A small learned branch emits eight raw affinities per pixel, one per
 non-center cell of the 3x3 neighborhood.  :func:`normalize_affinity` rescales
-them so their absolute values sum to one and assigns the center the
-complement of their signed sum; :func:`propagate_step` then mixes every class
-channel with its shifted neighbors under that shared kernel, and
-:func:`refine` repeats the step a fixed number of times.
+them so their absolute values sum to one; :func:`propagate_step` then mixes
+every class channel with its shifted neighbors under that shared kernel, the
+center weighted by the complement ``1 - sum_n kappa_n`` of the signed
+neighbor sum, and :func:`refine` repeats the step a fixed number of times.
 
 Update rule, per pixel (i, j) and class channel l:
 
-    h[l,i,j] <- kappa_c[i,j] * h[l,i,j] + sum_n kappa_n[i,j] * h[l,i-a,j-b]
+    h[l,i,j] <- (1 - sum_n kappa_n[i,j]) * h[l,i,j]
+                + sum_n kappa_n[i,j] * h[l,i-a,j-b]
 
 with (a, b) running over :data:`OFFSETS` and off-image neighbors reading
 zero.  The implementation uses the algebraically equal form
@@ -20,7 +21,6 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -30,8 +30,7 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor, accumulate, record
 
 # Non-center cells of the 3x3 stencil, row-major.  Channel i of a raw or
-# normalized affinity field refers to OFFSETS[i]; channel 8 of a normalized
-# field is the center weight.
+# normalized affinity tensor refers to OFFSETS[i].
 OFFSETS: Tuple[Tuple[int, int], ...] = (
     (-1, -1), (-1, 0), (-1, 1),
     (0, -1), (0, 1),
@@ -39,26 +38,14 @@ OFFSETS: Tuple[Tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AffinityField:
-    """Raw per-pixel neighbor weights and their normalized form.
+def normalize_affinity(raw: Tensor) -> Tensor:
+    """Rescale raw affinities per pixel: kappa_n = raw_n / sum_m |raw_m|.
 
-    ``raw`` has shape (8, H, W); ``normalized`` has shape (9, H, W) with the
-    center weight in channel 8.  Off-center channels of ``normalized`` sum to
-    one in absolute value wherever any raw value is nonzero, and each lies in
-    (-1, 1).
-    """
-
-    raw: Tensor
-    normalized: Tensor
-
-
-def normalize_affinity(raw: Tensor) -> AffinityField:
-    """Rescale raw affinities per pixel and derive the center weight.
-
-    kappa_n = raw_n / sum_m |raw_m| and kappa_c = 1 - sum_n kappa_n.  A pixel
-    whose raw vector is all zero gets the identity kernel (center 1) and a
-    zero gradient, the one point where the quotient is undefined.
+    Returns kappa with the shape (8, H, W) of ``raw``; wherever any raw value
+    is nonzero the channels sum to one in absolute value and each lies in
+    [-1, 1].  A pixel whose raw vector is all zero gets kappa 0 (the identity
+    kernel) and a zero gradient, the one point where the quotient is
+    undefined.
     """
     if raw.data.ndim != 3 or raw.shape[0] != 8:
         raise ShapeError(f"raw affinities must have shape (8, H, W), got {raw.shape}")
@@ -66,57 +53,56 @@ def normalize_affinity(raw: Tensor) -> AffinityField:
     z = np.abs(r).sum(axis=0)
     safe = np.where(z == 0.0, 1.0, z)
     kap = r / safe
-    out = np.concatenate([kap, (1.0 - kap.sum(axis=0))[None]], axis=0)
 
     def fn(g):
         if raw.requires_grad:
-            gn = g[:8] - g[8]
-            inner = (gn * kap).sum(axis=0)
-            dr = (gn - np.sign(r) * inner) / safe
+            inner = (g * kap).sum(axis=0)
+            dr = (g - np.sign(r) * inner) / safe
             accumulate(raw, np.where(z == 0.0, 0.0, dr))
 
-    return AffinityField(raw=raw, normalized=record("normalize_affinity", (raw,), out, fn))
+    return record("normalize_affinity", (raw,), kap, fn)
 
 
-def propagate_step(h: Tensor, aff: AffinityField) -> Tensor:
+def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
     """One simultaneous stencil update of every class channel.
 
     Reads only the incoming map (double-buffered by construction) and writes
     ``h + sum_n kappa_n * (shift_n(h) - h)``, which equals the center-weighted
-    form because kappa_c complements the signed neighbor sum.
+    form with center weight ``1 - sum_n kappa_n``.  ``kappa`` is the
+    (8, H, W) output of :func:`normalize_affinity`.
     """
-    k = aff.normalized
     if h.data.ndim != 3:
         raise ShapeError(f"score map must have shape (c, H, W), got {h.shape}")
-    if k.data.ndim != 3 or k.shape[0] != 9 or k.shape[1:] != h.shape[1:]:
+    if kappa.data.ndim != 3 or kappa.shape[0] != 8 or kappa.shape[1:] != h.shape[1:]:
         raise ShapeError(
-            f"normalized affinities {k.shape} do not match score map {h.shape}")
-    hd, kd = h.data, k.data
+            f"normalized affinities {kappa.shape} do not match score map {h.shape}")
+    hd, kd = h.data, kappa.data
     nh, nw = hd.shape[1:]
 
+    # every shift is a window of one zero-padded buffer; the h-pullback
+    # scatters into the same layout along the transposed stencil
     hp = np.pad(hd, ((0, 0), (1, 1), (1, 1)))
-    shifts = [hp[:, 1 - a: 1 - a + nh, 1 - b: 1 - b + nw] for a, b in OFFSETS]
+    windows = [(slice(None), slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
+               for a, b in OFFSETS]
+    shifts = [hp[win] for win in windows]
     out = hd.copy()
     for idx in range(8):
         out += kd[idx] * (shifts[idx] - hd)
 
     def fn(g):
         if h.requires_grad:
-            dh = g * (1.0 - kd[:8].sum(axis=0))
-            for idx, (a, b) in enumerate(OFFSETS):
-                tp = np.pad(kd[idx] * g, ((0, 0), (1, 1), (1, 1)))
-                dh += tp[:, 1 + a: 1 + a + nh, 1 + b: 1 + b + nw]
-            accumulate(h, dh)
-        if k.requires_grad:
-            dk = np.zeros_like(kd)
-            for idx in range(8):
-                dk[idx] = (g * (shifts[idx] - hd)).sum(axis=0)
-            accumulate(k, dk)
+            gp = np.zeros_like(hp)
+            gp[:, 1:-1, 1:-1] = g * (1.0 - kd.sum(axis=0))
+            for idx, win in enumerate(windows):
+                gp[win] += kd[idx] * g
+            accumulate(h, gp[:, 1:-1, 1:-1])
+        if kappa.requires_grad:
+            accumulate(kappa, np.stack([(g * (s - hd)).sum(axis=0) for s in shifts]))
 
-    return record("propagate_step", (h, k), out, fn)
+    return record("propagate_step", (h, kappa), out, fn)
 
 
-def refine(logits: Tensor, aff: AffinityField, steps: int) -> Tensor:
+def refine(logits: Tensor, kappa: Tensor, steps: int) -> Tensor:
     """Apply :func:`propagate_step` ``steps`` times; zero steps is the identity.
 
     The stencil is always the 3x3 one of :data:`OFFSETS`, with off-image
@@ -126,16 +112,15 @@ def refine(logits: Tensor, aff: AffinityField, steps: int) -> Tensor:
         raise ShapeError(f"steps must be >= 0, got {steps}")
     out = logits
     for _ in range(steps):
-        out = propagate_step(out, aff)
+        out = propagate_step(out, kappa)
     return out
 
 
 class AffinityBranch:
-    """Two-layer head that maps decoder features to raw affinities.
+    """Two-layer head that maps the decoder's spectral-mean plane to raw affinities.
 
-    The spectral axis is collapsed by its mean, then two 3x3 in-plane
-    convolutions (normalization and ReLU between them) produce one channel
-    per neighbor offset.  The final layer starts at zero so refinement
+    Two 3x3 in-plane convolutions (normalization and ReLU between them) turn
+    the (C, 1, H, W) plane into one channel per neighbor offset.  The final layer starts at zero so refinement
     begins as the identity and cannot disturb the score map early on.
     """
 
@@ -167,14 +152,13 @@ class AffinityBranch:
     def named_states(self):
         return [("norm", self.norm_state)]
 
-    def forward(self, features: Tensor, training: bool = False) -> Tensor:
-        if features.data.ndim != 4:
-            raise ShapeError(f"features must be rank 4, got {features.shape}")
-        if features.shape[0] != self.channels:
+    def forward(self, plane: Tensor, training: bool = False) -> Tensor:
+        if plane.data.ndim != 4 or plane.shape[1] != 1:
+            raise ShapeError(f"plane must have shape (C, 1, H, W), got {plane.shape}")
+        if plane.shape[0] != self.channels:
             raise ShapeError(
-                f"branch expects {self.channels} channels, got {features.shape[0]}")
-        c, _, nh, nw = features.shape
-        plane = T.reshape(T.reduce_mean(features, axes=(1,)), (c, 1, nh, nw))
+                f"branch expects {self.channels} channels, got {plane.shape[0]}")
+        nh, nw = plane.shape[2:]
         mixed = ops.conv3d(plane, self.mix_w, None, self.SPEC)
         mixed = ops.batchnorm(mixed, self.norm_scale, self.norm_shift,
                               self.norm_state, training)

@@ -12,7 +12,8 @@ Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
   block's input, concatenating with it, then conv(5,1,1) -> norm -> relu ->
   conv(3,3,3) -> norm -> relu; channels retrace 8x -> 4x -> 2x -> 1x;
 * head: mean over the residual spectral axis, then a 1x1 conv to class
-  logits of shape ``(num_classes, H, W)``.
+  logits of shape ``(num_classes, H, W)``; the same mean plane feeds the
+  affinity branch of the refinement stage (:mod:`fcspn.cspn`).
 
 Convolutions that feed a normalization layer carry no bias (the shift would
 be absorbed); the attention gate conv and the head conv do.  All weights
@@ -86,14 +87,8 @@ class ModelParams:
     def get(self, path: str) -> Tensor:
         return self._entries[path].tensor
 
-    def kind(self, path: str) -> str:
-        return self._entries[path].kind
-
     def items(self):
         return [(p, e.tensor, e.kind) for p, e in self._entries.items()]
-
-    def tensors(self) -> List[Tensor]:
-        return [e.tensor for e in self._entries.values()]
 
     def conv_weights(self) -> List[Tensor]:
         return [e.tensor for e in self._entries.values() if e.kind == "conv_weight"]
@@ -320,6 +315,7 @@ class FcspnModel:
     # -- inference -----------------------------------------------------------
 
     def _run(self, x: Tensor, training: bool) -> Tuple[Tensor, Tensor]:
+        """(logits, spectral-mean plane of the decoder output)."""
         x = self._as_input(x)
         t = T.relu(self.stem_norm(self.stem_conv(x), training))
         mirrors = []
@@ -331,7 +327,7 @@ class FcspnModel:
         c, _, nh, nw = t.shape
         plane = T.reshape(T.reduce_mean(t, axes=(1,)), (c, 1, nh, nw))
         logits = T.reshape(self.head_conv(plane), (self.config.num_classes, nh, nw))
-        return logits, t
+        return logits, plane
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Class logits (num_classes, H, W) for one cube, no refinement."""
@@ -340,11 +336,10 @@ class FcspnModel:
     def forward_refined(self, x: Tensor, steps: Optional[int] = None,
                         training: bool = False) -> Tuple[Tensor, Tensor]:
         """(refined, unrefined) logits; ``steps`` overrides the configured count."""
-        logits, feats = self._run(x, training)
-        raw = self.affinity.forward(feats, training)
-        aff = cspn.normalize_affinity(raw)
+        logits, plane = self._run(x, training)
+        kappa = cspn.normalize_affinity(self.affinity.forward(plane, training))
         steps = self.config.cspn_steps if steps is None else steps
-        return cspn.refine(logits, aff, steps), logits
+        return cspn.refine(logits, kappa, steps), logits
 
 
 def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> FcspnModel:
@@ -397,7 +392,8 @@ def load_checkpoint(path) -> FcspnModel:
         for _, state in sorted(model.states):
             mean = T.read_tensor_record(fh)
             var = T.read_tensor_record(fh)
-            if mean.shape != state.running_mean.shape:
+            if (mean.shape != state.running_mean.shape
+                    or var.shape != state.running_var.shape):
                 raise FormatError("checkpoint running statistics have wrong shape")
             state.running_mean = mean.astype(T.DTYPE)
             state.running_var = var.astype(T.DTYPE)

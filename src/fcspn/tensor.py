@@ -124,10 +124,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def tape_size() -> int:
     return len(_TAPE)
 
@@ -257,18 +253,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             accumulate(b, _unbroadcast(g, b.shape))
 
     return record("add", (a, b), a.data + b.data, fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
-
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(-g, b.shape))
-
-    return record("sub", (a, b), a.data - b.data, fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -419,9 +403,14 @@ def read_tensor_record(fh) -> np.ndarray:
         count *= s
         if count > 2**33:
             raise FormatError(f"extent overflow in tensor at offset {offset}")
+    # check the claimed size against the file before reading (and allocating)
+    here = fh.tell()
+    left = fh.seek(0, 2) - here
+    fh.seek(here)
+    if 4 * count > left:
+        raise FormatError(f"truncated tensor payload at offset {here}: "
+                          f"{4 * count} bytes claimed, {left} remain")
     payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise FormatError(f"truncated tensor payload at offset {fh.tell()}")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(DTYPE)
 
 

@@ -72,25 +72,28 @@ def conv3d_reference(x, w, b, stride, padding):
     return out
 
 
-def propagate_reference(h, kappa9, offsets):
+def propagate_reference(h, kappa, offsets):
     """One 9-point stencil update, direct transcription of the recurrence.
 
     out[l,i,j] = kappa_center[i,j]*h[l,i,j]
-               + sum_n kappa_n[i,j]*h[l, i-a_n, j-b_n]   (zero off-image).
+               + sum_n kappa_n[i,j]*h[l, i-a_n, j-b_n]   (zero off-image),
 
-    ``kappa9`` is (9, H, W): channels 0..7 are the neighbor weights in
-    ``offsets`` order, channel 8 is the center weight.
+    with kappa_center = 1 - sum_n kappa_n.  ``kappa`` is (8, H, W), the
+    neighbor weights in ``offsets`` order.
     """
     c, H, W = h.shape
     out = np.zeros_like(h)
     for l in range(c):
         for i in range(H):
             for j in range(W):
-                acc = kappa9[8, i, j] * h[l, i, j]
+                center = 1.0
+                for n in range(len(offsets)):
+                    center -= kappa[n, i, j]
+                acc = center * h[l, i, j]
                 for n, (a, b) in enumerate(offsets):
                     ii, jj = i - a, j - b
                     if 0 <= ii < H and 0 <= jj < W:
-                        acc += kappa9[n, i, j] * h[l, ii, jj]
+                        acc += kappa[n, i, j] * h[l, ii, jj]
                 out[l, i, j] = acc
     return out
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fcspn import cli, data, model
+from fcspn.tensor import Tensor, no_grad
 
 TINY_CONFIG = """\
 # tiny setup so the pipeline finishes in seconds
@@ -187,12 +188,14 @@ def test_classify_outputs(workdir, tmp_path):
 
 
 def test_classify_steps_zero_equals_refine_off(workdir, tmp_path):
-    assert cli.main(_classify_args(workdir, tmp_path / "off.hsl1",
-                                   "--refine", "off")) == 0
-    assert cli.main(_classify_args(workdir, tmp_path / "zero.hsl1",
-                                   "--refine", "on", "--steps", "0")) == 0
-    assert (tmp_path / "off.hsl1").read_bytes() == \
-        (tmp_path / "zero.hsl1").read_bytes()
+    out_map = tmp_path / "zero.hsl1"
+    assert cli.main(_classify_args(workdir, out_map, "--steps", "0")) == 0
+    net = model.load_checkpoint(workdir / "model.ckpt")
+    cube = data.normalize(data.load_cube(workdir / "scene.hsc1"))
+    with no_grad():
+        logits = net.forward(Tensor(cube.values[None].astype(np.float64)))
+    want = logits.data.argmax(axis=0).astype(np.uint16) + 1
+    assert np.array_equal(data.load_labels(out_map).grid, want)
 
 
 def test_classify_other_checkpoint_version_is_data_error(workdir, tmp_path, capsys):
@@ -204,6 +207,18 @@ def test_classify_other_checkpoint_version_is_data_error(workdir, tmp_path, caps
                    "--ckpt", str(old), "--out-map", str(tmp_path / "pred.hsl1")])
     assert rc == 3
     assert "version" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
+
+
+def test_classify_bad_running_variance_is_data_error(workdir, tmp_path, capsys):
+    net = model.load_checkpoint(workdir / "model.ckpt")
+    net.affinity.norm_state.running_var = np.ones(5)  # 5 entries for 2 channels
+    bad = tmp_path / "bad.ckpt"
+    model.save_checkpoint(net, bad)
+    rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
+                   "--ckpt", str(bad), "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert "running statistics" in capsys.readouterr().err
     assert not (tmp_path / "pred.hsl1").exists()
 
 

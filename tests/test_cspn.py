@@ -20,40 +20,36 @@ def _rand_raw(rng, hw, low=-1.0, high=1.0):
 # ---------------------------------------------------------------------------
 
 def test_normalize_uniform_example():
-    aff = cspn.normalize_affinity(T.full((8, 1, 1), 1.0))
-    k = aff.normalized.data.ravel()
-    assert np.allclose(k[:8], 1 / 8, atol=1e-15)
-    assert abs(k[8]) < 1e-15
+    k = cspn.normalize_affinity(T.full((8, 1, 1), 1.0)).data.ravel()
+    assert np.allclose(k, 1 / 8, atol=1e-15)
 
 
 def test_normalize_single_support_example():
     raw = np.zeros((8, 1, 1))
     raw[0] = 2.0
-    k = cspn.normalize_affinity(T.Tensor(raw)).normalized.data.ravel()
-    assert np.allclose(k, [1, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-15)
+    k = cspn.normalize_affinity(T.Tensor(raw)).data.ravel()
+    assert np.allclose(k, [1, 0, 0, 0, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_normalize_signed_example():
     raw = np.zeros((8, 1, 1))
     raw[0], raw[1] = 1.0, -1.0
-    k = cspn.normalize_affinity(T.Tensor(raw)).normalized.data.ravel()
+    k = cspn.normalize_affinity(T.Tensor(raw)).data.ravel()
     assert np.allclose(k[:2], [0.5, -0.5], atol=1e-15)
-    assert np.allclose(k[2:8], 0, atol=1e-15)
-    assert k[8] == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(k[2:], 0, atol=1e-15)
 
 
 def test_normalize_all_zero_is_identity_kernel():
-    k = cspn.normalize_affinity(T.zeros((8, 2, 2))).normalized.data
-    assert np.array_equal(k[:8], np.zeros((8, 2, 2)))
-    assert np.array_equal(k[8], np.ones((2, 2)))
+    k = cspn.normalize_affinity(T.zeros((8, 2, 2))).data
+    assert np.array_equal(k, np.zeros((8, 2, 2)))
 
 
 def test_normalize_invariants_random():
     rng = np.random.default_rng(31)
-    k = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (13, 17)))).normalized.data
-    assert np.max(np.abs(np.abs(k[:8]).sum(axis=0) - 1.0)) < 1e-12
-    assert np.max(np.abs(k[8] - (1.0 - k[:8].sum(axis=0)))) < 1e-12
-    assert np.all(np.abs(k[:8]) < 1.0)
+    k = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (13, 17)))).data
+    assert k.shape == (8, 13, 17)
+    assert np.max(np.abs(np.abs(k).sum(axis=0) - 1.0)) < 1e-12
+    assert np.all(np.abs(k) < 1.0)
 
 
 def test_normalize_gradcheck():
@@ -61,19 +57,21 @@ def test_normalize_gradcheck():
     for _ in range(5):
         # keep |raw| away from 0 so finite differences never cross the kink
         raw = rng.uniform(0.2, 1.0, (8, 3, 4)) * rng.choice([-1.0, 1.0], (8, 3, 4))
-        proj = gradcheck.projection((9, 3, 4), rng)
+        proj = gradcheck.projection((8, 3, 4), rng)
 
         def build(raw, proj=proj):
-            return gradcheck.project(cspn.normalize_affinity(raw).normalized, proj)
+            return gradcheck.project(cspn.normalize_affinity(raw), proj)
 
-        gradcheck.check_grads(build, [raw])
+        gradcheck.check_grads(build, [raw], nonzero=True)
 
 
 def test_normalize_zero_pixel_gets_zero_grad():
     raw = np.zeros((8, 1, 2))
     raw[:, 0, 1] = 0.5
     t = T.Tensor(raw, requires_grad=True)
-    T.backward(T.reduce_sum(cspn.normalize_affinity(t).normalized))
+    T.backward(T.reduce_sum(T.mul(cspn.normalize_affinity(t),
+                                  T.Tensor(np.arange(1.0, 17.0).reshape(8, 1, 2)))))
+    assert np.any(t.grad[:, 0, 1])
     assert np.array_equal(t.grad[:, 0, 0], np.zeros(8))
 
 
@@ -87,7 +85,7 @@ def test_propagate_matches_stencil_oracle():
         h = rng.uniform(-1, 1, (3, 5, 5))
         aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (5, 5))))
         got = cspn.propagate_step(T.Tensor(h), aff).data
-        want = oracles.propagate_reference(h, aff.normalized.data, cspn.OFFSETS)
+        want = oracles.propagate_reference(h, aff.data, cspn.OFFSETS)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -173,13 +171,15 @@ def test_propagate_gradcheck_h_and_raw():
     for _ in range(5):
         h = rng.uniform(-1, 1, (2, 4, 4))
         raw = rng.uniform(0.2, 1.0, (8, 4, 4)) * rng.choice([-1.0, 1.0], (8, 4, 4))
-        gradcheck.check_grads(build, [h, raw])
+        gradcheck.check_grads(build, [h, raw], nonzero=True)
 
 
 def test_propagate_shape_mismatch():
     aff = cspn.normalize_affinity(T.zeros((8, 4, 4)))
     with pytest.raises(T.ShapeError):
         cspn.propagate_step(T.zeros((2, 5, 4)), aff)
+    with pytest.raises(T.ShapeError):
+        cspn.propagate_step(T.zeros((2, 4, 4)), T.zeros((9, 4, 4)))
 
 
 def test_config_validation():
@@ -196,13 +196,21 @@ def test_config_validation():
 def test_branch_zero_init_gives_identity_refine():
     rng = np.random.default_rng(41)
     branch = cspn.AffinityBranch(4, rng)
-    feats = T.Tensor(rng.uniform(-1, 1, (4, 3, 5, 6)))
-    raw = branch.forward(feats)
+    plane = T.Tensor(rng.uniform(-1, 1, (4, 1, 5, 6)))
+    raw = branch.forward(plane)
     assert raw.shape == (8, 5, 6)
     assert np.array_equal(raw.data, np.zeros((8, 5, 6)))
     h = T.Tensor(rng.uniform(-1, 1, (3, 5, 6)))
     out = cspn.refine(h, cspn.normalize_affinity(raw), 4)
     assert out.data.tobytes() == h.data.tobytes()
+
+
+def test_branch_takes_the_spectral_mean_plane():
+    branch = cspn.AffinityBranch(4, np.random.default_rng(43))
+    assert branch.forward(T.zeros((4, 1, 5, 6))).shape == (8, 5, 6)
+    for shape in ((4, 3, 5, 6), (3, 1, 5, 6), (4, 5, 6)):
+        with pytest.raises(T.ShapeError):
+            branch.forward(T.zeros(shape))
 
 
 def test_branch_gradcheck_through_refine():
@@ -214,15 +222,15 @@ def test_branch_gradcheck_through_refine():
     branch.head_b = T.Tensor(rng.uniform(-0.2, 0.2, 8), requires_grad=True)
     proj = gradcheck.projection((2, 4, 4), rng)
 
-    def build(feats, head_w, gamma):
+    def build(plane, head_w, gamma):
         branch.head_w = head_w
         branch.norm_scale = gamma
-        raw = branch.forward(feats, training=True)
+        raw = branch.forward(plane, training=True)
         out = cspn.refine(T.Tensor(base_h), cspn.normalize_affinity(raw), 2)
         return gradcheck.project(out, proj)
 
     base_h = rng.uniform(-1, 1, (2, 4, 4))
-    arrs = [rng.uniform(-1, 1, (3, 2, 4, 4)),
+    arrs = [rng.uniform(-1, 1, (3, 1, 4, 4)),
             rng.uniform(-0.5, 0.5, (8, 3, 1, 3, 3)),
             rng.uniform(0.8, 1.2, 3)]
     gradcheck.check_grads(build, arrs)

@@ -273,6 +273,15 @@ def test_checkpoint_truncated(tmp_path):
         M.load_checkpoint(clipped)
 
 
+def test_checkpoint_running_variance_shape_checked(tmp_path):
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(17))
+    m.affinity.norm_state.running_var = np.ones(5)  # 5 entries for 2 channels
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+    with pytest.raises(T.FormatError, match="running statistics"):
+        M.load_checkpoint(p)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------

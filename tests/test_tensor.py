@@ -1,4 +1,6 @@
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -253,3 +255,23 @@ def test_tsr1_truncated(tmp_path):
     p.write_bytes(b"TSR1\x01\x04\x00\x00\x00" + b"\x00" * 7)
     with pytest.raises(T.FormatError):
         T.load_tensor(p)
+
+
+class _RecordingReader(io.BytesIO):
+    """An in-memory file that remembers the size of every read."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.reads = []
+
+    def read(self, size=-1):
+        self.reads.append(size)
+        return super().read(size)
+
+
+def test_tsr1_payload_checked_before_read():
+    # the header claims 1000 values (4000 bytes); 3 bytes short of that remain
+    fh = _RecordingReader(b"TSR1\x01" + struct.pack("<I", 1000) + b"\x00" * 3997)
+    with pytest.raises(T.FormatError, match="4000 bytes claimed, 3997 remain"):
+        T.read_tensor_record(fh)
+    assert max(fh.reads) < 4000
