@@ -50,7 +50,7 @@ print("1D ramp 0..3 resampled to 7 points:", up.data.ravel())
 
 print()
 print("== the squeeze-excitation channel gate ==")
-gate = M._Attention(M.ModelParams(), "attn", 3, rng)
+gate = M._Attention(ops.ModelParams(), "attn", 3, rng)
 feat = T.Tensor(rng.normal(size=(3, 4, 5, 5)))
 with T.no_grad():
     gated = gate(feat)
@@ -61,8 +61,8 @@ print("per-channel scale in (0, 1), one value per channel:",
 
 print()
 print("== the separable residual unit ==")
-params, states = M.ModelParams(), []
-unit = M._DsrUnit(params, "unit", 3, rng, states)
+params = ops.ModelParams()  # every layer registers here, under its path
+unit = M._DsrUnit(params, "unit", 3, rng)
 cells = 0
 for path in params.paths():
     tensor = params.get(path)
@@ -70,6 +70,10 @@ for path in params.paths():
         cells += int(np.prod(tensor.shape[2:]))
         print(f"{path:28s} kernel {tensor.shape[2:]}")
 print(f"kernel cells per channel pair: {cells} (a dense 3x3x3 needs 27)")
+print("running statistics in the same registry:",
+      ", ".join(path for path, _ in params.states()))
+print(f"decayed by the L2 term: {len(params.decayed())} conv weights "
+      f"of {len(params.paths())} tensors")
 feat = T.Tensor(rng.normal(size=(3, 6, 7, 7)))
 with T.no_grad():
     out = unit(feat, training=True)
@@ -80,7 +84,8 @@ print("== the assembled network ==")
 cfg = M.ModelConfig(in_bands=20, num_classes=3, base_channels=8, cspn_steps=4)
 net = M.build(cfg, np.random.default_rng(0))
 total = net.params.total_count()
-print(f"parameters: {total} scalars across {len(net.params.paths())} tensors")
+print(f"parameters: {total} scalars across {len(net.params.paths())} tensors, "
+      f"plus {len(net.params.states())} sets of running statistics")
 print("first few ledger entries:")
 for path in net.params.paths()[:5]:
     print(f"  {path:30s} {net.params.get(path).shape}")

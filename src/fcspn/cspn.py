@@ -1,7 +1,8 @@
 """Affinity-driven spatial propagation over per-class score maps.
 
-A small learned branch emits eight raw affinities per pixel, one per
-non-center cell of the 3x3 neighborhood.  :func:`normalize_affinity` rescales
+A small learned branch (:class:`AffinityBranch`, whose layers sit in the
+network's one parameter registry) emits eight raw affinities per pixel, one
+per non-center cell of the 3x3 neighborhood.  :func:`normalize_affinity` rescales
 them so their absolute values sum to one; :func:`propagate_step` then mixes
 every class channel with its shifted neighbors under that shared kernel, the
 center weighted by the complement ``1 - sum_n kappa_n`` of the signed
@@ -117,51 +118,26 @@ def refine(logits: Tensor, kappa: Tensor, steps: int) -> Tensor:
 
 
 class AffinityBranch:
-    """Two-layer head that maps the decoder's spectral-mean plane to raw affinities.
+    """Two-layer head from the decoder's spectral-mean plane to raw affinities.
 
     Two 3x3 in-plane convolutions (normalization and ReLU between them) turn
-    the (C, 1, H, W) plane into one channel per neighbor offset.  The final layer starts at zero so refinement
-    begins as the identity and cannot disturb the score map early on.
+    the (C, 1, H, W) plane into one channel per neighbor offset; they are
+    ``ops.Conv``/``ops.Norm`` layers registered under ``path`` like the rest
+    of the network.  The head starts at zero so refinement begins as the
+    identity and cannot disturb the score map early on.
     """
 
-    SPEC = ops.Conv3dSpec(kernel=(1, 3, 3), stride=(1, 1, 1), padding=(0, 1, 1))
-
-    def __init__(self, channels: int, rng: np.random.Generator):
-        if channels < 1:
-            raise ShapeError("channels must be >= 1")
-        self.channels = channels
-        fan_in = channels * 9
-        self.mix_w = T.kaiming_normal((channels, channels, 1, 3, 3), fan_in, rng,
-                                      requires_grad=True)
-        self.norm_scale = T.full((channels,), 1.0, requires_grad=True)
-        self.norm_shift = T.zeros((channels,), requires_grad=True)
-        self.norm_state = ops.BatchNormState(channels)
-        self.head_w = T.zeros((8, channels, 1, 3, 3), requires_grad=True)
-        self.head_b = T.zeros((8,), requires_grad=True)
-
-    def named_parameters(self):
-        """Learnable tensors as (relative path, tensor, kind) triples."""
-        return [
-            ("mix.weights", self.mix_w, "conv_weight"),
-            ("norm.scale", self.norm_scale, "bn_scale"),
-            ("norm.shift", self.norm_shift, "bn_shift"),
-            ("head.weights", self.head_w, "conv_weight"),
-            ("head.bias", self.head_b, "bias"),
-        ]
-
-    def named_states(self):
-        return [("norm", self.norm_state)]
+    def __init__(self, params: ops.ModelParams, path: str, channels: int,
+                 rng: np.random.Generator):
+        self.mix = ops.Conv(params, path + ".mix", channels, channels,
+                            (1, 3, 3), (1, 1, 1), rng, bias=False)
+        self.norm = ops.Norm(params, path + ".norm", channels)
+        self.head = ops.Conv(params, path + ".head", channels, 8,
+                             (1, 3, 3), (1, 1, 1), None, bias=True)
 
     def forward(self, plane: Tensor, training: bool = False) -> Tensor:
         if plane.data.ndim != 4 or plane.shape[1] != 1:
             raise ShapeError(f"plane must have shape (C, 1, H, W), got {plane.shape}")
-        if plane.shape[0] != self.channels:
-            raise ShapeError(
-                f"branch expects {self.channels} channels, got {plane.shape[0]}")
         nh, nw = plane.shape[2:]
-        mixed = ops.conv3d(plane, self.mix_w, None, self.SPEC)
-        mixed = ops.batchnorm(mixed, self.norm_scale, self.norm_shift,
-                              self.norm_state, training)
-        mixed = T.relu(mixed)
-        raw = ops.conv3d(mixed, self.head_w, self.head_b, self.SPEC)
-        return T.reshape(raw, (8, nh, nw))
+        mixed = T.relu(self.norm(self.mix(plane), training))
+        return T.reshape(self.head(mixed), (8, nh, nw))

@@ -1,4 +1,4 @@
-"""The encoder/decoder 3D network and its parameter registry.
+"""The encoder/decoder 3D network and its checkpoint file.
 
 Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
 
@@ -15,16 +15,20 @@ Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
   logits of shape ``(num_classes, H, W)``; the same mean plane feeds the
   affinity branch of the refinement stage (:mod:`fcspn.cspn`).
 
-Convolutions that feed a normalization layer carry no bias (the shift would
-be absorbed); the attention gate conv and the head conv do.  All weights
-come from one caller-supplied generator so builds are reproducible.
+Every layer, the affinity branch included, is an ``ops.Conv`` or
+``ops.Norm`` registered under its dotted path in one ``ops.ModelParams``;
+the checkpoint stores that registry in path order.  Convolutions that feed
+a normalization layer carry no bias (the shift would be absorbed); the
+attention gate conv and the head conv do.  All weights come from one
+caller-supplied generator so builds are reproducible.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,98 +64,20 @@ class ModelConfig:
             raise ShapeError(f"cspn_steps must be >= 0, got {self.cspn_steps}")
 
 
-@dataclass
-class ParamEntry:
-    tensor: Tensor
-    kind: str  # conv_weight | bias | bn_scale | bn_shift
-
-
-class ModelParams:
-    """Ordered map from dotted layer path to learnable tensor."""
-
-    def __init__(self):
-        self._entries: Dict[str, ParamEntry] = {}
-
-    def register(self, path: str, tensor: Tensor, kind: str) -> Tensor:
-        if path in self._entries:
-            raise ShapeError(f"duplicate parameter path {path!r}")
-        for entry in self._entries.values():
-            if entry.tensor is tensor:
-                raise ShapeError(f"tensor for {path!r} already registered")
-        self._entries[path] = ParamEntry(tensor, kind)
-        return tensor
-
-    def paths(self) -> List[str]:
-        return list(self._entries)
-
-    def get(self, path: str) -> Tensor:
-        return self._entries[path].tensor
-
-    def items(self):
-        return [(p, e.tensor, e.kind) for p, e in self._entries.items()]
-
-    def conv_weights(self) -> List[Tensor]:
-        return [e.tensor for e in self._entries.values() if e.kind == "conv_weight"]
-
-    def total_count(self) -> int:
-        return sum(e.tensor.size for e in self._entries.values())
-
-    def load_array(self, path: str, arr: np.ndarray) -> None:
-        if path not in self._entries:
-            raise FormatError(f"checkpoint names unknown parameter {path!r}")
-        t = self._entries[path].tensor
-        if arr.shape != t.shape:
-            raise FormatError(
-                f"checkpoint tensor {path!r} has shape {arr.shape}, expected {t.shape}")
-        t.data = np.asarray(arr, dtype=T.DTYPE, order="C")
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
 
-class _Conv:
-    def __init__(self, params: ModelParams, path: str, cin: int, cout: int,
-                 kernel, stride, rng, bias: bool):
-        self.spec = ops.Conv3dSpec(kernel=kernel, stride=stride)
-        fan_in = cin * int(np.prod(kernel))
-        self.w = params.register(
-            path + ".weights",
-            T.kaiming_normal((cout, cin) + tuple(kernel), fan_in, rng,
-                             requires_grad=True),
-            "conv_weight")
-        self.b = params.register(
-            path + ".bias", T.zeros((cout,), requires_grad=True),
-            "bias") if bias else None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv3d(x, self.w, self.b, self.spec)
-
-
-class _Norm:
-    def __init__(self, params: ModelParams, path: str, channels: int,
-                 states: List[Tuple[str, ops.BatchNormState]]):
-        self.scale = params.register(
-            path + ".scale", T.full((channels,), 1.0, requires_grad=True), "bn_scale")
-        self.shift = params.register(
-            path + ".shift", T.zeros((channels,), requires_grad=True), "bn_shift")
-        self.state = ops.BatchNormState(channels)
-        states.append((path, self.state))
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ops.batchnorm(x, self.scale, self.shift, self.state, training)
-
-
 class _DsrBranch:
     """conv -> norm -> relu -> conv -> norm -> relu with separable kernels."""
 
-    def __init__(self, params, path, channels, kernels, rng, states):
-        self.conv_a = _Conv(params, path + ".conv_a", channels, channels,
-                            kernels[0], (1, 1, 1), rng, bias=False)
-        self.norm_a = _Norm(params, path + ".norm_a", channels, states)
-        self.conv_b = _Conv(params, path + ".conv_b", channels, channels,
-                            kernels[1], (1, 1, 1), rng, bias=False)
-        self.norm_b = _Norm(params, path + ".norm_b", channels, states)
+    def __init__(self, params, path, channels, kernels, rng):
+        self.conv_a = ops.Conv(params, path + ".conv_a", channels, channels,
+                               kernels[0], (1, 1, 1), rng, bias=False)
+        self.norm_a = ops.Norm(params, path + ".norm_a", channels)
+        self.conv_b = ops.Conv(params, path + ".conv_b", channels, channels,
+                               kernels[1], (1, 1, 1), rng, bias=False)
+        self.norm_b = ops.Norm(params, path + ".norm_b", channels)
 
     def __call__(self, x, training):
         t = T.relu(self.norm_a(self.conv_a(x), training))
@@ -168,11 +94,11 @@ class _DsrUnit:
     SPATIAL = (1, 3, 3)
     SPECTRAL = (3, 1, 1)
 
-    def __init__(self, params, path, channels, rng, states):
+    def __init__(self, params, path, channels, rng):
         self.left = _DsrBranch(params, path + ".left", channels,
-                               (self.SPATIAL, self.SPECTRAL), rng, states)
+                               (self.SPATIAL, self.SPECTRAL), rng)
         self.right = _DsrBranch(params, path + ".right", channels,
-                                (self.SPECTRAL, self.SPATIAL), rng, states)
+                                (self.SPECTRAL, self.SPATIAL), rng)
 
     def __call__(self, x, training):
         return T.add(x, T.add(self.left(x, training), self.right(x, training)))
@@ -185,8 +111,8 @@ class _Attention:
     """
 
     def __init__(self, params, path, channels, rng):
-        self.gate = _Conv(params, path + ".gate", channels, channels,
-                          (1, 1, 1), (1, 1, 1), rng, bias=True)
+        self.gate = ops.Conv(params, path + ".gate", channels, channels,
+                             (1, 1, 1), (1, 1, 1), rng, bias=True)
 
     def __call__(self, x):
         squeezed = T.reshape(T.reduce_mean(x, axes=(1, 2, 3)), (x.shape[0], 1, 1, 1))
@@ -194,14 +120,14 @@ class _Attention:
 
 
 class _DownBlock:
-    def __init__(self, params, path, cin, cout, config, rng, states):
-        self.conv_a = _Conv(params, path + ".conv_a", cin, cout,
-                            (3, 3, 3), (2, 1, 1), rng, bias=False)
-        self.norm_a = _Norm(params, path + ".norm_a", cout, states)
-        self.conv_b = _Conv(params, path + ".conv_b", cout, cout,
-                            (1, 3, 3), (1, 2, 2), rng, bias=False)
-        self.norm_b = _Norm(params, path + ".norm_b", cout, states)
-        self.dsr = [_DsrUnit(params, f"{path}.dsr{j + 1}", cout, rng, states)
+    def __init__(self, params, path, cin, cout, config, rng):
+        self.conv_a = ops.Conv(params, path + ".conv_a", cin, cout,
+                               (3, 3, 3), (2, 1, 1), rng, bias=False)
+        self.norm_a = ops.Norm(params, path + ".norm_a", cout)
+        self.conv_b = ops.Conv(params, path + ".conv_b", cout, cout,
+                               (1, 3, 3), (1, 2, 2), rng, bias=False)
+        self.norm_b = ops.Norm(params, path + ".norm_b", cout)
+        self.dsr = [_DsrUnit(params, f"{path}.dsr{j + 1}", cout, rng)
                     for j in range(config.dsr_per_stage)]
         self.attention = (_Attention(params, path + ".attn", cout, rng)
                           if config.attention_enabled else None)
@@ -220,13 +146,13 @@ class _DownBlock:
 
 
 class _UpBlock:
-    def __init__(self, params, path, cin, cout, rng, states):
-        self.conv_a = _Conv(params, path + ".conv_a", cin, cout,
-                            (5, 1, 1), (1, 1, 1), rng, bias=False)
-        self.norm_a = _Norm(params, path + ".norm_a", cout, states)
-        self.conv_b = _Conv(params, path + ".conv_b", cout, cout,
-                            (3, 3, 3), (1, 1, 1), rng, bias=False)
-        self.norm_b = _Norm(params, path + ".norm_b", cout, states)
+    def __init__(self, params, path, cin, cout, rng):
+        self.conv_a = ops.Conv(params, path + ".conv_a", cin, cout,
+                               (5, 1, 1), (1, 1, 1), rng, bias=False)
+        self.norm_a = ops.Norm(params, path + ".norm_a", cout)
+        self.conv_b = ops.Conv(params, path + ".conv_b", cout, cout,
+                               (3, 3, 3), (1, 1, 1), rng, bias=False)
+        self.norm_b = ops.Norm(params, path + ".norm_b", cout)
 
     def __call__(self, x, mirror, training):
         t = ops.trilinear_upsample(x, mirror.shape[1:])
@@ -240,25 +166,24 @@ class _UpBlock:
 # ---------------------------------------------------------------------------
 
 class FcspnModel:
-    """Full network plus affinity branch, parameters registered by path."""
+    """Full network plus affinity branch, one registry for both."""
 
     MIN_SPATIAL = 8
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.params = ModelParams()
-        self.states: List[Tuple[str, ops.BatchNormState]] = []
+        self.params = ops.ModelParams()
         b = config.base_channels
 
-        self.stem_conv = _Conv(self.params, "stem.conv", 1, b,
-                               (5, 1, 1), (5, 1, 1), rng, bias=False)
-        self.stem_norm = _Norm(self.params, "stem.norm", b, self.states)
+        self.stem_conv = ops.Conv(self.params, "stem.conv", 1, b,
+                                  (5, 1, 1), (5, 1, 1), rng, bias=False)
+        self.stem_norm = ops.Norm(self.params, "stem.norm", b)
 
         self.downs = []
         c = b
         for i in range(3):
             self.downs.append(_DownBlock(self.params, f"down{i + 1}",
-                                         c, 2 * c, config, rng, self.states))
+                                         c, 2 * c, config, rng))
             c *= 2
         # decoder channel plan: x carries 8b, 4b, 2b into the three up blocks,
         # each joined with the mirror of 4b, 2b, b channels
@@ -266,17 +191,12 @@ class FcspnModel:
         for i in range(3):
             cmir = c // 2
             self.ups.append(_UpBlock(self.params, f"up{i + 1}",
-                                     c + cmir, cmir, rng, self.states))
+                                     c + cmir, cmir, rng))
             c = cmir
 
-        self.head_conv = _Conv(self.params, "head.conv", b, config.num_classes,
-                               (1, 1, 1), (1, 1, 1), rng, bias=True)
-
-        self.affinity = cspn.AffinityBranch(b, rng)
-        for rel, t, kind in self.affinity.named_parameters():
-            self.params.register(f"affinity.{rel}", t, kind)
-        for rel, state in self.affinity.named_states():
-            self.states.append((f"affinity.{rel}", state))
+        self.head_conv = ops.Conv(self.params, "head.conv", b, config.num_classes,
+                                  (1, 1, 1), (1, 1, 1), rng, bias=True)
+        self.affinity = cspn.AffinityBranch(self.params, "affinity", b, rng)
 
     # -- shape bookkeeping ---------------------------------------------------
 
@@ -353,10 +273,18 @@ def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Fcs
 # layout, little-endian:
 #   magic "FCSP" | u32 version | u32 in_bands | u32 num_classes
 #   | u32 base_channels | u32 dsr_per_stage | u8 attention | u32 cspn_steps
-#   | learnable tensors as TSR1 records, sorted by path
-#   | per-norm running mean and variance as TSR1 records, sorted by path
+#   | TSR1 records of ``ModelParams.arrays()``: the learnable tensors sorted
+#     by path, then running mean and variance per norm, sorted by path
 
 _HEADER = "<4sIIIIIBI"
+
+
+def _min_floats(config: ModelConfig) -> int:
+    """A lower bound on the values ``build(config)`` allocates: down3.conv_b,
+    the residual units of down1 and the head conv."""
+    b = config.base_channels
+    return (9 * (8 * b) ** 2 + 96 * b * b * config.dsr_per_stage
+            + (b + 1) * config.num_classes)
 
 
 def save_checkpoint(model: FcspnModel, path) -> None:
@@ -366,11 +294,8 @@ def save_checkpoint(model: FcspnModel, path) -> None:
                              cfg.in_bands, cfg.num_classes, cfg.base_channels,
                              cfg.dsr_per_stage, int(cfg.attention_enabled),
                              cfg.cspn_steps))
-        for p in sorted(model.params.paths()):
-            T.write_tensor_record(fh, model.params.get(p).data)
-        for _, state in sorted(model.states):
-            T.write_tensor_record(fh, state.running_mean)
-            T.write_tensor_record(fh, state.running_var)
+        for _, arr in model.params.arrays():
+            T.write_tensor_record(fh, arr)
 
 
 def load_checkpoint(path) -> FcspnModel:
@@ -386,17 +311,18 @@ def load_checkpoint(path) -> FcspnModel:
         config = ModelConfig(in_bands=bands, num_classes=classes,
                              base_channels=base, dsr_per_stage=dsr,
                              attention_enabled=bool(attn), cspn_steps=steps)
+        left = os.fstat(fh.fileno()).st_size - len(raw)
+        if 4 * _min_floats(config) > left:
+            raise FormatError(
+                f"checkpoint header asks for at least {_min_floats(config)} "
+                f"parameters, more than the {left} bytes after it can hold")
         model = build(config)
-        for p in sorted(model.params.paths()):
-            model.params.load_array(p, T.read_tensor_record(fh))
-        for _, state in sorted(model.states):
-            mean = T.read_tensor_record(fh)
-            var = T.read_tensor_record(fh)
-            if (mean.shape != state.running_mean.shape
-                    or var.shape != state.running_var.shape):
-                raise FormatError("checkpoint running statistics have wrong shape")
-            state.running_mean = mean.astype(T.DTYPE)
-            state.running_var = var.astype(T.DTYPE)
+        for name, target in model.params.arrays():
+            arr = T.read_tensor_record(fh)
+            if arr.shape != target.shape:
+                raise FormatError(
+                    f"checkpoint {name} has shape {arr.shape}, expected {target.shape}")
+            target[...] = arr
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after checkpoint payload")

@@ -4,13 +4,17 @@ All ops take and return :class:`~fcspn.tensor.Tensor` values shaped
 ``(channels, depth, height, width)`` with no batch axis; training batches are
 formed by accumulating gradients over several crops.  Each op registers its
 pullback on the global tape via :func:`fcspn.tensor.record`.
+
+:class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
+layers that own their tensors and register them, with the running
+statistics, in a :class:`ModelParams` under a dotted layer path.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -282,3 +286,94 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
             accumulate(b, g[ca:])
 
     return record("concat", (a, b), np.concatenate([a.data, b.data], axis=0), fn)
+
+
+# ---------------------------------------------------------------------------
+# layers and their registry
+# ---------------------------------------------------------------------------
+
+class ModelParams:
+    """Everything a checkpoint stores, keyed by dotted layer path: the
+    learnable tensors and the batchnorm running statistics, in registration
+    order, plus the tensors the L2 term decays (``decay=True``: conv weights).
+    """
+
+    def __init__(self):
+        self._tensors: Dict[str, Tensor] = {}
+        self._states: Dict[str, BatchNormState] = {}
+        self._decayed: List[Tensor] = []
+
+    def register(self, path: str, tensor: Tensor, decay: bool = False) -> Tensor:
+        if path in self._tensors:
+            raise ShapeError(f"duplicate parameter path {path!r}")
+        if any(t is tensor for t in self._tensors.values()):
+            raise ShapeError(f"tensor for {path!r} already registered")
+        self._tensors[path] = tensor
+        if decay:
+            self._decayed.append(tensor)
+        return tensor
+
+    def register_state(self, path: str, state: BatchNormState) -> BatchNormState:
+        self._states[path] = state
+        return state
+
+    def paths(self) -> List[str]:
+        return list(self._tensors)
+
+    def get(self, path: str) -> Tensor:
+        return self._tensors[path]
+
+    def items(self) -> List[Tuple[str, Tensor]]:
+        return list(self._tensors.items())
+
+    def states(self) -> List[Tuple[str, BatchNormState]]:
+        return list(self._states.items())
+
+    def decayed(self) -> List[Tensor]:
+        return list(self._decayed)
+
+    def total_count(self) -> int:
+        return sum(t.size for t in self._tensors.values())
+
+    def arrays(self) -> List[Tuple[str, np.ndarray]]:
+        """(name, array) of everything stored, in checkpoint order: the
+        tensors sorted by path, then per norm, sorted by path, its running
+        mean and variance."""
+        out = [(f"tensor {p!r}", self._tensors[p].data) for p in sorted(self._tensors)]
+        for p in sorted(self._states):
+            for field in ("running_mean", "running_var"):
+                out.append((f"running statistics {p + '.' + field!r}",
+                            getattr(self._states[p], field)))
+        return out
+
+
+class Conv:
+    """:func:`conv3d` with registered weights, Kaiming-normal from ``rng``
+    (zero when it is None), and an optional zero bias."""
+
+    def __init__(self, params: ModelParams, path: str, cin: int, cout: int,
+                 kernel, stride, rng: Optional[np.random.Generator], bias: bool):
+        self.spec = Conv3dSpec(kernel=kernel, stride=stride)
+        shape = (cout, cin) + self.spec.kernel
+        w = (T.zeros(shape, requires_grad=True) if rng is None else
+             T.kaiming_normal(shape, int(np.prod(shape[1:])), rng, requires_grad=True))
+        self.w = params.register(path + ".weights", w, decay=True)
+        self.b = params.register(
+            path + ".bias", T.zeros((cout,), requires_grad=True)) if bias else None
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return conv3d(x, self.w, self.b, self.spec)
+
+
+class Norm:
+    """:func:`batchnorm` with a registered scale, shift and running statistics."""
+
+    def __init__(self, params: ModelParams, path: str, channels: int):
+        self.scale = params.register(
+            path + ".scale", T.full((channels,), 1.0, requires_grad=True))
+        self.shift = params.register(
+            path + ".shift", T.zeros((channels,), requires_grad=True))
+        self.state = params.register_state(path, BatchNormState(channels))
+
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        return batchnorm(x, self.scale, self.shift, self.state, training)

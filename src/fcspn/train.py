@@ -18,7 +18,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .model import FcspnModel, ModelParams
+from .model import FcspnModel
+from .ops import ModelParams
 from .tensor import NumericError, ShapeError, Tensor, accumulate, record
 
 
@@ -108,7 +109,7 @@ def l2_penalty(params: ModelParams, weight_decay: float) -> Tensor:
     Normalization scales/shifts and biases are excluded on purpose; decaying
     them would fight the normalization layers rather than regularize.
     """
-    weights = params.conv_weights()
+    weights = params.decayed()
     value = 0.5 * weight_decay * sum(float(np.sum(w.data ** 2)) for w in weights)
 
     def fn(g):
@@ -125,19 +126,19 @@ class OptimizerState:
     def __init__(self, params: ModelParams):
         self.velocity: Dict[str, np.ndarray] = {
             path: np.zeros(t.shape, dtype=T.DTYPE)
-            for path, t, _ in params.items()
+            for path, t in params.items()
         }
 
 
 def sgd_step(params: ModelParams, state: OptimizerState,
              config: TrainConfig) -> None:
     """v <- momentum * v + grad; w <- w - lr * v.  Unused grads count as zero."""
-    bad = [path for path, t, _ in params.items()
+    bad = [path for path, t in params.items()
            if t.grad is not None and not np.all(np.isfinite(t.grad))]
     if bad:
         raise NumericError(
             "non-finite gradient for parameter(s): " + ", ".join(sorted(bad)))
-    for path, t, _ in params.items():
+    for path, t in params.items():
         grad = t.grad if t.grad is not None else 0.0
         v = state.velocity[path]
         v *= config.momentum
@@ -146,7 +147,7 @@ def sgd_step(params: ModelParams, state: OptimizerState,
 
 
 def zero_grads(params: ModelParams) -> None:
-    for _, t, _ in params.items():
+    for _, t in params.items():
         t.zero_grad()
 
 
@@ -211,7 +212,6 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     state = OptimizerState(model.params)
     rows: List[TraceRow] = []
-    stop = False
     for epoch in range(config.epochs):
         for step in range(config.steps_per_epoch):
             T.clear_tape()
@@ -232,8 +232,6 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
             rows.append(TraceRow(epoch, step, focal_mean.item(),
                                  penalty.item(), total.item()))
         if on_epoch is not None and on_epoch(epoch, rows[-1]):
-            stop = True
-        if stop:
             break
     if trace_path is not None:
         write_trace(rows, trace_path)

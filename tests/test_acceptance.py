@@ -104,7 +104,7 @@ def _grad_attention(rng):
         x = rng.normal(0.0, 1.0, (channels, int(rng.integers(2, 4)),
                                   int(rng.integers(3, 5)),
                                   int(rng.integers(3, 5))))
-        att = M._Attention(M.ModelParams(), "att", channels, rng)
+        att = M._Attention(ops.ModelParams(), "att", channels, rng)
         w = rng.normal(0.0, 1.0, (channels, channels, 1, 1, 1))
         b = rng.uniform(-0.5, 0.5, channels)
         proj = gradcheck.projection(x.shape, rng)
@@ -123,11 +123,11 @@ def _grad_dsr(rng):
     for i in range(20):
         channels = int(rng.integers(2, 4))
         x = rng.normal(0.0, 1.0, (channels, 3, 4, 4))
-        params, states = M.ModelParams(), []
-        unit = M._DsrUnit(params, "dsr", channels, rng, states)
+        params = ops.ModelParams()
+        unit = M._DsrUnit(params, "dsr", channels, rng)
         training = i % 2 == 0
         if not training:
-            for _, state in states:
+            for _, state in params.states():
                 state.running_mean[:] = rng.uniform(-0.3, 0.3, channels)
                 state.running_var[:] = rng.uniform(0.5, 2.0, channels)
         proj = gradcheck.projection(x.shape, rng)

@@ -212,13 +212,31 @@ def test_classify_other_checkpoint_version_is_data_error(workdir, tmp_path, caps
 
 def test_classify_bad_running_variance_is_data_error(workdir, tmp_path, capsys):
     net = model.load_checkpoint(workdir / "model.ckpt")
-    net.affinity.norm_state.running_var = np.ones(5)  # 5 entries for 2 channels
+    dict(net.params.states())["affinity.norm"].running_var = np.ones(5)  # 2 channels
     bad = tmp_path / "bad.ckpt"
     model.save_checkpoint(net, bad)
     rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
                    "--ckpt", str(bad), "--out-map", str(tmp_path / "pred.hsl1")])
     assert rc == 3
     assert "running statistics" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
+
+
+def test_classify_impossible_checkpoint_header_is_data_error(workdir, tmp_path,
+                                                            monkeypatch, capsys):
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(struct.pack("<4sIIIIIBI", model.CHECKPOINT_MAGIC,
+                                 model.CHECKPOINT_VERSION, 8, 2, 1 << 20, 1, 1, 4)
+                     + bytes(4))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called before the header was bounded")
+
+    monkeypatch.setattr(model, "build", no_build)
+    rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
+                   "--ckpt", str(huge), "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert "bytes" in capsys.readouterr().err
     assert not (tmp_path / "pred.hsl1").exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 import gradcheck
 import oracles
 from fcspn import cspn
+from fcspn import ops
 from fcspn import tensor as T
 
 
@@ -195,7 +196,7 @@ def test_config_validation():
 
 def test_branch_zero_init_gives_identity_refine():
     rng = np.random.default_rng(41)
-    branch = cspn.AffinityBranch(4, rng)
+    branch = cspn.AffinityBranch(ops.ModelParams(), "affinity", 4, rng)
     plane = T.Tensor(rng.uniform(-1, 1, (4, 1, 5, 6)))
     raw = branch.forward(plane)
     assert raw.shape == (8, 5, 6)
@@ -206,7 +207,8 @@ def test_branch_zero_init_gives_identity_refine():
 
 
 def test_branch_takes_the_spectral_mean_plane():
-    branch = cspn.AffinityBranch(4, np.random.default_rng(43))
+    branch = cspn.AffinityBranch(ops.ModelParams(), "affinity", 4,
+                                 np.random.default_rng(43))
     assert branch.forward(T.zeros((4, 1, 5, 6))).shape == (8, 5, 6)
     for shape in ((4, 3, 5, 6), (3, 1, 5, 6), (4, 5, 6)):
         with pytest.raises(T.ShapeError):
@@ -215,16 +217,16 @@ def test_branch_takes_the_spectral_mean_plane():
 
 def test_branch_gradcheck_through_refine():
     rng = np.random.default_rng(42)
-    branch = cspn.AffinityBranch(3, rng)
+    branch = cspn.AffinityBranch(ops.ModelParams(), "affinity", 3, rng)
     # move the head off its zero init so every layer carries gradient
-    branch.head_w = T.Tensor(rng.uniform(-0.5, 0.5, (8, 3, 1, 3, 3)),
+    branch.head.w = T.Tensor(rng.uniform(-0.5, 0.5, (8, 3, 1, 3, 3)),
                              requires_grad=True)
-    branch.head_b = T.Tensor(rng.uniform(-0.2, 0.2, 8), requires_grad=True)
+    branch.head.b = T.Tensor(rng.uniform(-0.2, 0.2, 8), requires_grad=True)
     proj = gradcheck.projection((2, 4, 4), rng)
 
     def build(plane, head_w, gamma):
-        branch.head_w = head_w
-        branch.norm_scale = gamma
+        branch.head.w = head_w
+        branch.norm.scale = gamma
         raw = branch.forward(plane, training=True)
         out = cspn.refine(T.Tensor(base_h), cspn.normalize_affinity(raw), 2)
         return gradcheck.project(out, proj)

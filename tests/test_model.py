@@ -71,8 +71,8 @@ def test_forward_rejects_bad_inputs():
 
 def test_dsr_zeroed_branches_are_identity():
     rng = np.random.default_rng(2)
-    params = M.ModelParams()
-    unit = M._DsrUnit(params, "dsr", 3, rng, [])
+    params = ops.ModelParams()
+    unit = M._DsrUnit(params, "dsr", 3, rng)
     for p in params.paths():
         if p.endswith("weights"):
             params.get(p).data[:] = 0.0
@@ -83,7 +83,7 @@ def test_dsr_zeroed_branches_are_identity():
 
 def test_dsr_preserves_shape():
     rng = np.random.default_rng(3)
-    unit = M._DsrUnit(M.ModelParams(), "dsr", 2, rng, [])
+    unit = M._DsrUnit(ops.ModelParams(), "dsr", 2, rng)
     x = T.Tensor(rng.uniform(-1, 1, (2, 3, 6, 7)))
     assert unit(x, training=True).shape == x.shape
 
@@ -91,8 +91,8 @@ def test_dsr_preserves_shape():
 def test_dsr_separable_weight_budget():
     # kernel cells per channel pair: (9 + 3) per branch, both branches = 24,
     # versus 27 for one dense 3x3x3 kernel
-    params = M.ModelParams()
-    M._DsrUnit(params, "dsr", 3, np.random.default_rng(0), [])
+    params = ops.ModelParams()
+    M._DsrUnit(params, "dsr", 3, np.random.default_rng(0))
     cells = sum(int(np.prod(params.get(p).shape[2:]))
                 for p in params.paths() if p.endswith("weights"))
     assert cells == 24
@@ -101,7 +101,7 @@ def test_dsr_separable_weight_budget():
 
 def test_attention_matches_squeeze_excitation():
     rng = np.random.default_rng(4)
-    attn = M._Attention(M.ModelParams(), "attn", 3, rng)
+    attn = M._Attention(ops.ModelParams(), "attn", 3, rng)
     attn.gate.b.data[:] = rng.uniform(-0.5, 0.5, 3)
     x = rng.uniform(-1, 1, (3, 2, 4, 4))
     z = attn.gate.w.data.reshape(3, 3) @ x.mean(axis=(1, 2, 3)) + attn.gate.b.data
@@ -115,7 +115,7 @@ def test_attention_matches_squeeze_excitation():
 
 def test_attention_bounds():
     rng = np.random.default_rng(5)
-    attn = M._Attention(M.ModelParams(), "attn", 2, rng)
+    attn = M._Attention(ops.ModelParams(), "attn", 2, rng)
     x = T.Tensor(rng.uniform(-2, 2, (2, 3, 5, 5)))
     out = attn(x)
     ratio = out.data / np.where(x.data == 0, 1, x.data)
@@ -195,13 +195,13 @@ def test_param_count_default_config_regression():
 
 
 def test_duplicate_path_rejected():
-    params = M.ModelParams()
+    params = ops.ModelParams()
     t = T.zeros((2,), requires_grad=True)
-    params.register("a.weights", t, "conv_weight")
+    params.register("a.weights", t, decay=True)
     with pytest.raises(T.ShapeError):
-        params.register("a.weights", T.zeros((2,)), "conv_weight")
+        params.register("a.weights", T.zeros((2,)), decay=True)
     with pytest.raises(T.ShapeError):
-        params.register("b.weights", t, "conv_weight")
+        params.register("b.weights", t, decay=True)
 
 
 def test_param_paths_are_stable_for_config():
@@ -273,9 +273,65 @@ def test_checkpoint_truncated(tmp_path):
         M.load_checkpoint(clipped)
 
 
+def test_checkpoint_roundtrip_every_batchnorm_state(tmp_path):
+    rng = np.random.default_rng(18)
+    m = M.build(_tiny(bands=20, classes=3, base=2), rng)
+    with T.no_grad():  # move every running statistic, the affinity norm's too
+        m.forward_refined(T.Tensor(rng.uniform(-1, 1, (1, 20, 16, 16))),
+                          training=True)
+    saved = dict(m.params.states())
+    assert not np.array_equal(saved["affinity.norm"].running_mean, np.zeros(2))
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+    back = dict(M.load_checkpoint(p).params.states())
+    assert back.keys() == saved.keys()
+    assert "affinity.norm" in back
+    for path, state in saved.items():
+        for name in ("running_mean", "running_var"):
+            want = getattr(state, name).astype("<f4").astype(np.float64)
+            got = getattr(back[path], name)
+            assert got.dtype == np.float64, (path, name)
+            assert np.array_equal(got, want), (path, name)
+
+
+HUGE_HEADERS = {
+    "base_channels": dict(classes=3, base=1 << 20, dsr=1),
+    "num_classes": dict(classes=1 << 30, base=2, dsr=1),
+    "dsr_per_stage": dict(classes=3, base=2, dsr=1 << 30),
+}
+
+
+def _huge_checkpoint(path, classes, base, dsr):
+    """A header claiming a network far larger than the 4 bytes after it."""
+    path.write_bytes(struct.pack("<4sIIIIIBI", M.CHECKPOINT_MAGIC,
+                                 M.CHECKPOINT_VERSION, 20, classes, base, dsr,
+                                 1, 4) + bytes(4))
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_HEADERS))
+def test_checkpoint_header_bounded_before_build(tmp_path, monkeypatch, field):
+    p = tmp_path / "huge.fcsp"
+    _huge_checkpoint(p, **HUGE_HEADERS[field])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called before the header was bounded")
+
+    monkeypatch.setattr(M, "build", no_build)
+    with pytest.raises(T.FormatError, match="bytes"):
+        M.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("kw", [{}, {"dsr_per_stage": 0}, {"dsr_per_stage": 2},
+                                {"attention_enabled": False}])
+def test_checkpoint_header_bound_is_a_lower_bound(kw):
+    for base, classes in ((1, 1), (2, 3), (5, 7)):
+        cfg = _tiny(bands=20, classes=classes, base=base, **kw)
+        assert M._min_floats(cfg) <= M.build(cfg).params.total_count()
+
+
 def test_checkpoint_running_variance_shape_checked(tmp_path):
     m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(17))
-    m.affinity.norm_state.running_var = np.ones(5)  # 5 entries for 2 channels
+    dict(m.params.states())["affinity.norm"].running_var = np.ones(5)  # 2 channels
     p = tmp_path / "model.fcsp"
     M.save_checkpoint(m, p)
     with pytest.raises(T.FormatError, match="running statistics"):
@@ -288,7 +344,7 @@ def test_checkpoint_running_variance_shape_checked(tmp_path):
 
 def test_dsr_gradcheck():
     rng = np.random.default_rng(12)
-    unit = M._DsrUnit(M.ModelParams(), "dsr", 2, rng, [])
+    unit = M._DsrUnit(ops.ModelParams(), "dsr", 2, rng)
     proj = gradcheck.projection((2, 3, 3, 3), rng)
 
     def build(x, wl, wr):
@@ -304,7 +360,7 @@ def test_dsr_gradcheck():
 
 def test_attention_gradcheck():
     rng = np.random.default_rng(13)
-    attn = M._Attention(M.ModelParams(), "attn", 2, rng)
+    attn = M._Attention(ops.ModelParams(), "attn", 2, rng)
     proj = gradcheck.projection((2, 2, 3, 3), rng)
 
     def build(x, wg, bg):

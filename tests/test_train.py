@@ -7,6 +7,7 @@ import pytest
 import gradcheck
 from fcspn import data as D
 from fcspn import model as M
+from fcspn import ops
 from fcspn import tensor as T
 from fcspn import train as TR
 
@@ -96,11 +97,11 @@ def test_focal_gradcheck(gamma):
 # ---------------------------------------------------------------------------
 
 def _one_weight_params(value):
-    params = M.ModelParams()
+    params = ops.ModelParams()
     w = T.Tensor(np.asarray(value), requires_grad=True)
-    params.register("w.weights", w, "conv_weight")
-    params.register("w.bias", T.Tensor([3.0], requires_grad=True), "bias")
-    params.register("n.scale", T.Tensor([2.0], requires_grad=True), "bn_scale")
+    params.register("w.weights", w, decay=True)
+    params.register("w.bias", T.Tensor([3.0], requires_grad=True))
+    params.register("n.scale", T.Tensor([2.0], requires_grad=True))
     return params, w
 
 
@@ -282,13 +283,14 @@ def _first_step_loss_grads(crop):
     split = D.sample_split(labels, "per_class:50", seed=21)
     model = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=4,
                                   cspn_steps=2), np.random.default_rng(21))
-    before = {path: t.data.copy() for path, t, _ in model.params.items()}
+    before = {path: t.data.copy() for path, t in model.params.items()}
     cfg = TR.TrainConfig(batch_size=2, epochs=1, crop_size=(crop, crop), seed=21)
     TR.train(cube, labels, split, model, cfg)
     grads = {}
-    for path, t, kind in model.params.items():
+    decayed = {id(t) for t in model.params.decayed()}
+    for path, t in model.params.items():
         g = np.zeros_like(t.data) if t.grad is None else t.grad
-        if kind == "conv_weight":
+        if id(t) in decayed:
             g = g - (1.0 * cfg.weight_decay) * before[path]
         grads[path] = g
     return grads
