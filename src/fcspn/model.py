@@ -39,6 +39,10 @@ from .tensor import FormatError, ShapeError, Tensor
 CHECKPOINT_MAGIC = b"FCSP"
 CHECKPOINT_VERSION = 2
 
+# Validation bound on ``cspn_steps``, not a setting: far above the paper's 24,
+# it stops a corrupt checkpoint header from asking for billions of steps.
+MAX_CSPN_STEPS = 1024
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -60,8 +64,9 @@ class ModelConfig:
             raise ShapeError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.dsr_per_stage < 0:
             raise ShapeError(f"dsr_per_stage must be >= 0, got {self.dsr_per_stage}")
-        if self.cspn_steps < 0:
-            raise ShapeError(f"cspn_steps must be >= 0, got {self.cspn_steps}")
+        if not 0 <= self.cspn_steps <= MAX_CSPN_STEPS:
+            raise ShapeError(f"cspn_steps must be in [0, {MAX_CSPN_STEPS}], "
+                             f"got {self.cspn_steps}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +313,12 @@ def load_checkpoint(path) -> FcspnModel:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        config = ModelConfig(in_bands=bands, num_classes=classes,
-                             base_channels=base, dsr_per_stage=dsr,
-                             attention_enabled=bool(attn), cspn_steps=steps)
+        try:
+            config = ModelConfig(in_bands=bands, num_classes=classes,
+                                 base_channels=base, dsr_per_stage=dsr,
+                                 attention_enabled=bool(attn), cspn_steps=steps)
+        except ShapeError as err:
+            raise FormatError(f"bad checkpoint header: {err}") from err
         left = os.fstat(fh.fileno()).st_size - len(raw)
         if 4 * _min_floats(config) > left:
             raise FormatError(

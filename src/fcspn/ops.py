@@ -5,6 +5,11 @@ All ops take and return :class:`~fcspn.tensor.Tensor` values shaped
 formed by accumulating gradients over several crops.  Each op registers its
 pullback on the global tape via :func:`fcspn.tensor.record`.
 
+:func:`conv3d` is one GEMM per slab of output-depth planes over a
+channel-major column matrix, the slab sized by a fixed byte budget, so its
+scratch memory does not grow with the scene; its pullback keeps the padded
+input, not the columns, and rebuilds them once for the weight gradient.
+
 :class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
 layers that own their tensors and register them, with the running
 statistics, in a :class:`ModelParams` under a dotted layer path.
@@ -26,6 +31,10 @@ Triple = Tuple[int, int, int]
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+
+# bytes of column matrix conv3d builds per slab of output-depth planes (one
+# plane at least): a fixed bound on its forward scratch memory, not a setting
+_SLAB_BYTES = 32 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +89,13 @@ class Conv3dSpec:
 def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tensor:
     """Strided cross-correlation of ``x`` (C,D,H,W) with ``w`` (M,C,kd,kh,kw).
 
-    Forward gathers windows into a matrix and multiplies; backward scatters
-    one strided slice per kernel offset back into a padded buffer.
+    Forward multiplies the flattened weights by a channel-major column
+    matrix (rows ``(c, i, j, k)``, columns the output voxels) built a slab of
+    output-depth planes at a time, each slab's product written straight into
+    its planes of the output.  The pullback keeps only the padded input: it
+    rebuilds the whole column matrix once for the weight gradient and
+    scatters one strided slice per kernel offset back into a padded buffer
+    for the input gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv3d input must be rank 4, got {x.shape}")
@@ -102,13 +116,19 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     od, oh, ow = spec.out_extents((d, h, wd))
 
     xp = np.pad(x.data, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    # (C, od, oh, ow, kd, kh, kw) view, strided to the output grid
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))[:, ::sd, ::sh, ::sw]
-    col = win.transpose(1, 2, 3, 0, 4, 5, 6).reshape(od * oh * ow, cin * kd * kh * kw)
-    wm = w.data.reshape(cout, -1)
-    out = (col @ wm.T).T.reshape(cout, od, oh, ow)
+    # (C, kd, kh, kw, od, oh, ow) view, strided to the output grid
+    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))[
+        :, ::sd, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
+    inner = cin * kd * kh * kw
+    wm = w.data.reshape(cout, inner)
+    out = np.empty((cout, od, oh, ow), dtype=T.DTYPE)
+    planes = max(1, _SLAB_BYTES // (inner * oh * ow * out.itemsize))
+    for z0 in range(0, od, planes):
+        z1 = min(od, z0 + planes)
+        np.matmul(wm, win[..., z0:z1, :, :].reshape(inner, -1),
+                  out=out[:, z0:z1].reshape(cout, -1))
     if b is not None:
-        out = out + b.data[:, None, None, None]
+        out += b.data[:, None, None, None]
 
     wd_data = w.data
 
@@ -117,7 +137,7 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
             accumulate(b, g.sum(axis=(1, 2, 3)))
         if w.requires_grad:
             gm = g.reshape(cout, -1)
-            accumulate(w, (gm @ col).reshape(w.shape))
+            accumulate(w, (gm @ win.reshape(inner, -1).T).reshape(w.shape))
         if x.requires_grad:
             # wg[c, i, j, k, od, oh, ow] = sum_m w[m,c,i,j,k] g[m,od,oh,ow]
             wg = np.tensordot(wd_data, g, axes=(0, 0))

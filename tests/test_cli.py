@@ -240,6 +240,18 @@ def test_classify_impossible_checkpoint_header_is_data_error(workdir, tmp_path,
     assert not (tmp_path / "pred.hsl1").exists()
 
 
+def test_classify_unbounded_cspn_steps_is_data_error(workdir, tmp_path, capsys):
+    raw = bytearray((workdir / "model.ckpt").read_bytes())
+    struct.pack_into("<I", raw, struct.calcsize("<4sIIIIIB"), 2**32 - 1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
+                   "--ckpt", str(bad), "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert "cspn_steps" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
+
+
 def test_classify_band_mismatch(workdir, tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "other"),
                      "--bands", "6", "--size", "16"]) == 0

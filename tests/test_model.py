@@ -65,6 +65,13 @@ def test_forward_rejects_bad_inputs():
         M.ModelConfig(in_bands=4, num_classes=2)
 
 
+def test_cspn_steps_bounded():
+    assert _tiny(cspn_steps=M.MAX_CSPN_STEPS).cspn_steps == M.MAX_CSPN_STEPS
+    for steps in (-1, M.MAX_CSPN_STEPS + 1):
+        with pytest.raises(T.ShapeError, match="cspn_steps"):
+            _tiny(cspn_steps=steps)
+
+
 # ---------------------------------------------------------------------------
 # block behavior
 # ---------------------------------------------------------------------------
@@ -319,6 +326,35 @@ def test_checkpoint_header_bounded_before_build(tmp_path, monkeypatch, field):
     monkeypatch.setattr(M, "build", no_build)
     with pytest.raises(T.FormatError, match="bytes"):
         M.load_checkpoint(p)
+
+
+def _patched_header(tmp_path, offset, value):
+    """A saved tiny checkpoint with the u32 header field at ``offset`` set."""
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(19))
+    p = tmp_path / "patched.fcsp"
+    M.save_checkpoint(m, p)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<I", raw, offset, value)
+    p.write_bytes(bytes(raw))
+    return p
+
+
+def test_checkpoint_unbounded_cspn_steps_rejected_before_build(tmp_path, monkeypatch):
+    p = _patched_header(tmp_path, struct.calcsize("<4sIIIIIB"), 2**32 - 1)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called before the header was checked")
+
+    monkeypatch.setattr(M, "build", no_build)
+    with pytest.raises(T.FormatError, match="cspn_steps"):
+        M.load_checkpoint(p)
+
+
+def test_checkpoint_rejected_header_value_is_format_error(tmp_path):
+    p = _patched_header(tmp_path, struct.calcsize("<4sI"), 0)  # in_bands
+    with pytest.raises(T.FormatError, match="in_bands") as info:
+        M.load_checkpoint(p)
+    assert isinstance(info.value.__cause__, T.ShapeError)
 
 
 @pytest.mark.parametrize("kw", [{}, {"dsr_per_stage": 0}, {"dsr_per_stage": 2},

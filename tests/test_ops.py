@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,24 @@ def test_conv_kernel_too_large():
         spec.out_extents((4, 3, 3))
 
 
-def test_conv_matches_loop_oracle():
+def _budget_planes(monkeypatch, planes, x_shape, w_shape, spec):
+    """Set conv3d's slab budget to ``planes`` output-depth planes of columns."""
+    _, oh, ow = spec.out_extents(x_shape[1:])
+    monkeypatch.setattr(ops, "_SLAB_BYTES",
+                        planes * int(np.prod(w_shape[1:])) * oh * ow * 8)
+
+
+def _two_plane_slabs(monkeypatch, partial):
+    """A per-case hook for the checks below: two planes per slab, appending
+    to ``partial`` whether the case spans several slabs, the last part full."""
+    def hook(x_shape, w_shape, spec):
+        od = spec.out_extents(x_shape[1:])[0]
+        partial.append(od > 2 and od % 2 == 1)
+        _budget_planes(monkeypatch, 2, x_shape, w_shape, spec)
+    return hook
+
+
+def _check_conv_oracle(hook):
     rng = np.random.default_rng(42)
     for case in range(100):
         cin = int(rng.integers(1, 4))
@@ -51,6 +70,7 @@ def test_conv_matches_loop_oracle():
         w = rng.uniform(-1, 1, (cout, cin) + kernel)
         b = rng.uniform(-1, 1, cout) if rng.uniform() < 0.5 else None
         spec = ops.Conv3dSpec(kernel=kernel, stride=stride, padding=padding)
+        hook(x.shape, w.shape, spec)
         got = ops.conv3d(T.Tensor(x), T.Tensor(w),
                          None if b is None else T.Tensor(b), spec).data
         want = oracles.conv3d_reference(x, w, b, stride, padding)
@@ -58,7 +78,17 @@ def test_conv_matches_loop_oracle():
         assert np.max(np.abs(got - want)) <= 1e-12, f"case {case}"
 
 
-def test_conv_gradcheck():
+def test_conv_matches_loop_oracle():
+    _check_conv_oracle(lambda *shapes: None)
+
+
+def test_conv_matches_loop_oracle_multi_slab(monkeypatch):
+    partial = []
+    _check_conv_oracle(_two_plane_slabs(monkeypatch, partial))
+    assert sum(partial) >= 10
+
+
+def _check_conv_grads(hook):
     rng = np.random.default_rng(7)
     cases = [
         ((2, 5, 4, 4), (3, 2, 3, 3, 3), (1, 1, 1), None),
@@ -69,6 +99,7 @@ def test_conv_gradcheck():
     ]
     for xs, ws, stride, padding in cases:
         spec = ops.Conv3dSpec(kernel=ws[2:], stride=stride, padding=padding)
+        hook(xs, ws, spec)
         proj = gradcheck.projection(
             (ws[0],) + spec.out_extents(xs[1:]), rng)
 
@@ -78,6 +109,44 @@ def test_conv_gradcheck():
         arrs = [rng.uniform(-1, 1, xs), rng.uniform(-1, 1, ws),
                 rng.uniform(-1, 1, ws[0])]
         gradcheck.check_grads(build, arrs)
+
+
+def test_conv_gradcheck():
+    _check_conv_grads(lambda *shapes: None)
+
+
+def test_conv_gradcheck_multi_slab(monkeypatch):
+    partial = []
+    _check_conv_grads(_two_plane_slabs(monkeypatch, partial))
+    assert sum(partial) >= 2
+
+
+def test_conv_slab_budget_keeps_output_bitwise(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = T.Tensor(rng.uniform(-1, 1, (16, 7, 32, 32)))
+    w = T.Tensor(rng.uniform(-1, 1, (16, 16, 3, 3, 3)))
+    b = T.Tensor(rng.uniform(-1, 1, 16))
+    spec = ops.Conv3dSpec(kernel=(3, 3, 3))
+    _budget_planes(monkeypatch, 7, x.shape, w.shape, spec)
+    one = ops.conv3d(x, w, b, spec).data
+    _budget_planes(monkeypatch, 3, x.shape, w.shape, spec)  # slabs 3, 3, 1
+    many = ops.conv3d(x, w, b, spec).data
+    assert np.array_equal(one, many)
+
+
+def test_conv_pullback_keeps_no_column_matrix():
+    rng = np.random.default_rng(9)
+    x = T.Tensor(rng.uniform(-1, 1, (16, 8, 32, 32)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (16, 16, 3, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ops.conv3d(x, w, None, ops.Conv3dSpec(kernel=(3, 3, 3)))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad  # the tape holds the pullback
+    # the output and the padded input; the column matrix alone is 27x x
+    assert held < 4 * x.data.nbytes, held
 
 
 def test_conv_shape_errors():
