@@ -42,14 +42,16 @@ OFFSETS: Tuple[Tuple[int, int], ...] = (
 def normalize_affinity(raw: Tensor) -> Tensor:
     """Rescale raw affinities per pixel: kappa_n = raw_n / sum_m |raw_m|.
 
-    Returns kappa with the shape (8, H, W) of ``raw``; wherever any raw value
+    ``raw`` is (8, N, H, W), one map per crop, or the one-crop view
+    (8, H, W); kappa has its shape.  Wherever any raw value
     is nonzero the channels sum to one in absolute value and each lies in
     [-1, 1].  A pixel whose raw vector is all zero gets kappa 0 (the identity
     kernel) and a zero gradient, the one point where the quotient is
     undefined.
     """
-    if raw.data.ndim != 3 or raw.shape[0] != 8:
-        raise ShapeError(f"raw affinities must have shape (8, H, W), got {raw.shape}")
+    if raw.data.ndim not in (3, 4) or raw.shape[0] != 8:
+        raise ShapeError(
+            f"raw affinities must have shape (8, N, H, W) or (8, H, W), got {raw.shape}")
     r = raw.data
     z = np.abs(r).sum(axis=0)
     safe = np.where(z == 0.0, 1.0, z)
@@ -69,22 +71,25 @@ def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
 
     Reads only the incoming map (double-buffered by construction) and writes
     ``h + sum_n kappa_n * (shift_n(h) - h)``, which equals the center-weighted
-    form with center weight ``1 - sum_n kappa_n``.  ``kappa`` is the
-    (8, H, W) output of :func:`normalize_affinity`.
+    form with center weight ``1 - sum_n kappa_n``.  ``h`` is (c, N, H, W) or
+    the one-crop view (c, H, W), and ``kappa`` the matching (8, N, H, W) or
+    (8, H, W) output of :func:`normalize_affinity`; shifts act on the last
+    two axes only.
     """
-    if h.data.ndim != 3:
-        raise ShapeError(f"score map must have shape (c, H, W), got {h.shape}")
-    if kappa.data.ndim != 3 or kappa.shape[0] != 8 or kappa.shape[1:] != h.shape[1:]:
+    if h.data.ndim not in (3, 4):
+        raise ShapeError(f"score map must have shape (c, N, H, W) or (c, H, W), got {h.shape}")
+    if kappa.shape != (8,) + h.shape[1:]:
         raise ShapeError(
             f"normalized affinities {kappa.shape} do not match score map {h.shape}")
     hd, kd = h.data, kappa.data
-    nh, nw = hd.shape[1:]
+    nh, nw = hd.shape[-2:]
 
     # every shift is a window of one zero-padded buffer; the h-pullback
     # scatters into the same layout along the transposed stencil
-    hp = np.pad(hd, ((0, 0), (1, 1), (1, 1)))
-    windows = [(slice(None), slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
+    hp = np.pad(hd, ((0, 0),) * (hd.ndim - 2) + ((1, 1), (1, 1)))
+    windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
                for a, b in OFFSETS]
+    inside = (Ellipsis, slice(1, -1), slice(1, -1))
     shifts = [hp[win] for win in windows]
     out = hd.copy()
     for idx in range(8):
@@ -93,10 +98,10 @@ def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
     def fn(g):
         if h.requires_grad:
             gp = np.zeros_like(hp)
-            gp[:, 1:-1, 1:-1] = g * (1.0 - kd.sum(axis=0))
+            gp[inside] = g * (1.0 - kd.sum(axis=0))
             for idx, win in enumerate(windows):
                 gp[win] += kd[idx] * g
-            accumulate(h, gp[:, 1:-1, 1:-1])
+            accumulate(h, gp[inside])
         if kappa.requires_grad:
             accumulate(kappa, np.stack([(g * (s - hd)).sum(axis=0) for s in shifts]))
 
@@ -121,7 +126,7 @@ class AffinityBranch:
     """Two-layer head from the decoder's spectral-mean plane to raw affinities.
 
     Two 3x3 in-plane convolutions (normalization and ReLU between them) turn
-    the (C, 1, H, W) plane into one channel per neighbor offset; they are
+    the (C, N, 1, H, W) plane into one channel per neighbor offset; they are
     ``ops.Conv``/``ops.Norm`` layers registered under ``path`` like the rest
     of the network.  The head starts at zero so refinement begins as the
     identity and cannot disturb the score map early on.
@@ -136,8 +141,10 @@ class AffinityBranch:
                              (1, 3, 3), (1, 1, 1), None, bias=True)
 
     def forward(self, plane: Tensor, training: bool = False) -> Tensor:
-        if plane.data.ndim != 4 or plane.shape[1] != 1:
-            raise ShapeError(f"plane must have shape (C, 1, H, W), got {plane.shape}")
-        nh, nw = plane.shape[2:]
-        mixed = T.relu(self.norm(self.mix(plane), training))
-        return T.reshape(self.head(mixed), (8, nh, nw))
+        """Raw affinities (8, N, H, W) of a (C, N, 1, H, W) plane, or
+        (8, H, W) of its one-crop view (C, 1, H, W)."""
+        if plane.data.ndim not in (4, 5) or plane.shape[-3] != 1:
+            raise ShapeError(
+                f"plane must have shape (C, N, 1, H, W) or (C, 1, H, W), got {plane.shape}")
+        raw = self.head(T.relu(self.norm(self.mix(plane), training)))
+        return T.reshape(raw, (8,) + raw.shape[1:-3] + raw.shape[-2:])

@@ -1,6 +1,8 @@
 """The encoder/decoder 3D network and its checkpoint file.
 
-Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
+Layout, reading a ``(1, N, B, H, W)`` batch of N cubes (or one cube,
+``(1, B, H, W)`` or ``(B, H, W)``) down to per-pixel class scores; every
+layer carries the crop axis N and reduces per crop:
 
 * stem: conv(5,1,1)/stride(5,1,1) -> norm -> relu, compressing the spectral
   axis by five while widening to ``base_channels``;
@@ -12,8 +14,9 @@ Layout, reading a ``(1, B, H, W)`` cube down to per-pixel class scores:
   block's input, concatenating with it, then conv(5,1,1) -> norm -> relu ->
   conv(3,3,3) -> norm -> relu; channels retrace 8x -> 4x -> 2x -> 1x;
 * head: mean over the residual spectral axis, then a 1x1 conv to class
-  logits of shape ``(num_classes, H, W)``; the same mean plane feeds the
-  affinity branch of the refinement stage (:mod:`fcspn.cspn`).
+  logits of shape ``(num_classes, N, H, W)``, or ``(num_classes, H, W)``
+  for one cube; the same mean plane feeds the affinity branch of the
+  refinement stage (:mod:`fcspn.cspn`).
 
 Every layer, the affinity branch included, is an ``ops.Conv`` or
 ``ops.Norm`` registered under its dotted path in one ``ops.ModelParams``;
@@ -110,7 +113,8 @@ class _DsrUnit:
 
 
 class _Attention:
-    """Squeeze-excitation gate: x * sigmoid(gate(mean over D, H, W of x)).
+    """Squeeze-excitation gate: x * sigmoid(gate(mean over D, H, W of x)),
+    the mean taken per crop.
 
     The same function in training and inference; it keeps no statistics.
     """
@@ -120,7 +124,9 @@ class _Attention:
                              (1, 1, 1), (1, 1, 1), rng, bias=True)
 
     def __call__(self, x):
-        squeezed = T.reshape(T.reduce_mean(x, axes=(1, 2, 3)), (x.shape[0], 1, 1, 1))
+        rank = x.data.ndim
+        squeezed = T.reshape(T.reduce_mean(x, axes=range(rank - 3, rank)),
+                             x.shape[:-3] + (1, 1, 1))
         return T.mul(x, T.sigmoid(self.gate(squeezed)))
 
 
@@ -160,7 +166,7 @@ class _UpBlock:
         self.norm_b = ops.Norm(params, path + ".norm_b", cout)
 
     def __call__(self, x, mirror, training):
-        t = ops.trilinear_upsample(x, mirror.shape[1:])
+        t = ops.trilinear_upsample(x, mirror.shape[-3:])
         t = ops.concat_channels(t, mirror)
         t = T.relu(self.norm_a(self.conv_a(t), training))
         return T.relu(self.norm_b(self.conv_b(t), training))
@@ -227,20 +233,24 @@ class FcspnModel:
         return plan
 
     def _as_input(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 3:
-            x = T.reshape(x, (1,) + x.shape)
-        if x.data.ndim != 4 or x.shape[0] != 1:
-            raise ShapeError(f"input must be (1, B, H, W) or (B, H, W), got {x.shape}")
-        if x.shape[1] != self.config.in_bands:
+        """``x`` as the (1, N, B, H, W) batch the layers take; a (B, H, W)
+        or (1, B, H, W) cube is a batch of one."""
+        if x.data.ndim == 3 or (x.data.ndim == 4 and x.shape[0] == 1):
+            x = T.reshape(x, (1, 1) + x.shape[-3:])
+        if x.data.ndim != 5 or x.shape[0] != 1:
             raise ShapeError(
-                f"model expects {self.config.in_bands} bands, got {x.shape[1]}")
-        self.shape_plan(x.shape[2], x.shape[3])  # validates spatial extents
+                f"input must be (B, H, W), (1, B, H, W) or (1, N, B, H, W), got {x.shape}")
+        if x.shape[2] != self.config.in_bands:
+            raise ShapeError(
+                f"model expects {self.config.in_bands} bands, got {x.shape[2]}")
+        self.shape_plan(x.shape[3], x.shape[4])  # validates spatial extents
         return x
 
     # -- inference -----------------------------------------------------------
 
     def _run(self, x: Tensor, training: bool) -> Tuple[Tensor, Tensor]:
-        """(logits, spectral-mean plane of the decoder output)."""
+        """(logits (K, N, H, W), spectral-mean plane (C, N, 1, H, W) of the
+        decoder output)."""
         x = self._as_input(x)
         t = T.relu(self.stem_norm(self.stem_conv(x), training))
         mirrors = []
@@ -249,22 +259,32 @@ class FcspnModel:
             t = down(t, training)
         for up, mirror in zip(self.ups, reversed(mirrors)):
             t = up(t, mirror, training)
-        c, _, nh, nw = t.shape
-        plane = T.reshape(T.reduce_mean(t, axes=(1,)), (c, 1, nh, nw))
-        logits = T.reshape(self.head_conv(plane), (self.config.num_classes, nh, nw))
+        c, n, _, nh, nw = t.shape
+        plane = T.reshape(T.reduce_mean(t, axes=(2,)), (c, n, 1, nh, nw))
+        logits = T.reshape(self.head_conv(plane), (self.config.num_classes, n, nh, nw))
         return logits, plane
 
+    @staticmethod
+    def _shaped_like(x: Tensor, scores: Tensor) -> Tensor:
+        """(K, N, H, W) scores for a batch input, (K, H, W) for one cube."""
+        if x.data.ndim == 5:
+            return scores
+        return T.reshape(scores, scores.shape[:1] + scores.shape[2:])
+
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        """Class logits (num_classes, H, W) for one cube, no refinement."""
-        return self._run(x, training)[0]
+        """Class logits, no refinement: (num_classes, H, W) for one cube,
+        (num_classes, N, H, W) for a (1, N, B, H, W) batch."""
+        return self._shaped_like(x, self._run(x, training)[0])
 
     def forward_refined(self, x: Tensor, steps: Optional[int] = None,
                         training: bool = False) -> Tuple[Tensor, Tensor]:
-        """(refined, unrefined) logits; ``steps`` overrides the configured count."""
+        """(refined, unrefined) logits, shaped as :meth:`forward`'s;
+        ``steps`` overrides the configured count."""
         logits, plane = self._run(x, training)
         kappa = cspn.normalize_affinity(self.affinity.forward(plane, training))
         steps = self.config.cspn_steps if steps is None else steps
-        return cspn.refine(logits, kappa, steps), logits
+        refined = cspn.refine(logits, kappa, steps)
+        return self._shaped_like(x, refined), self._shaped_like(x, logits)
 
 
 def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> FcspnModel:

@@ -1,14 +1,18 @@
 """Differentiable building blocks for volumetric feature maps.
 
-All ops take and return :class:`~fcspn.tensor.Tensor` values shaped
-``(channels, depth, height, width)`` with no batch axis; training batches are
-formed by accumulating gradients over several crops.  Each op registers its
-pullback on the global tape via :func:`fcspn.tensor.record`.
+Feature maps are channel-major, ``(channels, crops, depth, height,
+width)``: a training batch is one array whose crop axis every op carries,
+so one optimizer step is one forward and one backward pass.  A
+``(channels, depth, height, width)`` map is the one-crop view of the same
+code.  Normalization statistics are per (channel, crop).  Each op
+registers its pullback on the global tape via
+:func:`fcspn.tensor.record`.
 
-:func:`conv3d` is one GEMM per slab of output-depth planes over a
+:func:`conv3d` is one GEMM per slab of (crop, output-depth planes) over a
 channel-major column matrix, the slab sized by a fixed byte budget, so its
-scratch memory does not grow with the scene; its pullback keeps the padded
-input, not the columns, and rebuilds them once for the weight gradient.
+scratch memory does not grow with the scene or the batch; its pullback
+keeps the padded input, not the columns, and rebuilds them slab by slab
+for the weight gradient.
 
 :class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
 layers that own their tensors and register them, with the running
@@ -32,8 +36,9 @@ Triple = Tuple[int, int, int]
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
-# bytes of column matrix conv3d builds per slab of output-depth planes (one
-# plane at least): a fixed bound on its forward scratch memory, not a setting
+# bytes of column matrix conv3d builds per slab of (crop, output-depth
+# planes), one plane at least: a fixed bound on its scratch memory, forward
+# and pullback, not a setting
 _SLAB_BYTES = 32 << 20
 
 
@@ -86,24 +91,44 @@ class Conv3dSpec:
         return tuple(out)
 
 
-def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tensor:
-    """Strided cross-correlation of ``x`` (C,D,H,W) with ``w`` (M,C,kd,kh,kw).
+def _crops(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as (C, N, D, H, W); a (C, D, H, W) map is its one-crop view."""
+    return arr if arr.ndim == 5 else arr[:, None]
 
-    Forward multiplies the flattened weights by a channel-major column
-    matrix (rows ``(c, i, j, k)``, columns the output voxels) built a slab of
-    output-depth planes at a time, each slab's product written straight into
-    its planes of the output.  The pullback keeps only the padded input: it
-    rebuilds the whole column matrix once for the weight gradient and
-    scatters one strided slice per kernel offset back into a padded buffer
-    for the input gradient.
+
+def _slabs(crops: int, depth: int, plane_bytes: int):
+    """(crop, output-depth plane) slices that tile conv3d's output, each slab
+    at most ``_SLAB_BYTES`` of columns (one plane at least): runs of whole
+    crops while one crop fits, else runs of planes within one crop."""
+    planes = max(1, _SLAB_BYTES // plane_bytes)
+    if planes >= depth:
+        step = planes // depth
+        return [(slice(c, c + step), slice(0, depth)) for c in range(0, crops, step)]
+    return [(slice(c, c + 1), slice(z, z + planes))
+            for c in range(crops) for z in range(0, depth, planes)]
+
+
+def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tensor:
+    """Strided cross-correlation of ``x`` (C,N,D,H,W) with ``w`` (M,C,kd,kh,kw).
+
+    ``x`` may also be the one-crop view (C,D,H,W); the output has the same
+    rank.  Forward multiplies the flattened weights by a channel-major
+    column matrix (rows ``(c, i, j, k)``, columns the output voxels) built a
+    slab of (crop, output-depth planes) at a time, each slab's product
+    written straight into its part of the output.  The pullback keeps only
+    the padded input and walks the same slabs: it accumulates the weight
+    gradient over them, rebuilding each one's columns, and adds one product
+    ``w[:, :, i, j, k].T @ g`` per kernel offset and slab into that
+    offset's strided window of a padded input-gradient buffer.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv3d input must be rank 4, got {x.shape}")
+    if x.data.ndim not in (4, 5):
+        raise ShapeError(f"conv3d input must be rank 4 or 5, got {x.shape}")
     if w.data.ndim != 5:
         raise ShapeError(f"conv3d weights must be rank 5, got {w.shape}")
     if w.shape[2:] != spec.kernel:
         raise ShapeError(f"weights {w.shape} do not match kernel {spec.kernel}")
-    cin, d, h, wd = x.shape
+    xd = _crops(x.data)
+    cin, n, d, h, wd = xd.shape
     cout = w.shape[0]
     if w.shape[1] != cin:
         raise ShapeError(f"weights expect {w.shape[1]} input channels, got {cin}")
@@ -115,44 +140,49 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     pd, ph, pw = spec.pad()
     od, oh, ow = spec.out_extents((d, h, wd))
 
-    xp = np.pad(x.data, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    # (C, kd, kh, kw, od, oh, ow) view, strided to the output grid
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))[
-        :, ::sd, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
+    xp = np.pad(xd, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    # (C, kd, kh, kw, N, od, oh, ow) view, strided to the output grid
+    win = sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))[
+        :, :, ::sd, ::sh, ::sw].transpose(0, 5, 6, 7, 1, 2, 3, 4)
     inner = cin * kd * kh * kw
     wm = w.data.reshape(cout, inner)
-    out = np.empty((cout, od, oh, ow), dtype=T.DTYPE)
-    planes = max(1, _SLAB_BYTES // (inner * oh * ow * out.itemsize))
-    for z0 in range(0, od, planes):
-        z1 = min(od, z0 + planes)
-        np.matmul(wm, win[..., z0:z1, :, :].reshape(inner, -1),
-                  out=out[:, z0:z1].reshape(cout, -1))
+    out = np.empty((cout, n, od, oh, ow), dtype=T.DTYPE)
+    slabs = _slabs(n, od, inner * oh * ow * out.itemsize)
+    for cs, zs in slabs:
+        np.matmul(wm, win[..., cs, zs, :, :].reshape(inner, -1),
+                  out=out[:, cs, zs].reshape(cout, -1))
     if b is not None:
-        out += b.data[:, None, None, None]
+        out += b.data[:, None, None, None, None]
 
     wd_data = w.data
 
     def fn(g):
+        g = g.reshape(cout, n, od, oh, ow)
         if b is not None and b.requires_grad:
-            accumulate(b, g.sum(axis=(1, 2, 3)))
+            accumulate(b, g.sum(axis=(1, 2, 3, 4)))
         if w.requires_grad:
-            gm = g.reshape(cout, -1)
-            accumulate(w, (gm @ win.reshape(inner, -1).T).reshape(w.shape))
+            gw = sum(g[:, cs, zs].reshape(cout, -1)
+                     @ win[..., cs, zs, :, :].reshape(inner, -1).T for cs, zs in slabs)
+            accumulate(w, gw.reshape(w.shape))
         if x.requires_grad:
-            # wg[c, i, j, k, od, oh, ow] = sum_m w[m,c,i,j,k] g[m,od,oh,ow]
-            wg = np.tensordot(wd_data, g, axes=(0, 0))
             dxp = np.zeros_like(xp)
-            for i in range(kd):
-                for j in range(kh):
-                    for k in range(kw):
-                        dxp[:,
-                            i: i + sd * (od - 1) + 1: sd,
-                            j: j + sh * (oh - 1) + 1: sh,
-                            k: k + sw * (ow - 1) + 1: sw] += wg[:, i, j, k]
-            accumulate(x, dxp[:, pd: pd + d, ph: ph + h, pw: pw + wd])
+            for cs, zs in slabs:
+                gs = g[:, cs, zs]
+                gm = gs.reshape(cout, -1)
+                part = (cin,) + gs.shape[1:]
+                z0, nz = zs.start * sd, gs.shape[2]  # the slab reads planes from z0
+                for i in range(kd):
+                    for j in range(kh):
+                        for k in range(kw):
+                            dxp[:, cs,
+                                z0 + i: z0 + i + sd * (nz - 1) + 1: sd,
+                                j: j + sh * (oh - 1) + 1: sh,
+                                k: k + sw * (ow - 1) + 1: sw] += (
+                                    wd_data[:, :, i, j, k].T @ gm).reshape(part)
+            accumulate(x, dxp[:, :, pd: pd + d, ph: ph + h, pw: pw + wd].reshape(x.shape))
 
     inputs = (x, w) if b is None else (x, w, b)
-    return record("conv3d", inputs, out, fn)
+    return record("conv3d", inputs, out.reshape((cout,) + x.shape[1:-3] + (od, oh, ow)), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -175,55 +205,64 @@ class BatchNormState:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               training: bool) -> Tensor:
-    """Normalize over every non-channel axis, then scale and shift.
+    """Normalize each crop of ``x`` (C,N,D,H,W) over its voxels, then scale
+    and shift; ``x`` may also be the one-crop view (C,D,H,W).
 
-    Training mode normalizes with the biased batch statistics and folds them
-    into the running estimates (0.9 old + 0.1 new); eval mode normalizes with
-    the running estimates alone.
+    Training mode normalizes each (channel, crop) with its biased
+    statistics and folds them into the running estimates (0.9 old + 0.1
+    new) crop by crop, in crop order, so a batch leaves the same running
+    statistics as its crops passed one at a time; eval mode normalizes
+    with the running estimates alone.
     """
-    c = x.shape[0]
+    xd = _crops(x.data)
+    c = xd.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"scale/shift must have shape ({c},), got {gamma.shape} and {beta.shape}")
     if state.channels != c:
         raise ShapeError(f"state tracks {state.channels} channels, input has {c}")
-    axes = tuple(range(1, x.data.ndim))
-    n = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-    expand = (slice(None),) + (None,) * len(axes)
+    axes = (2, 3, 4)
+    expand = (slice(None), None, None, None, None)
 
     if training:
-        if n == 1:
+        if xd[0, 0].size == 1:
             warnings.warn(
                 "batchnorm over a single element per channel; variance is "
                 "zero and the output reduces to the shift parameter",
                 RuntimeWarning)
-        mu = x.data.mean(axis=axes) if axes else x.data.copy()
-        var = x.data.var(axis=axes) if axes else np.zeros_like(x.data)
-        state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mu
-        state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
+        mu = xd.mean(axis=axes, keepdims=True)
+        centered = xd - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        for k in range(xd.shape[1]):
+            state.running_mean = (BN_MOMENTUM * state.running_mean
+                                  + (1 - BN_MOMENTUM) * mu[:, k, 0, 0, 0])
+            state.running_var = (BN_MOMENTUM * state.running_var
+                                 + (1 - BN_MOMENTUM) * var[:, k, 0, 0, 0])
     else:
-        mu = state.running_mean
-        var = state.running_var
+        centered = xd - state.running_mean[expand]
+        var = state.running_var[expand]
 
     s = np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu[expand]) / s[expand]
+    xhat = np.divide(centered, s, out=centered)  # centered is a fresh array
     out = gamma.data[expand] * xhat + beta.data[expand]
     gd = gamma.data
 
     def fn(g):
+        g = g.reshape(xhat.shape)
+        # per (channel, crop) sums, shared by the scale/shift and input terms
+        gsum = g.sum(axis=axes, keepdims=True)
+        gxsum = (g * xhat).sum(axis=axes, keepdims=True)
         if beta.requires_grad:
-            accumulate(beta, g.sum(axis=axes) if axes else g.copy())
+            accumulate(beta, gsum.sum(axis=(1, 2, 3, 4)))
         if gamma.requires_grad:
-            accumulate(gamma, (g * xhat).sum(axis=axes) if axes else g * xhat)
+            accumulate(gamma, gxsum.sum(axis=(1, 2, 3, 4)))
         if x.requires_grad:
             if training:
-                gm = g.mean(axis=axes, keepdims=True) if axes else g
-                gx = (g * xhat).mean(axis=axes, keepdims=True) if axes else g * xhat
-                accumulate(x, gd[expand] / s[expand] * (g - gm - xhat * gx))
-            else:
-                accumulate(x, gd[expand] / s[expand] * g)
+                m = xhat[0, 0].size
+                g = g - gsum / m - xhat * (gxsum / m)
+            accumulate(x, (gd[expand] / s * g).reshape(x.shape))
 
-    return record("batchnorm", (x, gamma, beta), out, fn)
+    return record("batchnorm", (x, gamma, beta), out.reshape(x.shape), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +283,17 @@ def _axis_taps(n: int, m: int):
     return lo, lo + 1, pos - lo
 
 
+def _axis_matrix(n: int, m: int) -> np.ndarray:
+    """The (m, n) matrix of :func:`_axis_taps`: row o holds output o's two
+    blend weights."""
+    lo, hi, w = _axis_taps(n, m)
+    a = np.zeros((m, n), dtype=T.DTYPE)
+    rows = np.arange(m)
+    a[rows, lo] = 1.0 - w
+    a[rows, hi] += w
+    return a
+
+
 def _resample_axis(arr: np.ndarray, axis: int, lo, hi, w):
     shape = [1] * arr.ndim
     shape[axis] = len(w)
@@ -251,37 +301,31 @@ def _resample_axis(arr: np.ndarray, axis: int, lo, hi, w):
     return np.take(arr, lo, axis=axis) * (1 - wb) + np.take(arr, hi, axis=axis) * wb
 
 
-def _scatter_axis(g: np.ndarray, axis: int, n: int, lo, hi, w):
-    shape = [1] * g.ndim
-    shape[axis] = len(w)
-    wb = w.reshape(shape)
-    out_shape = list(g.shape)
-    out_shape[axis] = n
-    out = np.zeros(out_shape, dtype=g.dtype)
-    gm = np.moveaxis(out, axis, 0)
-    np.add.at(gm, lo, np.moveaxis(g * (1 - wb), axis, 0))
-    np.add.at(gm, hi, np.moveaxis(g * wb, axis, 0))
-    return out
-
-
 def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
-    """Corner-aligned separable linear resampling of (C,D,H,W) to ``target``."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"trilinear_upsample input must be rank 4, got {x.shape}")
+    """Corner-aligned separable linear resampling of the last three axes of
+    ``x`` (C,N,D,H,W) or (C,D,H,W) to ``target``.
+
+    Forward gathers two taps per output sample along each axis; the
+    pullback applies the transposed tap matrix ``A.T`` of each axis, in
+    reverse axis order.
+    """
+    if x.data.ndim not in (4, 5):
+        raise ShapeError(f"trilinear_upsample input must be rank 4 or 5, got {x.shape}")
     target = tuple(int(t) for t in target)
     if len(target) != 3 or any(t < 1 for t in target):
         raise ShapeError(f"target extents must be three values >= 1, got {target}")
 
-    taps = [_axis_taps(x.shape[1 + a], target[a]) for a in range(3)]
+    axes = range(x.data.ndim - 3, x.data.ndim)
+    sources = x.shape[-3:]
     out = x.data
-    for a in range(3):
-        out = _resample_axis(out, 1 + a, *taps[a])
-    sources = x.shape[1:]
+    for axis, n, m in zip(axes, sources, target):
+        out = _resample_axis(out, axis, *_axis_taps(n, m))
 
     def fn(g):
         if x.requires_grad:
-            for a in reversed(range(3)):
-                g = _scatter_axis(g, 1 + a, sources[a], *taps[a])
+            for axis, n, m in reversed(list(zip(axes, sources, target))):
+                g = np.moveaxis(np.tensordot(g, _axis_matrix(n, m), axes=(axis, 0)),
+                                -1, axis)
             accumulate(x, g)
 
     return record("trilinear_upsample", (x,), out, fn)
@@ -292,11 +336,12 @@ def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two feature maps along the channel axis; spatial extents must agree."""
+    """Stack two feature maps along the channel axis; every other extent
+    (crops and spatial) must agree."""
     if a.data.ndim != b.data.ndim:
         raise ShapeError(f"rank mismatch: {a.shape} vs {b.shape}")
     if a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"spatial extents differ: {a.shape} vs {b.shape}")
+        raise ShapeError(f"non-channel extents differ: {a.shape} vs {b.shape}")
     ca = a.shape[0]
 
     def fn(g):

@@ -1,9 +1,10 @@
 """Masked focal loss, L2 penalty, momentum SGD, and the crop-batch loop.
 
 One optimizer step consumes a batch of randomly positioned crops (full
-spectral extent, fixed spatial window): each crop runs forward through the
-network and the refinement stage, its focal loss joins a running sum, and a
-single backward pass distributes the averaged gradient.  Regularization
+spectral extent, fixed spatial window), stacked on the network's crop axis:
+the batch runs forward once through the network and the refinement stage,
+the focal loss averages each crop's own mean, and a single backward pass
+distributes the gradient.  Regularization
 enters the loss once, as an explicit penalty term, rather than as optimizer
 weight decay, so the parameter-square-sum term is never applied twice.
 """
@@ -55,35 +56,42 @@ def _label_grid(labels) -> np.ndarray:
 
 
 def focal_loss(logits: Tensor, labels, gamma: float) -> Tensor:
-    """Mean of -(1 - p_t)^gamma * log(p_t) over labeled pixels.
+    """Mean over crops of each crop's mean of -(1 - p_t)^gamma * log(p_t)
+    over its labeled pixels.
 
-    ``labels`` is an (H, W) integer grid (or a LabelMap); id 0 marks
-    unlabeled pixels, which contribute nothing to the value or the gradient.
+    ``logits`` is (c, N, H, W) with ``labels`` an (N, H, W) integer grid, or
+    the one-crop view: (c, H, W) logits with an (H, W) grid or a LabelMap.
+    Id 0 marks unlabeled pixels, which contribute nothing to the value or
+    the gradient; every crop needs at least one labeled pixel.
     """
     grid = _label_grid(labels)
-    if logits.data.ndim != 3:
-        raise ShapeError(f"logits must be (c, H, W), got {logits.shape}")
+    if logits.data.ndim not in (3, 4):
+        raise ShapeError(f"logits must be (c, N, H, W) or (c, H, W), got {logits.shape}")
     if grid.shape != logits.shape[1:]:
         raise ShapeError(f"labels {grid.shape} do not match logits {logits.shape}")
     if gamma < 0:
         raise ShapeError(f"gamma must be >= 0, got {gamma}")
-    ii, jj = np.nonzero(grid > 0)
-    n = ii.size
-    if n == 0:
-        raise ValueError("focal loss needs at least one labeled pixel")
-    tt = grid[ii, jj].astype(np.intp) - 1
+    z = logits.data.reshape(logits.shape[:1] + (-1,) + logits.shape[-2:])
+    grid = grid.reshape(z.shape[1:])
+    crops = z.shape[1]
+    kk, ii, jj = np.nonzero(grid > 0)
+    counts = np.bincount(kk, minlength=crops)
+    if counts.min() == 0:
+        raise ValueError("focal loss needs at least one labeled pixel in every crop")
+    tt = grid[kk, ii, jj].astype(np.intp) - 1
     if tt.max() >= logits.shape[0]:
         raise ShapeError(
             f"label id {tt.max() + 1} exceeds {logits.shape[0]} classes")
 
-    z = logits.data
     zmax = z.max(axis=0, keepdims=True)
     lse = np.log(np.exp(z - zmax).sum(axis=0, keepdims=True)) + zmax
     logp = z - lse
-    logpt = logp[tt, ii, jj]
+    logpt = logp[tt, kk, ii, jj]
     pt = np.exp(logpt)
     one_minus = 1.0 - pt
-    value = np.asarray(np.mean(-(one_minus ** gamma) * logpt))
+    # pixels come crop by crop, so each crop's terms are one contiguous run
+    terms = np.split(-(one_minus ** gamma) * logpt, np.cumsum(counts)[:-1])
+    value = np.asarray(sum(np.mean(part) for part in terms) * (1.0 / crops))
 
     def fn(g):
         if not logits.requires_grad:
@@ -93,12 +101,12 @@ def focal_loss(logits: Tensor, labels, gamma: float) -> Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             a = gamma * one_minus ** (gamma - 1.0) * pt * logpt
         a = np.where(one_minus == 0.0, 0.0, a)
-        coeff = (a - one_minus ** gamma) * (float(g) / n)
+        coeff = (a - one_minus ** gamma) * (float(g) * (1.0 / crops) / counts[kk])
         p = np.exp(logp)
         dz = np.zeros_like(z)
-        dz[:, ii, jj] = -p[:, ii, jj] * coeff
-        dz[tt, ii, jj] += coeff
-        accumulate(logits, dz)
+        dz[:, kk, ii, jj] = -p[:, kk, ii, jj] * coeff
+        dz[tt, kk, ii, jj] += coeff
+        accumulate(logits, dz.reshape(logits.shape))
 
     return record("focal_loss", (logits,), value, fn)
 
@@ -186,8 +194,11 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
 
     ``cube`` supplies (B, H, W) values, ``labels`` the (H, W) class grid, and
     ``split`` the boolean training mask (LabelMap/SplitMask containers or
-    plain arrays).  One optimizer step averages ``batch_size`` crop losses
-    and adds the L2 term once.  Deterministic for a given config.
+    plain arrays).  One optimizer step runs ``batch_size`` crops as one
+    batch, averages their losses and adds the L2 term once.  A crop so
+    small that ``model.shape_plan`` leaves down3 a single voxel raises
+    :class:`ShapeError` before the first step.  Deterministic for a given
+    config.
     ``on_epoch`` may return True to stop early (the target-reached case).
     """
     values = np.asarray(getattr(cube, "values", cube))
@@ -208,6 +219,12 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
             f"crop {config.crop_size} exceeds scene {height}x{width}; clamping",
             RuntimeWarning)
         ch, cw = min(ch, height), min(cw, width)
+    deepest = dict(model.shape_plan(ch, cw))["down3"]
+    if int(np.prod(deepest[1:])) == 1:
+        raise ShapeError(
+            f"crop {ch}x{cw} leaves down3 a single voxel {deepest[1:]}, so its "
+            "batch normalization has one element per channel and passes no "
+            "gradient; use a larger crop")
 
     rng = np.random.default_rng(config.seed)
     state = OptimizerState(model.params)
@@ -216,20 +233,19 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
         for step in range(config.steps_per_epoch):
             T.clear_tape()
             zero_grads(model.params)
-            focal_sum: Optional[Tensor] = None
-            for _ in range(config.batch_size):
-                r, c = _sample_crop(rng, height, width, (ch, cw), train_labels)
-                x = T.Tensor(values[None, :, r: r + ch, c: c + cw])
-                refined, _ = model.forward_refined(x, training=True)
-                part = focal_loss(refined, train_labels[r: r + ch, c: c + cw],
-                                  config.focal_gamma)
-                focal_sum = part if focal_sum is None else T.add(focal_sum, part)
-            focal_mean = T.scale(focal_sum, 1.0 / config.batch_size)
+            origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
+                       for _ in range(config.batch_size)]
+            x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
+                                   for r, c in origins])[None])
+            crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
+                                    for r, c in origins])
+            refined, _ = model.forward_refined(x, training=True)
+            focal = focal_loss(refined, crop_labels, config.focal_gamma)
             penalty = l2_penalty(model.params, config.weight_decay)
-            total = T.add(focal_mean, penalty)
+            total = T.add(focal, penalty)
             T.backward(total)
             sgd_step(model.params, state, config)
-            rows.append(TraceRow(epoch, step, focal_mean.item(),
+            rows.append(TraceRow(epoch, step, focal.item(),
                                  penalty.item(), total.item()))
         if on_epoch is not None and on_epoch(epoch, rows[-1]):
             break

@@ -456,7 +456,7 @@ def test_a8_deterministic_checkpoints(tmp_path):
                                  seed=3)
     cube = D.normalize(cube)
     split = D.sample_split(labels, "per_class:10", seed=2)
-    cfg = TR.TrainConfig(batch_size=3, epochs=2, crop_size=(8, 8), seed=5,
+    cfg = TR.TrainConfig(batch_size=3, epochs=2, crop_size=(9, 9), seed=5,
                          steps_per_epoch=2)
     blobs = []
     for name in ("first.ckpt", "second.ckpt"):

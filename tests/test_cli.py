@@ -151,7 +151,7 @@ def test_train_nan_cube_exits_numeric(workdir, tmp_path):
     data.save_cube(cube, tmp_path / "nan.hsc1")
     cfg = tmp_path / "one.cfg"
     cfg.write_text("model.base_channels = 2\ntrain.epochs = 1\n"
-                   "train.batch_size = 1\ntrain.crop_size = 8\ncspn.steps = 0\n")
+                   "train.batch_size = 1\ntrain.crop_size = 9\ncspn.steps = 0\n")
     rc = cli.main(["train", "--cube", str(tmp_path / "nan.hsc1"),
                    "--labels", str(workdir / "scene.hsl1"),
                    "--config", str(cfg), "--strategy", "per_class:20",

@@ -39,7 +39,7 @@ def test_conv_kernel_too_large():
 
 def _budget_planes(monkeypatch, planes, x_shape, w_shape, spec):
     """Set conv3d's slab budget to ``planes`` output-depth planes of columns."""
-    _, oh, ow = spec.out_extents(x_shape[1:])
+    _, oh, ow = spec.out_extents(x_shape[-3:])
     monkeypatch.setattr(ops, "_SLAB_BYTES",
                         planes * int(np.prod(w_shape[1:])) * oh * ow * 8)
 
@@ -48,7 +48,7 @@ def _two_plane_slabs(monkeypatch, partial):
     """A per-case hook for the checks below: two planes per slab, appending
     to ``partial`` whether the case spans several slabs, the last part full."""
     def hook(x_shape, w_shape, spec):
-        od = spec.out_extents(x_shape[1:])[0]
+        od = spec.out_extents(x_shape[-3:])[0]
         partial.append(od > 2 and od % 2 == 1)
         _budget_planes(monkeypatch, 2, x_shape, w_shape, spec)
     return hook
@@ -96,19 +96,21 @@ def _check_conv_grads(hook):
         ((1, 5, 4, 4), (2, 1, 5, 1, 1), (5, 1, 1), (2, 0, 0)),
         ((3, 4, 5, 5), (2, 3, 1, 3, 3), (1, 2, 2), None),
         ((2, 3, 3, 3), (2, 2, 2, 2, 2), (1, 1, 1), (0, 0, 0)),
+        ((2, 3, 5, 4, 4), (2, 2, 3, 3, 3), (2, 1, 1), None),
+        ((2, 2, 3, 4, 5), (3, 2, 1, 3, 3), (1, 2, 2), None),
     ]
     for xs, ws, stride, padding in cases:
         spec = ops.Conv3dSpec(kernel=ws[2:], stride=stride, padding=padding)
         hook(xs, ws, spec)
         proj = gradcheck.projection(
-            (ws[0],) + spec.out_extents(xs[1:]), rng)
+            (ws[0],) + xs[1:-3] + spec.out_extents(xs[-3:]), rng)
 
         def build(x, w, b):
             return gradcheck.project(ops.conv3d(x, w, b, spec), proj)
 
         arrs = [rng.uniform(-1, 1, xs), rng.uniform(-1, 1, ws),
                 rng.uniform(-1, 1, ws[0])]
-        gradcheck.check_grads(build, arrs)
+        gradcheck.check_grads(build, arrs, nonzero=True)
 
 
 def test_conv_gradcheck():
@@ -147,6 +149,26 @@ def test_conv_pullback_keeps_no_column_matrix():
     assert out.requires_grad  # the tape holds the pullback
     # the output and the padded input; the column matrix alone is 27x x
     assert held < 4 * x.data.nbytes, held
+
+
+def test_conv_pullback_memory_is_bounded(monkeypatch):
+    # the pullback builds no full-batch column matrix or tensordot: either
+    # has 216 rows over every output voxel of the batch, 27 x.nbytes
+    monkeypatch.setattr(ops, "_SLAB_BYTES", 1 << 20)
+    rng = np.random.default_rng(10)
+    x = T.Tensor(rng.uniform(-1, 1, (8, 8, 4, 32, 32)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (8, 8, 3, 3, 3)), requires_grad=True)
+    out = ops.conv3d(x, w, None, ops.Conv3dSpec(kernel=(3, 3, 3)))
+    g = rng.uniform(-1, 1, out.shape)
+    pullback = T._TAPE[-1].fn
+    tracemalloc.start()
+    try:
+        pullback(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak < 4 * x.data.nbytes, peak
 
 
 def test_conv_shape_errors():
@@ -220,19 +242,20 @@ def test_bn_single_element_warns_and_yields_shift():
 
 def test_bn_gradcheck_train_and_eval():
     rng = np.random.default_rng(4)
-    for training in (True, False):
-        state = ops.BatchNormState(2)
-        state.running_mean = rng.uniform(-1, 1, 2)
-        state.running_var = rng.uniform(0.5, 2.0, 2)
-        proj = gradcheck.projection((2, 3, 2, 2), rng)
+    for shape in ((2, 3, 2, 2), (2, 2, 3, 2, 2)):
+        for training in (True, False):
+            state = ops.BatchNormState(2)
+            state.running_mean = rng.uniform(-1, 1, 2)
+            state.running_var = rng.uniform(0.5, 2.0, 2)
+            proj = gradcheck.projection(shape, rng)
 
-        def build(x, gamma, beta):
-            return gradcheck.project(
-                ops.batchnorm(x, gamma, beta, state, training=training), proj)
+            def build(x, gamma, beta):
+                return gradcheck.project(
+                    ops.batchnorm(x, gamma, beta, state, training=training), proj)
 
-        arrs = [rng.uniform(-1, 1, (2, 3, 2, 2)),
-                rng.uniform(0.5, 1.5, 2), rng.uniform(-0.5, 0.5, 2)]
-        gradcheck.check_grads(build, arrs)
+            arrs = [rng.uniform(-1, 1, shape),
+                    rng.uniform(0.5, 1.5, 2), rng.uniform(-0.5, 0.5, 2)]
+            gradcheck.check_grads(build, arrs, nonzero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +297,30 @@ def test_trilinear_endpoints_pinned():
 
 def test_trilinear_gradcheck():
     rng = np.random.default_rng(9)
-    proj = gradcheck.projection((2, 5, 6, 3), rng)
+    for shape in ((2, 3, 4, 3), (2, 2, 3, 4, 3)):
+        proj = gradcheck.projection(shape[:-3] + (5, 6, 3), rng)
 
-    def build(x):
-        return gradcheck.project(ops.trilinear_upsample(x, (5, 6, 3)), proj)
+        def build(x):
+            return gradcheck.project(ops.trilinear_upsample(x, (5, 6, 3)), proj)
 
-    gradcheck.check_grads(build, [rng.uniform(-1, 1, (2, 3, 4, 3))])
+        gradcheck.check_grads(build, [rng.uniform(-1, 1, shape)], nonzero=True)
+
+
+@pytest.mark.parametrize("shape, target", [
+    ((64, 3, 1, 4, 4), (1, 8, 8)),     # up1 of a 32x32 training batch
+    ((32, 3, 1, 8, 8), (2, 16, 16)),   # up2
+    ((16, 3, 2, 16, 16), (4, 32, 32)),  # up3
+    ((16, 2, 64, 64), (4, 128, 128)),  # up3 of a 128x128 scene
+])
+def test_trilinear_pullback_is_adjoint(shape, target):
+    # <A x, g> = <x, A^T g>: the pullback is the transpose of the forward
+    rng = np.random.default_rng(10)
+    x = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+    g = rng.uniform(-1, 1, shape[:-3] + target)
+    out = ops.trilinear_upsample(x, target)
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+    forward, adjoint = np.sum(out.data * g), np.sum(x.data * x.grad)
+    assert abs(forward - adjoint) <= 1e-14 * abs(forward)
 
 
 # ---------------------------------------------------------------------------

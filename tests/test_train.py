@@ -69,6 +69,38 @@ def test_focal_unlabeled_pixels_get_zero_grad():
     assert np.array_equal(t.grad[:, labels == 0], np.zeros((2, (labels == 0).sum())))
 
 
+def test_focal_batch_is_mean_of_crop_means():
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-2, 2, (3, 4, 5, 5))
+    labels = rng.integers(1, 4, (4, 5, 5))
+    for k, unlabeled in enumerate((0, 5, 17, 24)):  # 25, 20, 8 and 1 labeled
+        labels[k].flat[:unlabeled] = 0
+    batch = T.Tensor(z, requires_grad=True)
+    T.backward(TR.focal_loss(batch, labels, gamma=2.0))
+    values, grads = [], []
+    for k in range(4):
+        crop = T.Tensor(z[:, k], requires_grad=True)
+        part = TR.focal_loss(crop, labels[k], gamma=2.0)
+        T.backward(part)
+        values.append(part.item())
+        grads.append(crop.grad)
+    with T.no_grad():
+        pooled = TR.focal_loss(T.Tensor(z.reshape(3, 1, 20, 5)),
+                               labels.reshape(1, 20, 5), gamma=2.0).item()
+    want = sum(values) / 4
+    assert abs(pooled - want) > 1e-3  # a pooled mean weighs crops by label count
+    assert TR.focal_loss(T.Tensor(z), labels, gamma=2.0).item() == pytest.approx(
+        want, rel=1e-15)
+    assert np.allclose(batch.grad, np.stack(grads, axis=1) / 4, rtol=1e-15, atol=0)
+
+
+def test_focal_every_crop_needs_a_label():
+    labels = np.ones((2, 3, 3), dtype=int)
+    labels[1] = 0
+    with pytest.raises(ValueError, match="every crop"):
+        TR.focal_loss(T.zeros((2, 2, 3, 3)), labels, gamma=2.0)
+
+
 def test_focal_no_labels_errors():
     with pytest.raises(ValueError):
         TR.focal_loss(T.zeros((2, 3, 3)), np.zeros((3, 3), dtype=int), gamma=2.0)
@@ -192,7 +224,7 @@ def _toy_model(rng, bands=10, classes=2):
 def _fast_cfg(**kw):
     kw.setdefault("batch_size", 3)
     kw.setdefault("epochs", 2)
-    kw.setdefault("crop_size", (8, 8))
+    kw.setdefault("crop_size", (9, 9))
     return TR.TrainConfig(**kw)
 
 
@@ -254,6 +286,26 @@ def test_train_crop_clamp_warns():
                  _fast_cfg(epochs=1, crop_size=(64, 64)))
 
 
+def test_one_pass_per_step(monkeypatch):
+    # the tape just before backward holds one forward pass, whatever the
+    # batch size; crops run one at a time would grow it with the batch
+    rng = np.random.default_rng(17)
+    values, labels, mask = _toy_scene(rng)
+    sizes = []
+    backward = T.backward
+
+    def counted(loss):
+        sizes.append(T.tape_size())
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", counted)
+    for batch_size in (1, 4):
+        model = _toy_model(np.random.default_rng(18))
+        TR.train(values, labels, mask, model, _fast_cfg(batch_size=batch_size, epochs=1))
+    assert len(sizes) == 2
+    assert sizes[0] == sizes[1], sizes
+
+
 def test_train_requires_labeled_split():
     rng = np.random.default_rng(15)
     values, labels, _ = _toy_scene(rng)
@@ -302,10 +354,7 @@ def _first_step_loss_grads(crop):
         strict=True,
         reason="ROADMAP 'CSPN refinement does nothing': the affinity head "
                "starts at zero, where normalize_affinity passes no gradient")),
-    pytest.param(8, NETWORK, id="8x8-network", marks=pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 'MIN_SPATIAL' defect: at 8x8 the deepest batchnorm "
-               "sees one element per channel, so no gradient reaches down3")),
+    pytest.param(9, NETWORK, id="9x9-network"),
 ])
 def test_first_step_reaches_every_parameter(crop, prefixes):
     grads = _first_step_loss_grads(crop)
@@ -314,6 +363,27 @@ def test_first_step_reaches_every_parameter(crop, prefixes):
     dead = [path for path, g in grads.items()
             if path.startswith(prefixes) and not np.any(g)]
     assert not dead, f"no loss gradient reaches {dead}"
+
+
+def test_train_rejects_crop_with_single_voxel_down3():
+    # at 8x8 and 20 bands down3 is 1x1x1: its batchnorm would see one
+    # element per channel and pass no gradient to any down3 tensor
+    cube, labels = D.synth_scene(classes=3, size=16, bands=20, noise=0.02, seed=21)
+    model = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=2,
+                                  cspn_steps=2), np.random.default_rng(21))
+    assert dict(model.shape_plan(8, 8))["down3"][1:] == (1, 1, 1)
+    before = {path: t.data.copy() for path, t in model.params.items()}
+    states = [(s.running_mean.copy(), s.running_var.copy())
+              for _, s in model.params.states()]
+    cfg = TR.TrainConfig(batch_size=2, epochs=1, crop_size=(8, 8), seed=21)
+    with pytest.raises(T.ShapeError, match="8x8"):
+        TR.train(D.normalize(cube), labels, labels.grid > 0, model, cfg)
+    for path, t in model.params.items():
+        assert np.array_equal(t.data, before[path]), path
+        assert t.grad is None, path
+    for (mean, var), (_, state) in zip(states, model.params.states()):
+        assert np.array_equal(state.running_mean, mean)
+        assert np.array_equal(state.running_var, var)
 
 
 def test_config_validation():
