@@ -177,11 +177,12 @@ class _UpBlock:
 # ---------------------------------------------------------------------------
 
 class FcspnModel:
-    """Full network plus affinity branch, one registry for both."""
+    """Full network plus affinity branch, one registry for both; conv
+    weights are Kaiming-normal from ``rng``, or zero when it is None."""
 
     MIN_SPATIAL = 8
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator]):
         self.config = config
         self.params = ops.ModelParams()
         b = config.base_channels
@@ -344,7 +345,9 @@ def load_checkpoint(path) -> FcspnModel:
             raise FormatError(
                 f"checkpoint header asks for at least {_min_floats(config)} "
                 f"parameters, more than the {left} bytes after it can hold")
-        model = build(config)
+        # every tensor and statistic is read from the file below, so the
+        # model starts from zeros instead of drawing weights
+        model = FcspnModel(config, None)
         for name, target in model.params.arrays():
             arr = T.read_tensor_record(fh)
             if arr.shape != target.shape:

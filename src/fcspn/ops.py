@@ -8,11 +8,14 @@ code.  Normalization statistics are per (channel, crop).  Each op
 registers its pullback on the global tape via
 :func:`fcspn.tensor.record`.
 
-:func:`conv3d` is one GEMM per slab of (crop, output-depth planes) over a
-channel-major column matrix, the slab sized by a fixed byte budget, so its
-scratch memory does not grow with the scene or the batch; its pullback
-keeps the padded input, not the columns, and rebuilds them slab by slab
-for the weight gradient.
+:func:`conv3d` runs all three of its products through one routine: build
+the channel-major columns of one slab of the output grid (crops, planes
+or a band of rows, under a cache-sized byte budget) and multiply the
+weights by them.  Its scratch memory does not grow with the scene or the
+batch.  The pullback keeps the input, not the columns: it rebuilds them
+slab by slab for the weight gradient, and computes the input gradient as
+the correlation of the output gradient with the flipped, transposed
+kernel, one call of the routine per stride phase.
 
 :class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
 layers that own their tensors and register them, with the running
@@ -21,12 +24,12 @@ statistics, in a :class:`ModelParams` under a dotted layer path.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor, accumulate, record
@@ -36,10 +39,11 @@ Triple = Tuple[int, int, int]
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
-# bytes of column matrix conv3d builds per slab of (crop, output-depth
-# planes), one plane at least: a fixed bound on its scratch memory, forward
-# and pullback, not a setting
-_SLAB_BYTES = 32 << 20
+# bytes of column matrix conv3d builds per slab of its output grid, forward
+# and pullback: a fixed bound on its scratch memory, not a setting.  1 MiB
+# is half of a 2 MiB L2; of 0.5, 1, 2 and 4 MiB it gave the fastest
+# convolutions at the training step's shapes.
+_SLAB_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +100,101 @@ def _crops(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 5 else arr[:, None]
 
 
-def _slabs(crops: int, depth: int, plane_bytes: int):
-    """(crop, output-depth plane) slices that tile conv3d's output, each slab
-    at most ``_SLAB_BYTES`` of columns (one plane at least): runs of whole
-    crops while one crop fits, else runs of planes within one crop."""
-    planes = max(1, _SLAB_BYTES // plane_bytes)
-    if planes >= depth:
-        step = planes // depth
-        return [(slice(c, c + step), slice(0, depth)) for c in range(0, crops, step)]
-    return [(slice(c, c + 1), slice(z, z + planes))
-            for c in range(crops) for z in range(0, depth, planes)]
+def _slabs(crops: int, depth: int, height: int, row_bytes: int):
+    """(crops, planes, rows) slices that tile an output grid of ``crops`` x
+    ``depth`` x ``height`` rows, each slab at most ``_SLAB_BYTES`` of
+    columns at ``row_bytes`` per output row (one row at least): runs of
+    whole crops while one crop fits, else runs of planes within one crop
+    while one plane fits, else bands of rows within one plane."""
+    rows = max(1, _SLAB_BYTES // row_bytes)
+    if rows < height:
+        return [(slice(c, c + 1), slice(z, z + 1), slice(y, min(y + rows, height)))
+                for c in range(crops) for z in range(depth)
+                for y in range(0, height, rows)]
+    planes = rows // height
+    if planes < depth:
+        return [(slice(c, c + 1), slice(z, min(z + planes, depth)), slice(0, height))
+                for c in range(crops) for z in range(0, depth, planes)]
+    step = planes // depth
+    return [(slice(c, min(c + step, crops)), slice(0, depth), slice(0, height))
+            for c in range(0, crops, step)]
+
+
+def _columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Triple,
+             grid: Tuple[int, int, int, int]):
+    """Yield ``(crops, planes, rows, cols)`` for each slab of the output grid
+    ``grid`` = (N, od, oh, ow): ``cols`` is the slab's channel-major column
+    matrix, rows ``(c, i, j, k)`` and columns its output voxels ``(n, z, y,
+    x)``, whose entry is ``src[c, n, origin + stride * (z, y, x) + (i, j,
+    k)]``, zero where that falls outside ``src`` (C, N, D, H, W)."""
+    src = np.ascontiguousarray(src)
+    c = src.shape[0]
+    n, od, oh, ow = grid
+    (kd, kh, kw), (sd, sh, sw) = kernel, stride
+    inner = c * kd * kh * kw
+    for cs, zs, ys in _slabs(n, od, oh, inner * ow * src.itemsize):
+        nc, nz, ny = cs.stop - cs.start, zs.stop - zs.start, ys.stop - ys.start
+        lo = (origin[0] + sd * zs.start, origin[1] + sh * ys.start, origin[2])
+        size = (sd * (nz - 1) + kd, sh * (ny - 1) + kh, sw * (ow - 1) + kw)
+        inside = tuple(slice(max(a, 0), max(a, 0, min(a + k, e)))
+                       for a, k, e in zip(lo, size, src.shape[2:]))
+        if all(r.stop - r.start == k for r, k in zip(inside, size)):
+            # the slab reads only inside src: window src itself
+            block = src
+            skip = (cs.start,) + lo
+        else:
+            # the slab reads past an edge of src: copy its part into zeros
+            block = np.zeros((c, nc) + size, dtype=src.dtype)
+            block[(slice(None), slice(None)) + tuple(
+                slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))] = (
+                    src[(slice(None), cs) + inside])
+            skip = (0, 0, 0, 0)
+        s = block.strides
+        win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), src.dtype, block,
+                         sum(i * t for i, t in zip(skip, s[1:])),
+                         (s[0], s[2], s[3], s[4], s[1], s[2] * sd, s[3] * sh, s[4] * sw))
+        yield cs, zs, ys, win.reshape(inner, -1)
+
+
+def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
+               stride: Triple, out: np.ndarray) -> None:
+    """Fill ``out`` (M, N, od, oh, ow) with ``wm`` (M, C*kd*kh*kw) times the
+    columns of :func:`_columns`, one GEMM per slab; each product goes
+    straight into its part of ``out`` when ``out`` is one contiguous block
+    (a strided view, one stride phase of an input gradient, takes a copy)."""
+    direct = out.flags.c_contiguous
+    for cs, zs, ys, cols in _columns(src, origin, kernel, stride, out.shape[1:]):
+        part = out[:, cs, zs, ys]
+        if direct:
+            np.matmul(wm, cols, out=part.reshape(len(part), -1))
+        else:
+            part[...] = (wm @ cols).reshape(part.shape)
+
+
+def _phases(extents: Triple, spec: Conv3dSpec):
+    """Stride phases of conv3d's input gradient, as ``(positions, taps,
+    kernel, origin)`` triples over the three axes.
+
+    On an axis of stride ``s`` and padding ``p``, phase ``e`` holds the
+    input positions ``e, e + s, ...``, which only the taps ``r, r + s,
+    ...`` with ``r = (e + p) % s`` reach, ``kernel`` of them.  With those
+    taps flipped, the phase's gradient is a stride-1 correlation of the
+    output gradient whose first output reads it at ``origin = (e + p) // s
+    - (kernel - 1)``.  Phases that hold no position, or that no tap
+    reaches, are left out: their gradient is zero.
+    """
+    out = []
+    for phase in itertools.product(*(range(s) for s in spec.stride)):
+        axes = []
+        for e, n, k, s, p in zip(phase, extents, spec.kernel, spec.stride, spec.pad()):
+            r = (e + p) % s
+            taps = len(range(r, k, s))
+            if taps == 0 or e >= n:
+                break
+            axes.append((slice(e, n, s), slice(r, k, s), taps, (e + p) // s - (taps - 1)))
+        else:
+            out.append(tuple(zip(*axes)))
+    return out
 
 
 def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tensor:
@@ -113,13 +202,16 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
 
     ``x`` may also be the one-crop view (C,D,H,W); the output has the same
     rank.  Forward multiplies the flattened weights by a channel-major
-    column matrix (rows ``(c, i, j, k)``, columns the output voxels) built a
-    slab of (crop, output-depth planes) at a time, each slab's product
-    written straight into its part of the output.  The pullback keeps only
-    the padded input and walks the same slabs: it accumulates the weight
-    gradient over them, rebuilding each one's columns, and adds one product
-    ``w[:, :, i, j, k].T @ g`` per kernel offset and slab into that
-    offset's strided window of a padded input-gradient buffer.
+    column matrix (rows ``(c, i, j, k)``, columns the output voxels) built
+    one slab of the output grid at a time (:func:`_slabs`), each slab's
+    product written straight into its part of the output.  The pullback
+    keeps only the input.  The weight gradient sums ``g @ cols.T`` over the
+    same slabs, rebuilding each one's columns.  The input gradient is the
+    correlation of ``g`` with the flipped, transposed kernel (Dumoulin &
+    Visin, arXiv 1603.07285), split by stride phase (:func:`_phases`): the
+    input positions ``e, e + s, ...`` of one phase see only the taps ``r,
+    r + s, ...``, so each phase is a stride-1 correlation through the same
+    slab routine, written into that phase's positions of the gradient.
     """
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"conv3d input must be rank 4 or 5, got {x.shape}")
@@ -135,54 +227,35 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} does not match {cout} filters")
 
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    pd, ph, pw = spec.pad()
-    od, oh, ow = spec.out_extents((d, h, wd))
-
-    xp = np.pad(xd, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    # (C, kd, kh, kw, N, od, oh, ow) view, strided to the output grid
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))[
-        :, :, ::sd, ::sh, ::sw].transpose(0, 5, 6, 7, 1, 2, 3, 4)
-    inner = cin * kd * kh * kw
-    wm = w.data.reshape(cout, inner)
-    out = np.empty((cout, n, od, oh, ow), dtype=T.DTYPE)
-    slabs = _slabs(n, od, inner * oh * ow * out.itemsize)
-    for cs, zs in slabs:
-        np.matmul(wm, win[..., cs, zs, :, :].reshape(inner, -1),
-                  out=out[:, cs, zs].reshape(cout, -1))
+    origin = tuple(-p for p in spec.pad())
+    grid = (n,) + spec.out_extents((d, h, wd))
+    out = np.empty((cout,) + grid, dtype=T.DTYPE)
+    _correlate(xd, w.data.reshape(cout, -1), origin, spec.kernel, spec.stride, out)
     if b is not None:
         out += b.data[:, None, None, None, None]
 
     wd_data = w.data
 
     def fn(g):
-        g = g.reshape(cout, n, od, oh, ow)
+        g = g.reshape((cout,) + grid)
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(1, 2, 3, 4)))
         if w.requires_grad:
-            gw = sum(g[:, cs, zs].reshape(cout, -1)
-                     @ win[..., cs, zs, :, :].reshape(inner, -1).T for cs, zs in slabs)
+            gw = np.zeros((cout, w.size // cout), dtype=T.DTYPE)
+            for cs, zs, ys, cols in _columns(xd, origin, spec.kernel, spec.stride, grid):
+                gs = g[:, cs, zs, ys]
+                gw += gs.reshape(cout, -1) @ cols.T
             accumulate(w, gw.reshape(w.shape))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for cs, zs in slabs:
-                gs = g[:, cs, zs]
-                gm = gs.reshape(cout, -1)
-                part = (cin,) + gs.shape[1:]
-                z0, nz = zs.start * sd, gs.shape[2]  # the slab reads planes from z0
-                for i in range(kd):
-                    for j in range(kh):
-                        for k in range(kw):
-                            dxp[:, cs,
-                                z0 + i: z0 + i + sd * (nz - 1) + 1: sd,
-                                j: j + sh * (oh - 1) + 1: sh,
-                                k: k + sw * (ow - 1) + 1: sw] += (
-                                    wd_data[:, :, i, j, k].T @ gm).reshape(part)
-            accumulate(x, dxp[:, :, pd: pd + d, ph: ph + h, pw: pw + wd].reshape(x.shape))
+            dx = np.zeros(xd.shape, dtype=T.DTYPE)  # phases without taps stay 0
+            for pos, taps, kernel, start in _phases((d, h, wd), spec):
+                wt = wd_data[(slice(None), slice(None)) + taps][:, :, ::-1, ::-1, ::-1]
+                _correlate(g, wt.transpose(1, 0, 2, 3, 4).reshape(cin, -1), start,
+                           kernel, (1, 1, 1), dx[(slice(None), slice(None)) + pos])
+            accumulate(x, dx.reshape(x.shape))
 
     inputs = (x, w) if b is None else (x, w, b)
-    return record("conv3d", inputs, out.reshape((cout,) + x.shape[1:-3] + (od, oh, ow)), fn)
+    return record("conv3d", inputs, out.reshape((cout,) + x.shape[1:-3] + grid[1:]), fn)
 
 
 # ---------------------------------------------------------------------------

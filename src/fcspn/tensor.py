@@ -268,16 +268,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record("mul", (a, b), ad * bd, fn)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, g * s)
-
-    return record("scale", (a,), a.data * s, fn)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 

@@ -72,6 +72,32 @@ def conv3d_reference(x, w, b, stride, padding):
     return out
 
 
+def conv3d_input_grad_reference(g, w, x_shape, stride, padding):
+    """Gradient of sum(g * conv3d(x, w)) with respect to x, by nested loops.
+
+    g: (C_out, Do, Ho, Wo); w: (C_out, C_in, kd, kh, kw); x_shape: (C_in,
+    D, H, W).  Each output voxel sends g times every weight tap back to the
+    padded input position that tap read; the padding is then cut off.
+    """
+    cin, D, H, W = x_shape
+    cout, _, kd, kh, kw = w.shape
+    _, Do, Ho, Wo = g.shape
+    sd, sh, sw = stride
+    pd, ph, pw = padding
+    dxp = np.zeros((cin, D + 2 * pd, H + 2 * ph, W + 2 * pw), dtype=np.float64)
+    for o in range(cout):
+        for do in range(Do):
+            for ho in range(Ho):
+                for wo in range(Wo):
+                    for c in range(cin):
+                        for i in range(kd):
+                            for j in range(kh):
+                                for k in range(kw):
+                                    dxp[c, do * sd + i, ho * sh + j, wo * sw + k] += (
+                                        w[o, c, i, j, k] * g[o, do, ho, wo])
+    return dxp[:, pd:pd + D, ph:ph + H, pw:pw + W]
+
+
 def propagate_reference(h, kappa, offsets):
     """One 9-point stencil update, direct transcription of the recurrence.
 

@@ -259,6 +259,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.allclose(a, b, atol=1e-4)
 
 
+def test_load_checkpoint_draws_no_weights(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    m = M.build(_tiny(bands=20, classes=3, base=2), rng)
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(T, "kaiming_normal", no_draw)
+    back = M.load_checkpoint(p)
+    for path in m.params.paths():
+        want = m.params.get(path).data.astype("<f4").astype(np.float64)
+        assert np.array_equal(back.params.get(path).data, want), path
+
+
 def test_checkpoint_save_is_stable(tmp_path):
     m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(10))
     p1, p2 = tmp_path / "a.fcsp", tmp_path / "b.fcsp"
@@ -338,9 +354,9 @@ def test_checkpoint_header_bounded_before_build(tmp_path, monkeypatch, field):
     _huge_checkpoint(p, **HUGE_HEADERS[field])
 
     def no_build(*args, **kwargs):
-        raise AssertionError("build called before the header was bounded")
+        raise AssertionError("model built before the header was bounded")
 
-    monkeypatch.setattr(M, "build", no_build)
+    monkeypatch.setattr(M, "FcspnModel", no_build)
     with pytest.raises(T.FormatError, match="bytes"):
         M.load_checkpoint(p)
 
@@ -360,9 +376,9 @@ def test_checkpoint_unbounded_cspn_steps_rejected_before_build(tmp_path, monkeyp
     p = _patched_header(tmp_path, struct.calcsize("<4sIIIIIB"), 2**32 - 1)
 
     def no_build(*args, **kwargs):
-        raise AssertionError("build called before the header was checked")
+        raise AssertionError("model built before the header was checked")
 
-    monkeypatch.setattr(M, "build", no_build)
+    monkeypatch.setattr(M, "FcspnModel", no_build)
     with pytest.raises(T.FormatError, match="cspn_steps"):
         M.load_checkpoint(p)
 

@@ -54,7 +54,28 @@ def _two_plane_slabs(monkeypatch, partial):
     return hook
 
 
-def _check_conv_oracle(hook):
+def _budget_rows(monkeypatch, rows, x_shape, w_shape, spec):
+    """Set conv3d's slab budget to ``rows`` output rows of columns."""
+    ow = spec.out_extents(x_shape[-3:])[2]
+    monkeypatch.setattr(ops, "_SLAB_BYTES", rows * int(np.prod(w_shape[1:])) * ow * 8)
+
+
+def _two_row_bands(monkeypatch, partial):
+    """A per-case hook for the checks below: two output rows per slab,
+    appending to ``partial`` whether the case's planes end on a band of
+    one row."""
+    def hook(x_shape, w_shape, spec):
+        oh = spec.out_extents(x_shape[-3:])[1]
+        partial.append(oh > 2 and oh % 2 == 1)
+        _budget_rows(monkeypatch, 2, x_shape, w_shape, spec)
+    return hook
+
+
+def _oracle_cases(hook):
+    """The 100 random (case, x, w, b, spec) of the loop-oracle checks:
+    strides up to 3, some past the kernel so that input positions no tap
+    reads occur, and padding up to 2.  ``hook`` sees each case's shapes
+    before it is yielded."""
     rng = np.random.default_rng(42)
     for case in range(100):
         cin = int(rng.integers(1, 4))
@@ -71,11 +92,28 @@ def _check_conv_oracle(hook):
         b = rng.uniform(-1, 1, cout) if rng.uniform() < 0.5 else None
         spec = ops.Conv3dSpec(kernel=kernel, stride=stride, padding=padding)
         hook(x.shape, w.shape, spec)
+        yield case, x, w, b, spec
+
+
+def _check_conv_oracle(hook):
+    for case, x, w, b, spec in _oracle_cases(hook):
         got = ops.conv3d(T.Tensor(x), T.Tensor(w),
                          None if b is None else T.Tensor(b), spec).data
-        want = oracles.conv3d_reference(x, w, b, stride, padding)
+        want = oracles.conv3d_reference(x, w, b, spec.stride, spec.pad())
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12, f"case {case}"
+
+
+def _check_conv_input_grad_oracle(hook):
+    rng = np.random.default_rng(43)
+    for case, x, w, b, spec in _oracle_cases(hook):
+        T.clear_tape()
+        xt = T.Tensor(x, requires_grad=True)
+        out = ops.conv3d(xt, T.Tensor(w), None if b is None else T.Tensor(b), spec)
+        g = rng.uniform(-1, 1, out.shape)
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        want = oracles.conv3d_input_grad_reference(g, w, x.shape, spec.stride, spec.pad())
+        assert np.max(np.abs(xt.grad - want)) <= 1e-12, f"case {case}"
 
 
 def test_conv_matches_loop_oracle():
@@ -86,6 +124,22 @@ def test_conv_matches_loop_oracle_multi_slab(monkeypatch):
     partial = []
     _check_conv_oracle(_two_plane_slabs(monkeypatch, partial))
     assert sum(partial) >= 10
+
+
+def test_conv_matches_loop_oracle_row_bands(monkeypatch):
+    partial = []
+    _check_conv_oracle(_two_row_bands(monkeypatch, partial))
+    assert sum(partial) >= 30  # 37 of the 100 cases
+
+
+def test_conv_input_grad_matches_loop_oracle():
+    _check_conv_input_grad_oracle(lambda *shapes: None)
+
+
+def test_conv_input_grad_matches_loop_oracle_row_bands(monkeypatch):
+    partial = []
+    _check_conv_input_grad_oracle(_two_row_bands(monkeypatch, partial))
+    assert sum(partial) >= 30  # 37 of the 100 cases
 
 
 def _check_conv_grads(hook):
@@ -123,6 +177,12 @@ def test_conv_gradcheck_multi_slab(monkeypatch):
     assert sum(partial) >= 2
 
 
+def test_conv_gradcheck_row_bands(monkeypatch):
+    partial = []
+    _check_conv_grads(_two_row_bands(monkeypatch, partial))
+    assert sum(partial) >= 2
+
+
 def test_conv_slab_budget_keeps_output_bitwise(monkeypatch):
     rng = np.random.default_rng(8)
     x = T.Tensor(rng.uniform(-1, 1, (16, 7, 32, 32)))
@@ -134,6 +194,48 @@ def test_conv_slab_budget_keeps_output_bitwise(monkeypatch):
     _budget_planes(monkeypatch, 3, x.shape, w.shape, spec)  # slabs 3, 3, 1
     many = ops.conv3d(x, w, b, spec).data
     assert np.array_equal(one, many)
+
+
+@pytest.mark.parametrize("kernel, stride", [((3, 3, 3), (1, 1, 1)),
+                                            ((1, 3, 3), (1, 2, 2)),
+                                            ((3, 3, 3), (2, 1, 1))])
+def test_conv_row_bands_keep_results_bitwise(monkeypatch, kernel, stride):
+    # integer-valued data: BLAS picks its GEMM kernel by matrix size, and a
+    # band of two rows is small enough for OpenBLAS's small-matrix kernel,
+    # which rounds float sums in another order; with integers every sum is
+    # exact, so any difference is an error in the tiling
+    rng = np.random.default_rng(11)
+    spec = ops.Conv3dSpec(kernel=kernel, stride=stride)
+    x = rng.integers(-4, 5, (3, 2, 5, 9, 11)).astype(float)
+    w = rng.integers(-4, 5, (4, 3) + kernel).astype(float)
+    b = rng.integers(-4, 5, 4).astype(float)
+    g = rng.integers(-4, 5, (4, 2) + spec.out_extents(x.shape[-3:])).astype(float)
+
+    def run():
+        T.clear_tape()
+        ts = [T.Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = ops.conv3d(*ts, spec)
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        return [out.data] + [t.grad for t in ts]
+
+    monkeypatch.setattr(ops, "_SLAB_BYTES", 1 << 30)  # one slab
+    whole = run()
+    _budget_rows(monkeypatch, 2, x.shape, w.shape, spec)
+    assert spec.out_extents(x.shape[-3:])[1] % 2 == 1  # ends on a partial band
+    for want, got in zip(whole, run()):
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("budget_rows", [0, 1, 2, 5, 9, 18, 45, 1000])
+def test_slabs_tile_the_grid_once(monkeypatch, budget_rows):
+    crops, depth, height, row_bytes = 3, 5, 9, 8
+    monkeypatch.setattr(ops, "_SLAB_BYTES", budget_rows * row_bytes)
+    seen = np.zeros((crops, depth, height), dtype=int)
+    for cs, zs, ys in ops._slabs(crops, depth, height, row_bytes):
+        seen[cs, zs, ys] += 1
+        rows = (cs.stop - cs.start) * (zs.stop - zs.start) * (ys.stop - ys.start)
+        assert rows <= max(1, budget_rows)
+    assert (seen == 1).all()
 
 
 def test_conv_pullback_keeps_no_column_matrix():

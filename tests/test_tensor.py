@@ -138,14 +138,14 @@ def test_backward_sigmoid_gate():
 
 def test_backward_requires_scalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    y = T.scale(x, 2.0)
+    y = T.mul(x, T.scalar(2.0))
     with pytest.raises(T.ShapeError):
         T.backward(y)
 
 
 def test_second_backward_rejected():
     x = T.scalar(1.0, requires_grad=True)
-    loss = T.scale(x, 2.0)
+    loss = T.mul(x, T.scalar(2.0))
     T.backward(loss)
     with pytest.raises(RuntimeError):
         T.backward(loss)
@@ -213,7 +213,7 @@ def test_gradcheck_reductions():
 def test_no_grad_suppresses_tape():
     x = T.scalar(1.0, requires_grad=True)
     with T.no_grad():
-        y = T.scale(x, 3.0)
+        y = T.mul(x, T.scalar(3.0))
     assert not y.requires_grad
     assert T.tape_size() == 0
 
