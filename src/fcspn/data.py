@@ -3,10 +3,12 @@
 Cubes travel as HSC1 files (band-major float32), label maps as HSL1
 (row-major uint16 plus a class-name table), and train/test splits as HSS1
 (row-major uint8: 0 unlabeled, 1 train, 2 test).  All three are little-endian
-and fully specified here; readers reject bad magic, truncated payloads, and
-trailing bytes.  The synthetic generator builds Voronoi regions with smooth
-per-class spectra so that a nearest-centroid oracle can certify separability
-before any training happens.
+and fully specified here.  Readers check each size a header claims against
+the bytes left before reading it, and count trailing bytes without reading
+them (``tensor.BoundedReader``), so a malformed file is
+rejected before any large allocation.  The synthetic generator builds
+Voronoi regions with smooth per-class spectra so that a nearest-centroid
+oracle can certify separability before any training happens.
 """
 
 import colorsys
@@ -18,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .tensor import FormatError
+from .tensor import BoundedReader, FormatError
 
 CUBE_MAGIC = b"HSC1"
 LABEL_MAGIC = b"HSL1"
@@ -114,20 +116,11 @@ class SplitMask:
 # container IO
 # ---------------------------------------------------------------------------
 
-def _take(buf: bytes, need: int, offset: int, what: str) -> Tuple[bytes, int]:
-    if offset + need > len(buf):
-        raise FormatError(
-            f"truncated {what} at offset {offset}: need {need} bytes, "
-            f"have {len(buf) - offset}")
-    return buf[offset: offset + need], offset + need
-
-
-def _check_magic(buf: bytes, magic: bytes, kind: str) -> int:
-    got, offset = _take(buf, 4, 0, "magic")
+def _check_magic(src: BoundedReader, magic: bytes, kind: str) -> None:
+    got = src.read(4, "magic")
     if got != magic:
         raise FormatError(
             f"bad magic at offset 0: expected {magic!r} ({kind}), got {got!r}")
-    return offset
 
 
 def _check_extents(extents: Sequence[int], what: str) -> None:
@@ -135,12 +128,6 @@ def _check_extents(extents: Sequence[int], what: str) -> None:
         raise FormatError(f"{what} extents must be >= 1, got {tuple(extents)}")
     if math.prod(extents) > _MAX_ELEMENTS:
         raise FormatError(f"{what} extents {tuple(extents)} overflow")
-
-
-def _no_trailing(buf: bytes, offset: int, kind: str) -> None:
-    if offset != len(buf):
-        raise FormatError(
-            f"{len(buf) - offset} trailing bytes after {kind} at offset {offset}")
 
 
 def save_cube(cube: HsiCube, path) -> None:
@@ -152,13 +139,12 @@ def save_cube(cube: HsiCube, path) -> None:
 
 def load_cube(path) -> HsiCube:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = _check_magic(buf, CUBE_MAGIC, "cube")
-    head, offset = _take(buf, 12, offset, "cube header")
-    bands, rows, cols = struct.unpack("<III", head)
-    _check_extents((bands, rows, cols), "cube")
-    payload, offset = _take(buf, 4 * bands * rows * cols, offset, "cube payload")
-    _no_trailing(buf, offset, "cube payload")
+        src = BoundedReader(fh)
+        _check_magic(src, CUBE_MAGIC, "cube")
+        bands, rows, cols = struct.unpack("<III", src.read(12, "cube header"))
+        _check_extents((bands, rows, cols), "cube")
+        payload = src.read(4 * bands * rows * cols, "cube payload")
+        src.check_end("cube payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(bands, rows, cols)
     return HsiCube(values)
 
@@ -177,20 +163,21 @@ def save_labels(labels: LabelMap, path) -> None:
 
 def load_labels(path) -> LabelMap:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = _check_magic(buf, LABEL_MAGIC, "labels")
-    head, offset = _take(buf, 12, offset, "label header")
-    rows, cols, classes = struct.unpack("<III", head)
-    _check_extents((rows, cols, max(classes, 1)), "label")
-    payload, offset = _take(buf, 2 * rows * cols, offset, "label payload")
-    grid = np.frombuffer(payload, dtype="<u2").reshape(rows, cols)
-    names = []
-    for index in range(classes):
-        raw, offset = _take(buf, 2, offset, f"name length {index}")
-        (length,) = struct.unpack("<H", raw)
-        raw, offset = _take(buf, length, offset, f"name {index}")
-        names.append(raw.decode("utf-8"))
-    _no_trailing(buf, offset, "name table")
+        src = BoundedReader(fh)
+        _check_magic(src, LABEL_MAGIC, "labels")
+        rows, cols, classes = struct.unpack("<III", src.read(12, "label header"))
+        _check_extents((rows, cols), "label")
+        payload = src.read(2 * rows * cols, "label payload")
+        grid = np.frombuffer(payload, dtype="<u2").reshape(rows, cols)
+        left = src.left()
+        if 2 * classes > left:  # each name takes at least its 2-byte length
+            raise FormatError(f"truncated name table: {classes} names claimed, "
+                              f"{left} bytes remain")
+        names = []
+        for index in range(classes):
+            (length,) = struct.unpack("<H", src.read(2, f"name length {index}"))
+            names.append(src.read(length, f"name {index}").decode("utf-8"))
+        src.check_end("name table")
     return LabelMap(grid, names)
 
 
@@ -204,13 +191,12 @@ def save_split(split: SplitMask, path) -> None:
 
 def load_split(path) -> SplitMask:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = _check_magic(buf, SPLIT_MAGIC, "split")
-    head, offset = _take(buf, 8, offset, "split header")
-    rows, cols = struct.unpack("<II", head)
-    _check_extents((rows, cols), "split")
-    payload, offset = _take(buf, rows * cols, offset, "split payload")
-    _no_trailing(buf, offset, "split payload")
+        src = BoundedReader(fh)
+        _check_magic(src, SPLIT_MAGIC, "split")
+        rows, cols = struct.unpack("<II", src.read(8, "split header"))
+        _check_extents((rows, cols), "split")
+        payload = src.read(rows * cols, "split payload")
+        src.check_end("split payload")
     grid = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols)
     return SplitMask.from_grid(grid)
 

@@ -28,7 +28,6 @@ caller-supplied generator so builds are reproducible.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -326,9 +325,8 @@ def save_checkpoint(model: FcspnModel, path) -> None:
 
 def load_checkpoint(path) -> FcspnModel:
     with open(path, "rb") as fh:
-        raw = fh.read(struct.calcsize(_HEADER))
-        if len(raw) != struct.calcsize(_HEADER):
-            raise FormatError("truncated checkpoint header")
+        src = T.BoundedReader(fh)
+        raw = src.read(struct.calcsize(_HEADER), "checkpoint header")
         magic, version, bands, classes, base, dsr, attn, steps = struct.unpack(_HEADER, raw)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
@@ -340,7 +338,7 @@ def load_checkpoint(path) -> FcspnModel:
                                  attention_enabled=bool(attn), cspn_steps=steps)
         except ShapeError as err:
             raise FormatError(f"bad checkpoint header: {err}") from err
-        left = os.fstat(fh.fileno()).st_size - len(raw)
+        left = src.left()
         if 4 * _min_floats(config) > left:
             raise FormatError(
                 f"checkpoint header asks for at least {_min_floats(config)} "
@@ -354,7 +352,5 @@ def load_checkpoint(path) -> FcspnModel:
                 raise FormatError(
                     f"checkpoint {name} has shape {arr.shape}, expected {target.shape}")
             target[...] = arr
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after checkpoint payload")
+        src.check_end("checkpoint payload")
     return model

@@ -371,7 +371,12 @@ def _resample_axis(arr: np.ndarray, axis: int, lo, hi, w):
     shape = [1] * arr.ndim
     shape[axis] = len(w)
     wb = w.reshape(shape)
-    return np.take(arr, lo, axis=axis) * (1 - wb) + np.take(arr, hi, axis=axis) * wb
+    out = np.take(arr, lo, axis=axis)  # take(lo) * (1 - w) + take(hi) * w, in place
+    out *= 1 - wb
+    upper = np.take(arr, hi, axis=axis)
+    upper *= wb
+    out += upper
+    return out
 
 
 def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:

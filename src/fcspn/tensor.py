@@ -151,9 +151,12 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` (allocating on first touch, never in place)."""
+    """Add ``g`` into ``t.grad``: the first gradient is stored as given,
+    later ones are summed into a new array.  No code writes into a gradient
+    in place, so a stored gradient may share memory with the output
+    gradient it came from."""
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=DTYPE).copy()
+        t.grad = np.asarray(g, dtype=DTYPE)
     else:
         t.grad = t.grad + g
 
@@ -356,7 +359,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# serialization: TSR1 record
+# serialization: bounded reads and the TSR1 record
 # ---------------------------------------------------------------------------
 # little-endian: magic "TSR1" | u8 rank | u32 extents | f32 payload row-major
 
@@ -373,19 +376,42 @@ def write_tensor_record(fh, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f4").tobytes(order="C"))
 
 
+class BoundedReader:
+    """A binary file read only in sizes checked against the bytes left; the
+    end is found once, with seek and tell, so ``io.BytesIO`` works too."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        here = fh.tell()
+        self.end = fh.seek(0, 2)
+        fh.seek(here)
+
+    def left(self) -> int:
+        return self.end - self.fh.tell()
+
+    def read(self, n: int, what: str) -> bytes:
+        """Exactly ``n`` bytes of ``what``; if fewer remain, FormatError
+        before anything of size ``n`` is allocated."""
+        if n > self.left():
+            raise FormatError(f"truncated {what} at offset {self.fh.tell()}: "
+                              f"{n} bytes claimed, {self.left()} remain")
+        return self.fh.read(n)
+
+    def check_end(self, what: str) -> None:
+        """FormatError if bytes follow ``what``; they are counted, not read."""
+        if self.left():
+            raise FormatError(f"{self.left()} trailing bytes after {what} "
+                              f"at offset {self.fh.tell()}")
+
+
 def read_tensor_record(fh) -> np.ndarray:
+    src = BoundedReader(fh)
     offset = fh.tell()
-    magic = fh.read(4)
+    magic = src.read(4, "tensor magic")
     if magic != _TSR_MAGIC:
         raise FormatError(f"bad tensor magic {magic!r} at offset {offset}")
-    rank_b = fh.read(1)
-    if len(rank_b) != 1:
-        raise FormatError(f"truncated tensor header at offset {fh.tell()}")
-    rank = rank_b[0]
-    raw = fh.read(4 * rank)
-    if len(raw) != 4 * rank:
-        raise FormatError(f"truncated tensor extents at offset {fh.tell()}")
-    shape = struct.unpack(f"<{rank}I", raw)
+    rank = src.read(1, "tensor header")[0]
+    shape = struct.unpack(f"<{rank}I", src.read(4 * rank, "tensor extents"))
     count = 1
     for s in shape:
         if s < 1 or s > 2**31:
@@ -393,22 +419,5 @@ def read_tensor_record(fh) -> np.ndarray:
         count *= s
         if count > 2**33:
             raise FormatError(f"extent overflow in tensor at offset {offset}")
-    # check the claimed size against the file before reading (and allocating)
-    here = fh.tell()
-    left = fh.seek(0, 2) - here
-    fh.seek(here)
-    if 4 * count > left:
-        raise FormatError(f"truncated tensor payload at offset {here}: "
-                          f"{4 * count} bytes claimed, {left} remain")
-    payload = fh.read(4 * count)
+    payload = src.read(4 * count, "tensor payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(DTYPE)
-
-
-def save_tensor(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        write_tensor_record(fh, t.data)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return Tensor(read_tensor_record(fh))

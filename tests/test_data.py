@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fcspn import data as D
+from fcspn import model as M
 from fcspn.tensor import FormatError
 
 
@@ -127,6 +129,24 @@ def test_labels_id_beyond_class_count(tmp_path):
         D.load_labels(path)
 
 
+def test_labels_many_class_names(tmp_path):
+    # rows * cols * classes passes 2**31, but the file is about 190 KB
+    names = [f"c{i}" for i in range(32769)]
+    grid = (np.arange(65536) % 32770).reshape(65536, 1)
+    path = tmp_path / "gt.hsl"
+    D.save_labels(D.LabelMap(grid, names), path)
+    again = D.load_labels(path)
+    assert np.array_equal(again.grid, grid)
+    assert again.class_names == names
+
+
+def test_labels_name_count_checked_against_file(tmp_path):
+    path = tmp_path / "gt.hsl"
+    path.write_bytes(b"HSL1" + struct.pack("<III", 1, 1, 2**32 - 1) + bytes(4))
+    with pytest.raises(FormatError, match="names claimed"):
+        D.load_labels(path)
+
+
 def test_split_round_trip(tmp_path):
     split = D.SplitMask.from_grid(np.array([[0, 1, 2], [2, 2, 1]], dtype=np.uint8))
     path = tmp_path / "split.hss"
@@ -142,6 +162,41 @@ def test_split_bad_code(tmp_path):
     path.write_bytes(b"HSS1" + struct.pack("<II", 1, 1) + b"\x07")
     with pytest.raises(FormatError):
         D.load_split(path)
+
+
+def _save_checkpoint(model_path):
+    config = M.ModelConfig(in_bands=20, num_classes=3, base_channels=2)
+    M.save_checkpoint(M.build(config, np.random.default_rng(0)), model_path)
+
+
+LOADERS = {
+    "cube": (D.load_cube, lambda p: D.save_cube(D.HsiCube(np.ones((1, 1, 1))), p)),
+    "labels": (D.load_labels,
+               lambda p: D.save_labels(D.LabelMap(np.array([[1]]), ["x"]), p)),
+    "split": (D.load_split,
+              lambda p: D.save_split(D.SplitMask.from_grid(np.array([[1]])), p)),
+    "checkpoint": (M.load_checkpoint, _save_checkpoint),
+}
+
+
+@pytest.mark.parametrize("junk", ["magic", "trailing"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loader_rejects_large_file_in_bounded_memory(tmp_path, kind, junk):
+    load, save = LOADERS[kind]
+    path = tmp_path / kind
+    save(path)
+    raw = path.read_bytes()
+    if junk == "magic":
+        raw = b"NOPE" + raw[4:]
+    path.write_bytes(raw + bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=junk):
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,10 @@ def test_tsr1_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     t = T.Tensor(rng.uniform(-1, 1, (2, 3, 4)).astype(np.float32))
     p = tmp_path / "t.tsr"
-    T.save_tensor(t, p)
-    back = T.load_tensor(p)
+    with open(p, "wb") as fh:
+        T.write_tensor_record(fh, t.data)
+    with open(p, "rb") as fh:
+        back = T.Tensor(T.read_tensor_record(fh))
     assert back.shape == (2, 3, 4)
     assert np.array_equal(back.data, t.data)
 
@@ -235,7 +237,8 @@ def test_tsr1_roundtrip(tmp_path):
 def test_tsr1_layout(tmp_path):
     t = T.Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
     p = tmp_path / "t.tsr"
-    T.save_tensor(t, p)
+    with open(p, "wb") as fh:
+        T.write_tensor_record(fh, t.data)
     raw = p.read_bytes()
     assert raw[:4] == b"TSR1"
     assert raw[4] == 2
@@ -246,15 +249,15 @@ def test_tsr1_layout(tmp_path):
 def test_tsr1_bad_magic(tmp_path):
     p = tmp_path / "bad.tsr"
     p.write_bytes(b"XXXX\x01\x02\x00\x00\x00")
-    with pytest.raises(T.FormatError):
-        T.load_tensor(p)
+    with open(p, "rb") as fh, pytest.raises(T.FormatError):
+        T.read_tensor_record(fh)
 
 
 def test_tsr1_truncated(tmp_path):
     p = tmp_path / "short.tsr"
     p.write_bytes(b"TSR1\x01\x04\x00\x00\x00" + b"\x00" * 7)
-    with pytest.raises(T.FormatError):
-        T.load_tensor(p)
+    with open(p, "rb") as fh, pytest.raises(T.FormatError):
+        T.read_tensor_record(fh)
 
 
 class _RecordingReader(io.BytesIO):
