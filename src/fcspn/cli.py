@@ -40,13 +40,14 @@ CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
 
 
 class RunConfig:
-    """Flat dotted-key settings; unknown keys are rejected with line numbers."""
+    """Flat dotted-key settings, read from ``path`` over the defaults;
+    unknown keys are rejected with line numbers."""
 
-    def __init__(self):
+    def __init__(self, path: Optional[str] = None):
         self._values = {key: (default, "default")
                         for key, (default, _) in CONFIG_KEYS.items()}
-
-    def read(self, path) -> None:
+        if path is None:
+            return
         with open(path) as fh:
             for number, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -60,30 +61,22 @@ class RunConfig:
                     raise ConfigError(f"{path} line {number}: unknown key {key!r}")
                 self._values[key] = (value, f"{path} line {number}")
 
-    def set(self, key: str, value) -> None:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
-        self._values[key] = (str(value), "flag")
-
-    def _fetch(self, key: str) -> Tuple[str, str]:
-        return self._values[key]
-
     def get_int(self, key: str) -> int:
-        value, where = self._fetch(key)
+        value, where = self._values[key]
         try:
             return int(value)
         except ValueError:
             raise ConfigError(f"{where}: {key} expects an integer, got {value!r}") from None
 
     def get_float(self, key: str) -> float:
-        value, where = self._fetch(key)
+        value, where = self._values[key]
         try:
             return float(value)
         except ValueError:
             raise ConfigError(f"{where}: {key} expects a number, got {value!r}") from None
 
     def get_bool(self, key: str) -> bool:
-        value, where = self._fetch(key)
+        value, where = self._values[key]
         lowered = value.lower()
         if lowered in ("on", "true", "yes", "1"):
             return True
@@ -92,7 +85,7 @@ class RunConfig:
         raise ConfigError(f"{where}: {key} expects on/off, got {value!r}")
 
     def get_crop(self, key: str) -> Tuple[int, int]:
-        value, where = self._fetch(key)
+        value, where = self._values[key]
         parts = value.lower().split("x")
         try:
             if len(parts) == 1:
@@ -103,13 +96,6 @@ class RunConfig:
         except ValueError:
             pass
         raise ConfigError(f"{where}: {key} expects N or HxW, got {value!r}")
-
-
-def load_run_config(path: Optional[str]) -> RunConfig:
-    cfg = RunConfig()
-    if path is not None:
-        cfg.read(path)
-    return cfg
 
 
 def model_config_from(cfg: RunConfig, bands: int, classes: int) -> model.ModelConfig:
@@ -185,7 +171,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = RunConfig(args.config)
     cube = data.load_cube(args.cube)
     labels = data.load_labels(args.labels)
     if labels.grid.shape != (cube.rows, cube.cols):
@@ -207,8 +193,6 @@ def cmd_train(args) -> int:
     net = model.build(mcfg, np.random.default_rng(tcfg.seed))
     trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
     rows = train.train(cube, labels, split, net, tcfg, trace_path=trace)
-    if not all(np.isfinite([row.focal, row.l2, row.total]).all() for row in rows):
-        raise NumericError("loss trace contains non-finite values")
 
     model.save_checkpoint(net, args.out_ckpt)
     split_path = args.out_split or f"{args.out_ckpt}.split.hss1"
@@ -219,7 +203,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = RunConfig(args.config)
     cube = data.load_cube(args.cube)
     net = model.load_checkpoint(args.ckpt)
     if net.config.in_bands != cube.bands:
@@ -234,10 +218,7 @@ def cmd_classify(args) -> int:
             logits = net.forward(x, training=False)
         else:
             logits, _ = net.forward_refined(x, steps=steps, training=False)
-    scores = logits.data
-    if not np.isfinite(scores).all():
-        raise NumericError("logits contain non-finite values")
-    grid = scores.argmax(axis=0).astype(np.uint16) + 1
+    grid = logits.data.argmax(axis=0).astype(np.uint16) + 1
 
     names = [f"class_{cls}" for cls in range(1, net.config.num_classes + 1)]
     predicted = data.LabelMap(grid, names)
@@ -349,8 +330,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "synth" and args.classes < 2:
         parser.error("--classes must be >= 2")
-    if args.command == "classify" and args.steps is not None and args.steps < 0:
-        parser.error("--steps must be >= 0")
+    if (args.command == "classify" and args.steps is not None
+            and not 0 <= args.steps <= model.MAX_CSPN_STEPS):
+        parser.error(f"--steps must be in 0..{model.MAX_CSPN_STEPS}")
     try:
         return args.func(args)
     except ConfigError as err:

@@ -16,7 +16,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -245,12 +245,12 @@ def _fraction_count(total: int, frac: float) -> int:
 
 
 def sample_split(labels: LabelMap, strategy: Union[str, Tuple[str, float]],
-                 seed: int, overrides: Optional[Dict[int, int]] = None) -> SplitMask:
+                 seed: int) -> SplitMask:
     """Draw the training pixels per class; everything else labeled is test.
 
-    ``strategy`` is ``per_class:N`` (capped for small classes, with optional
-    explicit per-class ``overrides``) or ``fraction:F`` (stratified ceil(F*N)
-    per class).  Deterministic for a given seed.
+    ``strategy`` is ``per_class:N`` (N per class, capped for small classes)
+    or ``fraction:F`` (stratified ceil(F*N) per class), as a string or as the
+    pair :func:`parse_strategy` returns.  Deterministic for a given seed.
     """
     name, arg = parse_strategy(strategy) if isinstance(strategy, str) else strategy
     grid = labels.grid
@@ -263,8 +263,6 @@ def sample_split(labels: LabelMap, strategy: Union[str, Tuple[str, float]],
             raise ValueError(f"class {cls} has no labeled pixels")
         if name == "per_class":
             count = _per_class_count(pixels.size, int(arg))
-            if overrides and cls in overrides:
-                count = min(pixels.size, int(overrides[cls]))
         else:
             count = _fraction_count(pixels.size, arg)
         chosen = rng.choice(pixels, size=count, replace=False)
@@ -316,10 +314,10 @@ def _draw_signatures(rng: np.random.Generator, classes: int,
     return best
 
 
-def synth_scene(classes: int = 3, size: Union[int, Tuple[int, int]] = 32,
-                bands: int = 20, noise: float = 0.02,
-                seed: int = 0) -> Tuple[HsiCube, LabelMap]:
-    """Voronoi regions with per-class bump spectra plus white noise.
+def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
+                noise: float = 0.02, seed: int = 0) -> Tuple[HsiCube, LabelMap]:
+    """A ``size`` x ``size`` scene of Voronoi regions with per-class bump
+    spectra plus white noise.
 
     Every pixel is labeled.  Same seed, same scene.
     """
@@ -327,16 +325,15 @@ def synth_scene(classes: int = 3, size: Union[int, Tuple[int, int]] = 32,
         raise ValueError(f"need at least 2 classes, got {classes}")
     if bands < 1 or noise < 0:
         raise ValueError("bands must be >= 1 and noise >= 0")
-    height, width = (size, size) if isinstance(size, int) else map(int, size)
-    if min(height, width) < 1:
-        raise ValueError(f"scene must be at least 1x1, got {height}x{width}")
+    if size < 1:
+        raise ValueError(f"scene must be at least 1x1, got {size}x{size}")
 
     rng = np.random.default_rng(seed)
     signatures = _draw_signatures(rng, classes, bands)
 
-    rr, cc = np.mgrid[0:height, 0:width]
+    rr, cc = np.mgrid[0:size, 0:size]
     for _ in range(100):
-        sites = rng.uniform((0, 0), (height, width), (3 * classes, 2))
+        sites = rng.uniform((0, 0), (size, size), (3 * classes, 2))
         site_class = np.arange(3 * classes) % classes + 1
         dist2 = ((rr[..., None] - sites[:, 0]) ** 2
                  + (cc[..., None] - sites[:, 1]) ** 2)
@@ -402,6 +399,9 @@ def load_palette(path) -> List[Tuple[int, int, int, int, str]]:
         for record in reader:
             if len(record) != 5:
                 raise FormatError(f"palette row needs 5 fields, got {record}")
-            cls, red, green, blue, name = record
-            rows.append((int(cls), int(red), int(green), int(blue), name))
+            cls, red, green, blue = (int(field) for field in record[:4])
+            if cls < 0 or not all(0 <= c <= 255 for c in (red, green, blue)):
+                raise FormatError(
+                    f"palette row needs class_id >= 0 and r,g,b in 0..255, got {record}")
+            rows.append((cls, red, green, blue, record[4]))
     return rows

@@ -332,6 +332,9 @@ def load_checkpoint(path) -> FcspnModel:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
+        if attn not in (0, 1):
+            raise FormatError(
+                f"bad checkpoint header: attention byte {attn}, expected 0 or 1")
         try:
             config = ModelConfig(in_bands=bands, num_classes=classes,
                                  base_channels=base, dsr_per_stage=dsr,

@@ -91,17 +91,16 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded operation: op id, output, and a pullback closure.
+    """One recorded operation: its output and a pullback closure.
 
     The closure receives dLoss/dOutput and accumulates dLoss/dInput into each
     input tensor's ``grad`` slot.  Inputs and saved activations live in the
     closure.
     """
 
-    __slots__ = ("op", "out", "fn")
+    __slots__ = ("out", "fn")
 
-    def __init__(self, op: str, out: Tensor, fn: Callable[[np.ndarray], None]):
-        self.op = op
+    def __init__(self, out: Tensor, fn: Callable[[np.ndarray], None]):
         self.out = out
         self.fn = fn
 
@@ -146,7 +145,7 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     out.requires_grad = needs
     out.grad = None
     if needs:
-        _TAPE.append(TapeNode(op, out, fn))
+        _TAPE.append(TapeNode(out, fn))
     return out
 
 
@@ -204,11 +203,6 @@ def full(shape, value: float, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_validate_shape(shape), value, dtype=DTYPE), requires_grad)
 
 
-def uniform(shape, low: float, high: float, rng: np.random.Generator,
-            requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.uniform(low, high, _validate_shape(shape)), requires_grad)
-
-
 def kaiming_normal(shape, fan_in: int, rng: np.random.Generator,
                    requires_grad: bool = False) -> Tensor:
     """Scaled normal fill, std = sqrt(2 / fan_in)."""
@@ -216,10 +210,6 @@ def kaiming_normal(shape, fan_in: int, rng: np.random.Generator,
         raise ShapeError("fan_in must be >= 1")
     std = np.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, std, _validate_shape(shape)), requires_grad)
-
-
-def scalar(value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.asarray(value, dtype=DTYPE), requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +300,8 @@ def _normalize_axes(a: Tensor, axes, op: str):
     return axes
 
 
-def _identity(a: Tensor, op: str) -> Tensor:
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, g)
-
-    return record(op, (a,), a.data.copy(), fn)
-
-
 def reduce_sum(a: Tensor, axes=None) -> Tensor:
     axes = _normalize_axes(a, axes, "sum")
-    if not axes:
-        return _identity(a, "sum")
     shape = a.shape
 
     def fn(g):
@@ -333,8 +313,6 @@ def reduce_sum(a: Tensor, axes=None) -> Tensor:
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:
     axes = _normalize_axes(a, axes, "mean")
-    if not axes:
-        return _identity(a, "mean")
     shape = a.shape
     n = 1
     for ax in axes:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from fcspn import cli, data, model
+from fcspn import cli, data, model, train
 from fcspn.tensor import Tensor, no_grad
 
 TINY_CONFIG = """\
@@ -39,6 +39,17 @@ def _train_args(root, ckpt, *extra):
             "--labels", str(root / "scene.hsl1"),
             "--config", str(root / "tiny.cfg"),
             "--strategy", "per_class:20", "--out-ckpt", str(ckpt), *extra]
+
+
+# ---------------------------------------------------------------------------
+# config
+# ---------------------------------------------------------------------------
+
+def test_config_key_defaults_match_dataclasses():
+    # CONFIG_KEYS repeats the dataclass defaults as strings; they must agree
+    assert cli.model_config_from(cli.RunConfig(), 20, 3) == \
+        model.ModelConfig(in_bands=20, num_classes=3)
+    assert cli.train_config_from(cli.RunConfig(), None) == train.TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +151,20 @@ def test_train_bad_config_value(workdir, tmp_path, capsys):
     assert "train.epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["train.momentum = fast",
+                                  "model.attention_enabled = maybe",
+                                  "train.crop_size = 12by12"],
+                         ids=["float", "on-off", "crop"])
+def test_train_bad_typed_config_value(workdir, tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    # argparse keeps the last --config, so appending one overrides the helper
+    rc = cli.main(_train_args(workdir, tmp_path / "x.ckpt", "--config", str(bad)))
+    assert rc == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_bad_strategy_is_usage_error(workdir, tmp_path):
     rc = cli.main(_train_args(workdir, tmp_path / "x.ckpt",
                               "--strategy", "knn:3"))
@@ -164,6 +189,18 @@ def test_train_missing_cube_is_data_error(workdir, tmp_path):
                    "--labels", str(workdir / "scene.hsl1"),
                    "--out-ckpt", str(tmp_path / "x.ckpt")])
     assert rc == 3
+
+
+def test_train_label_size_mismatch_is_data_error(workdir, tmp_path, capsys):
+    labels = data.load_labels(workdir / "scene.hsl1")
+    data.save_labels(data.LabelMap(labels.grid[:, :12], labels.class_names),
+                     tmp_path / "narrow.hsl1")
+    rc = cli.main(["train", "--cube", str(workdir / "scene.hsc1"),
+                   "--labels", str(tmp_path / "narrow.hsl1"),
+                   "--out-ckpt", str(tmp_path / "x.ckpt")])
+    assert rc == 3
+    assert "disagree" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +308,35 @@ def test_classify_palette_file(workdir, tmp_path):
     body = raw.split(b"\n255\n", 1)[1]
     pixels = {tuple(body[k: k + 3]) for k in range(0, len(body), 3)}
     assert pixels <= {(255, 0, 0), (0, 0, 255)}
+
+
+@pytest.mark.parametrize("row, message", [
+    ("-1,255,0,0,x", "class_id >= 0"),
+    ("1,300,0,0,x", "0..255"),
+    ("1,255,0,0", "5 fields"),
+], ids=["negative-class", "channel-range", "four-fields"])
+def test_classify_bad_palette_row_is_data_error(workdir, tmp_path, capsys,
+                                                row, message):
+    palette = tmp_path / "p.csv"
+    palette.write_text(f"class_id,r,g,b,name\n{row}\n")
+    rc = cli.main(_classify_args(workdir, tmp_path / "pal.hsl1",
+                                 "--palette", str(palette)))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert message in err and str(row.split(",")) in err
+
+
+def test_classify_max_steps_accepted(workdir, tmp_path):
+    steps = str(model.MAX_CSPN_STEPS)
+    assert cli.main(_classify_args(workdir, tmp_path / "s.hsl1", "--steps", steps)) == 0
+
+
+@pytest.mark.parametrize("steps", [-1, model.MAX_CSPN_STEPS + 1])
+def test_classify_steps_out_of_range_is_usage_error(workdir, tmp_path, steps):
+    with pytest.raises(SystemExit) as info:
+        cli.main(_classify_args(workdir, tmp_path / "s.hsl1", "--steps", str(steps)))
+    assert info.value.code == 2
+    assert not (tmp_path / "s.hsl1").exists()
 
 
 # ---------------------------------------------------------------------------

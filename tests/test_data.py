@@ -147,6 +147,18 @@ def test_labels_name_count_checked_against_file(tmp_path):
         D.load_labels(path)
 
 
+@pytest.mark.parametrize("loader, raw", [
+    (D.load_cube, b"HSC1" + struct.pack("<III", 2, 0, 2)),
+    (D.load_labels, b"HSL1" + struct.pack("<III", 0, 2, 1)),
+    (D.load_split, b"HSS1" + struct.pack("<II", 2, 0)),
+], ids=["cube", "label", "split"])
+def test_zero_extent_rejected(tmp_path, loader, raw):
+    path = tmp_path / "zero.bin"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="extents must be >= 1"):
+        loader(path)
+
+
 def test_split_round_trip(tmp_path):
     split = D.SplitMask.from_grid(np.array([[0, 1, 2], [2, 2, 1]], dtype=np.uint8))
     path = tmp_path / "split.hss"
@@ -248,14 +260,6 @@ def test_small_class_capped_at_fifth():
     per_class = [int((split.train & (labels.grid == cls)).sum())
                  for cls in (1, 2, 3, 4)]
     assert per_class == [200, 10, 6, 1]
-
-
-def test_override_table_wins():
-    labels = _uniform_labels([20, 93])
-    split = D.sample_split(labels, "per_class:200", seed=2,
-                           overrides={1: 10, 2: 9})
-    per_class = [int((split.train & (labels.grid == cls)).sum()) for cls in (1, 2)]
-    assert per_class == [10, 9]
 
 
 def test_fraction_rounds_up():

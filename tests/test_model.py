@@ -383,6 +383,20 @@ def test_checkpoint_unbounded_cspn_steps_rejected_before_build(tmp_path, monkeyp
         M.load_checkpoint(p)
 
 
+@pytest.mark.parametrize("byte", [2, 7, 255])
+def test_checkpoint_attention_byte_must_be_bool(tmp_path, byte):
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(20))
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+    raw = bytearray(p.read_bytes())
+    offset = struct.calcsize("<4sIIIII")
+    assert raw[offset] == 1
+    raw[offset] = byte
+    p.write_bytes(bytes(raw))
+    with pytest.raises(T.FormatError, match=f"attention byte {byte}"):
+        M.load_checkpoint(p)
+
+
 def test_checkpoint_rejected_header_value_is_format_error(tmp_path):
     p = _patched_header(tmp_path, struct.calcsize("<4sI"), 0)  # in_bands
     with pytest.raises(T.FormatError, match="in_bands") as info:
