@@ -35,7 +35,6 @@ CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "train.seed": ("0", "training RNG seed"),
     "train.steps_per_epoch": ("1", "optimizer steps per epoch"),
     "cspn.steps": ("24", "propagation steps in refinement"),
-    "data.normalize": ("on", "per-band min-max scaling before use"),
 }
 
 
@@ -129,10 +128,6 @@ def train_config_from(cfg: RunConfig, seed: Optional[int]) -> train.TrainConfig:
         raise ConfigError(str(err)) from None
 
 
-def _maybe_normalize(cube: data.HsiCube, cfg: RunConfig) -> data.HsiCube:
-    return data.normalize(cube) if cfg.get_bool("data.normalize") else cube
-
-
 def _colorize(grid: np.ndarray, palette) -> np.ndarray:
     """(H, W, 3) uint8 image of a class-id grid; ids without a color stay black."""
     colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
@@ -178,7 +173,7 @@ def cmd_train(args) -> int:
         raise FormatError(
             f"cube {cube.rows}x{cube.cols} and labels "
             f"{labels.grid.shape[0]}x{labels.grid.shape[1]} disagree")
-    cube = _maybe_normalize(cube, cfg)
+    cube = data.normalize(cube)
 
     try:
         strategy = data.parse_strategy(args.strategy)
@@ -203,45 +198,44 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = RunConfig(args.config)
+    # a bad palette or a missing Pillow fails here, before any output exists
+    palette = data.load_palette(args.palette) if args.palette else None
+    png = _png_module() if args.out_png else None
     cube = data.load_cube(args.cube)
     net = model.load_checkpoint(args.ckpt)
     if net.config.in_bands != cube.bands:
         raise FormatError(
             f"checkpoint expects {net.config.in_bands} bands, cube has {cube.bands}")
-    cube = _maybe_normalize(cube, cfg)
+    cube = data.normalize(cube)
 
-    steps = net.config.cspn_steps if args.steps is None else args.steps
     with no_grad():
-        x = Tensor(cube.values[None].astype(np.float64))
-        if steps == 0:
-            logits = net.forward(x, training=False)
-        else:
-            logits, _ = net.forward_refined(x, steps=steps, training=False)
+        logits, _ = net.forward_refined(Tensor(cube.values[None].astype(np.float64)),
+                                        steps=args.steps)
     grid = logits.data.argmax(axis=0).astype(np.uint16) + 1
 
     names = [f"class_{cls}" for cls in range(1, net.config.num_classes + 1)]
     predicted = data.LabelMap(grid, names)
     data.save_labels(predicted, args.out_map)
-    palette = (data.load_palette(args.palette) if args.palette
-               else data.make_palette(names))
+    palette = palette if palette is not None else data.make_palette(names)
     ppm = args.out_ppm or f"{args.out_map}.ppm"
     write_ppm(grid, palette, ppm)
     wrote = [str(args.out_map), str(ppm)]
-    if args.out_png:
-        _write_png(grid, palette, args.out_png)
+    if png is not None:
+        image = png.fromarray(_colorize(grid, palette), mode="RGB")
+        image.save(args.out_png, format="PNG")
         wrote.append(str(args.out_png))
     print(f"wrote {', '.join(wrote)}")
     return 0
 
 
-def _write_png(grid: np.ndarray, palette, path) -> None:
+def _png_module():
+    """Pillow's ``Image`` module, or a config error when Pillow is absent."""
     try:
         from PIL import Image
     except ImportError:
         raise ConfigError(
             "PNG output needs Pillow; install the 'png' extra or use the PPM") from None
-    Image.fromarray(_colorize(grid, palette), mode="RGB").save(path, format="PNG")
+    return Image
 
 
 def cmd_eval(args) -> int:
@@ -305,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="predict a label map from a cube")
     p.add_argument("--cube", required=True, help="HSC1 cube file")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
-    p.add_argument("--config", help="INI-style config file")
     p.add_argument("--steps", type=int,
                    help="propagation steps, 0 for the unrefined map (default: checkpoint)")
     p.add_argument("--out-map", required=True, help="HSL1 output path")

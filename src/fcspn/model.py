@@ -2,17 +2,19 @@
 
 Layout, reading a ``(1, N, B, H, W)`` batch of N cubes (or one cube,
 ``(1, B, H, W)`` or ``(B, H, W)``) down to per-pixel class scores; every
-layer carries the crop axis N and reduces per crop:
+layer carries the crop axis N and reduces per crop.  One conv pair,
+conv -> norm -> relu -> conv -> norm -> relu with a (kernel, stride) per
+conv, builds every double convolution below:
 
 * stem: conv(5,1,1)/stride(5,1,1) -> norm -> relu, compressing the spectral
   axis by five while widening to ``base_channels``;
-* three down blocks, each conv(3,3,3)/(2,1,1) -> norm -> relu ->
-  conv(1,3,3)/(1,2,2) -> norm -> relu -> dual separable residual unit(s) ->
+* three down blocks, each a pair conv(3,3,3)/(2,1,1), conv(1,3,3)/(1,2,2)
+  -> dual separable residual unit(s) (two pairs each) ->
   squeeze-excitation channel gate; channels double per block, extents
   halve (ceil);
 * three up blocks, each resampling to the extents of the matching down
-  block's input, concatenating with it, then conv(5,1,1) -> norm -> relu ->
-  conv(3,3,3) -> norm -> relu; channels retrace 8x -> 4x -> 2x -> 1x;
+  block's input, concatenating with it, then a pair conv(5,1,1),
+  conv(3,3,3); channels retrace 8x -> 4x -> 2x -> 1x;
 * head: mean over the residual spectral axis, then a 1x1 conv to class
   logits of shape ``(num_classes, N, H, W)``, or ``(num_classes, H, W)``
   for one cube; the same mean plane feeds the affinity branch of the
@@ -75,20 +77,30 @@ class ModelConfig:
 # layers
 # ---------------------------------------------------------------------------
 
-class _DsrBranch:
-    """conv -> norm -> relu -> conv -> norm -> relu with separable kernels."""
+class _ConvPair:
+    """conv -> norm -> relu -> conv -> norm -> relu; ``halves`` gives each
+    conv's (kernel, stride).  Given an up block's ``mirror``, the input is
+    first resampled to its extents and concatenated with it; no caller holds
+    that join, the decoder's largest map, so it is freed after the first conv.
+    """
 
-    def __init__(self, params, path, channels, kernels, rng):
-        self.conv_a = ops.Conv(params, path + ".conv_a", channels, channels,
-                               kernels[0], (1, 1, 1), rng, bias=False)
-        self.norm_a = ops.Norm(params, path + ".norm_a", channels)
-        self.conv_b = ops.Conv(params, path + ".conv_b", channels, channels,
-                               kernels[1], (1, 1, 1), rng, bias=False)
-        self.norm_b = ops.Norm(params, path + ".norm_b", channels)
+    def __init__(self, params, path, cin, cout, halves, rng):
+        (kernel_a, stride_a), (kernel_b, stride_b) = halves
+        self.conv_a = ops.Conv(params, path + ".conv_a", cin, cout,
+                               kernel_a, stride_a, rng, bias=False)
+        self.norm_a = ops.Norm(params, path + ".norm_a", cout)
+        self.conv_b = ops.Conv(params, path + ".conv_b", cout, cout,
+                               kernel_b, stride_b, rng, bias=False)
+        self.norm_b = ops.Norm(params, path + ".norm_b", cout)
 
-    def __call__(self, x, training):
-        t = T.relu(self.norm_a(self.conv_a(x), training))
-        return T.relu(self.norm_b(self.conv_b(t), training))
+    def __call__(self, x, training, mirror=None):
+        if mirror is not None:
+            x = ops.concat_channels(ops.trilinear_upsample(x, mirror.shape[-3:]), mirror)
+        x = T.relu(self.norm_a(self.conv_a(x), training))
+        return T.relu(self.norm_b(self.conv_b(x), training))
+
+    def out_extents(self, extents):
+        return self.conv_b.spec.out_extents(self.conv_a.spec.out_extents(extents))
 
 
 class _DsrUnit:
@@ -98,14 +110,14 @@ class _DsrUnit:
     the right branch does the reverse.
     """
 
-    SPATIAL = (1, 3, 3)
-    SPECTRAL = (3, 1, 1)
+    SPATIAL = ((1, 3, 3), (1, 1, 1))
+    SPECTRAL = ((3, 1, 1), (1, 1, 1))
 
     def __init__(self, params, path, channels, rng):
-        self.left = _DsrBranch(params, path + ".left", channels,
-                               (self.SPATIAL, self.SPECTRAL), rng)
-        self.right = _DsrBranch(params, path + ".right", channels,
-                                (self.SPECTRAL, self.SPATIAL), rng)
+        self.left = _ConvPair(params, path + ".left", channels, channels,
+                              (self.SPATIAL, self.SPECTRAL), rng)
+        self.right = _ConvPair(params, path + ".right", channels, channels,
+                               (self.SPECTRAL, self.SPATIAL), rng)
 
     def __call__(self, x, training):
         return T.add(x, T.add(self.left(x, training), self.right(x, training)))
@@ -129,46 +141,25 @@ class _Attention:
         return T.mul(x, T.sigmoid(self.gate(squeezed)))
 
 
-class _DownBlock:
+class _DownBlock(_ConvPair):
+    """A strided conv pair, then the residual units and the channel gate."""
+
+    HALVES = (((3, 3, 3), (2, 1, 1)), ((1, 3, 3), (1, 2, 2)))
+
     def __init__(self, params, path, cin, cout, config, rng):
-        self.conv_a = ops.Conv(params, path + ".conv_a", cin, cout,
-                               (3, 3, 3), (2, 1, 1), rng, bias=False)
-        self.norm_a = ops.Norm(params, path + ".norm_a", cout)
-        self.conv_b = ops.Conv(params, path + ".conv_b", cout, cout,
-                               (1, 3, 3), (1, 2, 2), rng, bias=False)
-        self.norm_b = ops.Norm(params, path + ".norm_b", cout)
+        super().__init__(params, path, cin, cout, self.HALVES, rng)
         self.dsr = [_DsrUnit(params, f"{path}.dsr{j + 1}", cout, rng)
                     for j in range(config.dsr_per_stage)]
         self.attention = (_Attention(params, path + ".attn", cout, rng)
                           if config.attention_enabled else None)
 
     def __call__(self, x, training):
-        t = T.relu(self.norm_a(self.conv_a(x), training))
-        t = T.relu(self.norm_b(self.conv_b(t), training))
+        t = super().__call__(x, training)
         for unit in self.dsr:
             t = unit(t, training)
         if self.attention is not None:
             t = self.attention(t)
         return t
-
-    def out_extents(self, extents):
-        return self.conv_b.spec.out_extents(self.conv_a.spec.out_extents(extents))
-
-
-class _UpBlock:
-    def __init__(self, params, path, cin, cout, rng):
-        self.conv_a = ops.Conv(params, path + ".conv_a", cin, cout,
-                               (5, 1, 1), (1, 1, 1), rng, bias=False)
-        self.norm_a = ops.Norm(params, path + ".norm_a", cout)
-        self.conv_b = ops.Conv(params, path + ".conv_b", cout, cout,
-                               (3, 3, 3), (1, 1, 1), rng, bias=False)
-        self.norm_b = ops.Norm(params, path + ".norm_b", cout)
-
-    def __call__(self, x, mirror, training):
-        t = ops.trilinear_upsample(x, mirror.shape[-3:])
-        t = ops.concat_channels(t, mirror)
-        t = T.relu(self.norm_a(self.conv_a(t), training))
-        return T.relu(self.norm_b(self.conv_b(t), training))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +171,7 @@ class FcspnModel:
     weights are Kaiming-normal from ``rng``, or zero when it is None."""
 
     MIN_SPATIAL = 8
+    UP_HALVES = (((5, 1, 1), (1, 1, 1)), ((3, 3, 3), (1, 1, 1)))
 
     def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator]):
         self.config = config
@@ -201,8 +193,8 @@ class FcspnModel:
         self.ups = []
         for i in range(3):
             cmir = c // 2
-            self.ups.append(_UpBlock(self.params, f"up{i + 1}",
-                                     c + cmir, cmir, rng))
+            self.ups.append(_ConvPair(self.params, f"up{i + 1}", c + cmir, cmir,
+                                      self.UP_HALVES, rng))
             c = cmir
 
         self.head_conv = ops.Conv(self.params, "head.conv", b, config.num_classes,
@@ -258,7 +250,7 @@ class FcspnModel:
             mirrors.append(t)
             t = down(t, training)
         for up, mirror in zip(self.ups, reversed(mirrors)):
-            t = up(t, mirror, training)
+            t = up(t, training, mirror)
         c, n, _, nh, nw = t.shape
         plane = T.reshape(T.reduce_mean(t, axes=(2,)), (c, n, 1, nh, nw))
         logits = T.reshape(self.head_conv(plane), (self.config.num_classes, n, nh, nw))

@@ -200,6 +200,9 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
     :class:`ShapeError` before the first step.  Deterministic for a given
     config.
     ``on_epoch`` may return True to stop early (the target-reached case).
+    ``trace_path`` gets the rows of the finished steps also when a step
+    raises (a non-finite gradient, say); a check before the first step
+    writes nothing.
     """
     values = np.asarray(getattr(cube, "values", cube))
     grid = _label_grid(labels)
@@ -229,28 +232,30 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     state = OptimizerState(model.params)
     rows: List[TraceRow] = []
-    for epoch in range(config.epochs):
-        for step in range(config.steps_per_epoch):
-            T.clear_tape()
-            zero_grads(model.params)
-            origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
-                       for _ in range(config.batch_size)]
-            x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
-                                   for r, c in origins])[None])
-            crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
-                                    for r, c in origins])
-            refined, _ = model.forward_refined(x, training=True)
-            focal = focal_loss(refined, crop_labels, config.focal_gamma)
-            penalty = l2_penalty(model.params, config.weight_decay)
-            total = T.add(focal, penalty)
-            T.backward(total)
-            sgd_step(model.params, state, config)
-            rows.append(TraceRow(epoch, step, focal.item(),
-                                 penalty.item(), total.item()))
-        if on_epoch is not None and on_epoch(epoch, rows[-1]):
-            break
-    if trace_path is not None:
-        write_trace(rows, trace_path)
+    try:
+        for epoch in range(config.epochs):
+            for step in range(config.steps_per_epoch):
+                T.clear_tape()
+                zero_grads(model.params)
+                origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
+                           for _ in range(config.batch_size)]
+                x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
+                                       for r, c in origins])[None])
+                crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
+                                        for r, c in origins])
+                refined, _ = model.forward_refined(x, training=True)
+                focal = focal_loss(refined, crop_labels, config.focal_gamma)
+                penalty = l2_penalty(model.params, config.weight_decay)
+                total = T.add(focal, penalty)
+                T.backward(total)
+                sgd_step(model.params, state, config)
+                rows.append(TraceRow(epoch, step, focal.item(),
+                                     penalty.item(), total.item()))
+            if on_epoch is not None and on_epoch(epoch, rows[-1]):
+                break
+    finally:
+        if trace_path is not None:
+            write_trace(rows, trace_path)
     return rows
 
 

@@ -1,5 +1,9 @@
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,18 @@ def test_synth_defaults(tmp_path, capsys):
     assert (tmp_path / "s.palette.csv").exists()
     cube = data.load_cube(tmp_path / "s.hsc1")
     assert (cube.bands, cube.rows, cube.cols) == (20, 32, 32)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "fcspn", "synth",
+                           "--out", str(tmp_path / "s"), "--size", "9"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for suffix in (".hsc1", ".hsl1", ".palette.csv"):
+        assert (tmp_path / f"s{suffix}").exists()
 
 
 def test_synth_heavy_noise_degrades(tmp_path, capsys):
@@ -269,7 +285,7 @@ def test_classify_impossible_checkpoint_header_is_data_error(workdir, tmp_path,
     def no_build(*args, **kwargs):
         raise AssertionError("build called before the header was bounded")
 
-    monkeypatch.setattr(model, "build", no_build)
+    monkeypatch.setattr(model, "FcspnModel", no_build)
     rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
                    "--ckpt", str(huge), "--out-map", str(tmp_path / "pred.hsl1")])
     assert rc == 3
@@ -324,6 +340,30 @@ def test_classify_bad_palette_row_is_data_error(workdir, tmp_path, capsys,
     assert rc == 3
     err = capsys.readouterr().err
     assert message in err and str(row.split(",")) in err
+
+
+def test_classify_bad_palette_fails_before_inference(workdir, tmp_path, monkeypatch):
+    palette = tmp_path / "p.csv"
+    palette.write_text("class_id,r,g,b,name\n1,300,0,0,x\n")
+
+    def no_inference(*args, **kwargs):
+        raise AssertionError("inference ran before the palette was checked")
+
+    monkeypatch.setattr(model.FcspnModel, "forward_refined", no_inference)
+    rc = cli.main(_classify_args(workdir, tmp_path / "pal.hsl1",
+                                 "--palette", str(palette)))
+    assert rc == 3
+    assert not (tmp_path / "pal.hsl1").exists()
+
+
+def test_classify_png_without_pillow_writes_nothing(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    rc = cli.main(_classify_args(workdir, tmp_path / "pred.hsl1",
+                                 "--out-png", str(tmp_path / "pred.png")))
+    assert rc == 2
+    assert "Pillow" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
+    assert not (tmp_path / "pred.hsl1.ppm").exists()
 
 
 def test_classify_max_steps_accepted(workdir, tmp_path):

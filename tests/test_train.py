@@ -241,6 +241,35 @@ def test_train_trace_is_finite_and_complete(tmp_path):
     assert len(lines) == 3
 
 
+def test_train_failed_step_keeps_trace_of_finished_steps(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    values, labels, mask = _toy_scene(rng)
+    model = _toy_model(np.random.default_rng(6))
+    calls = []
+    sgd_step = TR.sgd_step
+
+    def diverge_on_third_call(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise T.NumericError("non-finite gradient for parameter(s): head.conv.weights")
+        sgd_step(*args)
+
+    monkeypatch.setattr(TR, "sgd_step", diverge_on_third_call)
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(T.NumericError, match="head.conv.weights"):
+        TR.train(values, labels, mask, model, _fast_cfg(epochs=5), trace_path=trace)
+    lines = trace.read_text().strip().splitlines()
+    assert lines[0] == "epoch,step,focal,l2,total"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+    # a check before the first step leaves no trace file
+    early = tmp_path / "early.csv"
+    with pytest.raises(T.ShapeError, match="single voxel"):
+        TR.train(values, labels, mask, model, _fast_cfg(crop_size=(8, 8)),
+                 trace_path=early)
+    assert not early.exists()
+
+
 def test_train_zero_lr_constant_trace():
     rng = np.random.default_rng(7)
     values, labels, mask = _toy_scene(rng)
