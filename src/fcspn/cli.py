@@ -1,13 +1,16 @@
 """Command-line pipeline: synthesize, train, classify, evaluate.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data or file format,
-4 numeric failure.  Every tunable has a documented default; a flat INI-style
-config file (``key = value`` lines, ``#`` comments) can override them, and
-command-line flags win over the file.
+4 numeric failure.  Each config key of ``train`` names a field of
+``model.ModelConfig`` or ``train.TrainConfig`` and takes its default and type
+from that field.  A flat INI-style config file (``key = value`` lines, ``#``
+comments) overrides the defaults; every value is parsed as the file is read,
+before any data.  ``train --seed`` is the one flag that overrides a file key.
 """
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,31 +23,74 @@ class ConfigError(ValueError):
     """A config file or flag value the pipeline cannot act on."""
 
 
-# key -> (default, help); the single source of truth for RunConfig
-CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
-    "model.base_channels": ("16", "stem width; deeper stages double it"),
-    "model.dsr_per_stage": ("1", "residual units per encoder stage"),
-    "model.attention_enabled": ("on", "channel attention in encoder stages"),
-    "train.batch_size": ("20", "crops per optimizer step"),
-    "train.weight_decay": ("1e-5", "L2 coefficient on conv weights"),
-    "train.epochs": ("60", "training epochs"),
-    "train.momentum": ("0.9", "SGD momentum"),
-    "train.learning_rate": ("0.01", "SGD learning rate"),
-    "train.focal_gamma": ("2.0", "focal loss exponent"),
-    "train.crop_size": ("64", "spatial crop, N or HxW"),
-    "train.seed": ("0", "training RNG seed"),
-    "train.steps_per_epoch": ("1", "optimizer steps per epoch"),
-    "cspn.steps": ("24", "propagation steps in refinement"),
+# key -> (settings class, field, help); the field holds the default and type
+CONFIG_KEYS: Dict[str, Tuple[type, str, str]] = {
+    "model.base_channels": (model.ModelConfig, "base_channels",
+                            "stem width; deeper stages double it"),
+    "model.dsr_per_stage": (model.ModelConfig, "dsr_per_stage",
+                            "residual units per encoder stage"),
+    "model.attention_enabled": (model.ModelConfig, "attention_enabled",
+                                "channel attention in encoder stages"),
+    "train.batch_size": (train.TrainConfig, "batch_size", "crops per optimizer step"),
+    "train.weight_decay": (train.TrainConfig, "weight_decay",
+                           "L2 coefficient on conv weights"),
+    "train.epochs": (train.TrainConfig, "epochs", "training epochs"),
+    "train.momentum": (train.TrainConfig, "momentum", "SGD momentum"),
+    "train.learning_rate": (train.TrainConfig, "learning_rate", "SGD learning rate"),
+    "train.focal_gamma": (train.TrainConfig, "focal_gamma", "focal loss exponent"),
+    "train.crop_size": (train.TrainConfig, "crop_size", "spatial crop, N or HxW"),
+    "train.seed": (train.TrainConfig, "seed", "training RNG seed"),
+    "train.steps_per_epoch": (train.TrainConfig, "steps_per_epoch",
+                              "optimizer steps per epoch"),
+    "cspn.steps": (model.ModelConfig, "cspn_steps", "propagation steps in refinement"),
+}
+
+
+def _default(key: str):
+    cls, name, _ = CONFIG_KEYS[key]
+    return next(field.default for field in fields(cls) if field.name == name)
+
+
+def _on_off(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("on", "true", "yes", "1"):
+        return True
+    if lowered in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _crop(text: str) -> Tuple[int, int]:
+    sides = [int(side) for side in text.lower().split("x")]
+    if len(sides) > 2:
+        raise ValueError(text)
+    return sides[0], sides[-1]
+
+
+def _spell(value) -> str:
+    """``value`` the way a config file writes it."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return "x".join(map(str, value))
+    return str(value)
+
+
+# type of a key's default -> (parser of a file value, the form it expects)
+_PARSERS = {
+    bool: (_on_off, "on/off"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple: (_crop, "N or HxW"),
 }
 
 
 class RunConfig:
-    """Flat dotted-key settings, read from ``path`` over the defaults;
-    unknown keys are rejected with line numbers."""
+    """The settings a file at ``path`` gives, each parsed as its line is
+    read; unknown keys and malformed values are rejected with line numbers."""
 
     def __init__(self, path: Optional[str] = None):
-        self._values = {key: (default, "default")
-                        for key, (default, _) in CONFIG_KEYS.items()}
+        self._given: Dict[type, Dict[str, object]] = {}
         if path is None:
             return
         with open(path) as fh:
@@ -53,79 +99,24 @@ class RunConfig:
                 if not line:
                     continue
                 key, eq, value = (part.strip() for part in line.partition("="))
+                where = f"{path} line {number}"
                 if not eq or not key:
-                    raise ConfigError(
-                        f"{path} line {number}: expected 'key = value', got {raw.strip()!r}")
+                    raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
                 if key not in CONFIG_KEYS:
-                    raise ConfigError(f"{path} line {number}: unknown key {key!r}")
-                self._values[key] = (value, f"{path} line {number}")
+                    raise ConfigError(f"{where}: unknown key {key!r}")
+                cls, name, _ = CONFIG_KEYS[key]
+                parse, form = _PARSERS[type(_default(key))]
+                try:
+                    self._given.setdefault(cls, {})[name] = parse(value)
+                except ValueError:
+                    raise ConfigError(f"{where}: {key} expects {form}, got {value!r}") from None
 
-    def get_int(self, key: str) -> int:
-        value, where = self._values[key]
+    def build(self, cls, **given):
+        """A ``cls`` from its defaults, then this file's keys, then ``given``."""
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{where}: {key} expects an integer, got {value!r}") from None
-
-    def get_float(self, key: str) -> float:
-        value, where = self._values[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{where}: {key} expects a number, got {value!r}") from None
-
-    def get_bool(self, key: str) -> bool:
-        value, where = self._values[key]
-        lowered = value.lower()
-        if lowered in ("on", "true", "yes", "1"):
-            return True
-        if lowered in ("off", "false", "no", "0"):
-            return False
-        raise ConfigError(f"{where}: {key} expects on/off, got {value!r}")
-
-    def get_crop(self, key: str) -> Tuple[int, int]:
-        value, where = self._values[key]
-        parts = value.lower().split("x")
-        try:
-            if len(parts) == 1:
-                side = int(parts[0])
-                return side, side
-            if len(parts) == 2:
-                return int(parts[0]), int(parts[1])
-        except ValueError:
-            pass
-        raise ConfigError(f"{where}: {key} expects N or HxW, got {value!r}")
-
-
-def model_config_from(cfg: RunConfig, bands: int, classes: int) -> model.ModelConfig:
-    try:
-        return model.ModelConfig(
-            in_bands=bands,
-            num_classes=classes,
-            base_channels=cfg.get_int("model.base_channels"),
-            dsr_per_stage=cfg.get_int("model.dsr_per_stage"),
-            attention_enabled=cfg.get_bool("model.attention_enabled"),
-            cspn_steps=cfg.get_int("cspn.steps"),
-        )
-    except ShapeError as err:
-        raise ConfigError(str(err)) from None
-
-
-def train_config_from(cfg: RunConfig, seed: Optional[int]) -> train.TrainConfig:
-    try:
-        return train.TrainConfig(
-            batch_size=cfg.get_int("train.batch_size"),
-            weight_decay=cfg.get_float("train.weight_decay"),
-            epochs=cfg.get_int("train.epochs"),
-            momentum=cfg.get_float("train.momentum"),
-            learning_rate=cfg.get_float("train.learning_rate"),
-            focal_gamma=cfg.get_float("train.focal_gamma"),
-            crop_size=cfg.get_crop("train.crop_size"),
-            seed=cfg.get_int("train.seed") if seed is None else seed,
-            steps_per_epoch=cfg.get_int("train.steps_per_epoch"),
-        )
-    except ShapeError as err:
-        raise ConfigError(str(err)) from None
+            return cls(**{**self._given.get(cls, {}), **given})
+        except ShapeError as err:
+            raise ConfigError(str(err)) from None
 
 
 def _colorize(grid: np.ndarray, palette) -> np.ndarray:
@@ -151,9 +142,12 @@ def write_ppm(grid: np.ndarray, palette, path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cube, labels = data.synth_scene(classes=args.classes, size=args.size,
-                                    bands=args.bands, noise=args.noise,
-                                    seed=args.seed)
+    try:
+        cube, labels = data.synth_scene(classes=args.classes, size=args.size,
+                                        bands=args.bands, noise=args.noise,
+                                        seed=args.seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     data.save_cube(cube, f"{args.out}.hsc1")
     data.save_labels(labels, f"{args.out}.hsl1")
     data.save_palette(data.make_palette(labels.class_names),
@@ -179,12 +173,14 @@ def cmd_train(args) -> int:
         strategy = data.parse_strategy(args.strategy)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    tcfg = train_config_from(cfg, args.seed)
+    flags = {} if args.seed is None else {"seed": args.seed}
+    tcfg = cfg.build(train.TrainConfig, **flags)
     split = data.sample_split(labels, strategy, tcfg.seed)
     for name, n_train, n_test in data.split_report(labels, split):
         print(f"{name}: train={n_train} test={n_test}")
 
-    mcfg = model_config_from(cfg, cube.bands, labels.num_classes)
+    mcfg = cfg.build(model.ModelConfig, in_bands=cube.bands,
+                     num_classes=labels.num_classes)
     net = model.build(mcfg, np.random.default_rng(tcfg.seed))
     trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
     rows = train.train(cube, labels, split, net, tcfg, trace_path=trace)
@@ -260,8 +256,8 @@ def cmd_eval(args) -> int:
 
 def _config_epilog() -> str:
     lines = ["config file keys (key = value, # comments):"]
-    for key, (default, doc) in CONFIG_KEYS.items():
-        lines.append(f"  {key} = {default}  ({doc})")
+    for key, (_, _, doc) in CONFIG_KEYS.items():
+        lines.append(f"  {key} = {_spell(_default(key))}  ({doc})")
     return "\n".join(lines)
 
 
@@ -321,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "synth" and args.classes < 2:
-        parser.error("--classes must be >= 2")
     if (args.command == "classify" and args.steps is not None
             and not 0 <= args.steps <= model.MAX_CSPN_STEPS):
         parser.error(f"--steps must be in 0..{model.MAX_CSPN_STEPS}")
@@ -340,7 +334,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as err:
         print(f"fcspn: data error: {err}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

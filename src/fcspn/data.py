@@ -29,6 +29,7 @@ SPLIT_MAGIC = b"HSS1"
 # Extents are u32 in the container headers, but payloads this large would
 # not be addressable anyway; reject early instead of letting numpy try.
 _MAX_ELEMENTS = 1 << 31
+_MAX_CLASS_ID = np.iinfo(np.uint16).max
 
 
 @dataclass
@@ -67,6 +68,9 @@ class LabelMap:
         grid = np.asarray(self.grid)
         if grid.ndim != 2 or min(grid.shape) < 1:
             raise FormatError(f"label grid must be (H, W), got {grid.shape}")
+        if len(self.class_names) > _MAX_CLASS_ID:
+            raise FormatError(f"class ids are uint16, so at most {_MAX_CLASS_ID} "
+                              f"classes; got {len(self.class_names)} names")
         if grid.min() < 0 or grid.max() > len(self.class_names):
             raise FormatError(
                 f"label ids must lie in 0..{len(self.class_names)}, "

@@ -50,10 +50,24 @@ def _train_args(root, ckpt, *extra):
 # ---------------------------------------------------------------------------
 
 def test_config_key_defaults_match_dataclasses():
-    # CONFIG_KEYS repeats the dataclass defaults as strings; they must agree
-    assert cli.model_config_from(cli.RunConfig(), 20, 3) == \
+    assert cli.RunConfig().build(model.ModelConfig, in_bands=20, num_classes=3) == \
         model.ModelConfig(in_bands=20, num_classes=3)
-    assert cli.train_config_from(cli.RunConfig(), None) == train.TrainConfig()
+    assert cli.RunConfig().build(train.TrainConfig) == train.TrainConfig()
+
+
+def test_train_help_lists_every_key_with_its_default(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["train", "--help"])
+    assert info.value.code == 0
+    printed = re.findall(r"^  (\S+) = (\S+)  \(", capsys.readouterr().out, re.M)
+    assert [key for key, _ in printed] == list(cli.CONFIG_KEYS)
+    # each printed default, read back as a config file, is the field's default
+    echo = tmp_path / "echo.cfg"
+    echo.write_text("".join(f"{key} = {value}\n" for key, value in printed))
+    cfg = cli.RunConfig(str(echo))
+    assert cfg.build(model.ModelConfig, in_bands=20, num_classes=3) == \
+        model.ModelConfig(in_bands=20, num_classes=3)
+    assert cfg.build(train.TrainConfig) == train.TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +104,14 @@ def test_synth_heavy_noise_degrades(tmp_path, capsys):
     assert float(match.group(1)) < 0.9
 
 
-def test_synth_one_class_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["synth", "--out", str(tmp_path / "x"), "--classes", "1"])
-    assert info.value.code == 2
+@pytest.mark.parametrize("flag, value", [("--classes", "1"), ("--size", "0"),
+                                         ("--bands", "0"), ("--noise", "-1")],
+                         ids=["classes", "size", "bands", "noise"])
+def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
+    rc = cli.main(["synth", "--out", str(tmp_path / "x"), flag, value])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.hsc1").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +183,17 @@ def test_train_bad_config_value(workdir, tmp_path, capsys):
                    "--out-ckpt", str(tmp_path / "x.ckpt")])
     assert rc == 2
     assert "train.epochs" in capsys.readouterr().err
+
+
+def test_train_config_checked_before_data_is_read(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model.attention_enabled = maybe\n")
+    rc = cli.main(["train", "--cube", str(tmp_path / "absent.hsc1"),
+                   "--labels", str(tmp_path / "absent.hsl1"),
+                   "--config", str(bad), "--out-ckpt", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    assert "bad.cfg line 1: model.attention_enabled expects on/off, got 'maybe'" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["train.momentum = fast",

@@ -140,6 +140,19 @@ def test_labels_many_class_names(tmp_path):
     assert again.class_names == names
 
 
+def test_labels_class_ids_fit_uint16(tmp_path):
+    # with 65536 names, id 65536 would be stored as 0 and read back unlabeled
+    names = [f"c{i}" for i in range(65536)]
+    with pytest.raises(FormatError, match="uint16"):
+        D.LabelMap(np.array([[65536, 1]]), names)
+    grid = np.array([[65535, 1, 0]])
+    path = tmp_path / "gt.hsl"
+    D.save_labels(D.LabelMap(grid, names[:-1]), path)
+    again = D.load_labels(path)
+    assert np.array_equal(again.grid, grid)
+    assert again.class_names == names[:-1]
+
+
 def test_labels_name_count_checked_against_file(tmp_path):
     path = tmp_path / "gt.hsl"
     path.write_bytes(b"HSL1" + struct.pack("<III", 1, 1, 2**32 - 1) + bytes(4))
