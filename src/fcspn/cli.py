@@ -119,18 +119,14 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
 
-def _colorize(grid: np.ndarray, palette) -> np.ndarray:
-    """(H, W, 3) uint8 image of a class-id grid; ids without a color stay black."""
+def write_ppm(grid: np.ndarray, palette, path) -> None:
+    """Render a class-id grid as a P6 pixmap; id 0 and ids without a color
+    stay black."""
     colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
     for cls, red, green, blue, _name in palette:
         if cls < colors.shape[0]:
             colors[cls] = (red, green, blue)
-    return colors[grid]
-
-
-def write_ppm(grid: np.ndarray, palette, path) -> None:
-    """Render a class-id grid as a P6 pixmap; id 0 stays black."""
-    image = _colorize(grid, palette)
+    image = colors[grid]
     height, width = grid.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
@@ -160,27 +156,31 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # every setting is checked before any data is read
     cfg = RunConfig(args.config)
-    cube = data.load_cube(args.cube)
-    labels = data.load_labels(args.labels)
-    if labels.grid.shape != (cube.rows, cube.cols):
-        raise FormatError(
-            f"cube {cube.rows}x{cube.cols} and labels "
-            f"{labels.grid.shape[0]}x{labels.grid.shape[1]} disagree")
-    cube = data.normalize(cube)
-
     try:
         strategy = data.parse_strategy(args.strategy)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     flags = {} if args.seed is None else {"seed": args.seed}
     tcfg = cfg.build(train.TrainConfig, **flags)
+    # the model keys, with the smallest valid bands and classes: the data
+    # fixes both below
+    cfg.build(model.ModelConfig, in_bands=5, num_classes=1)
+
+    cube = data.load_cube(args.cube)
+    labels = data.load_labels(args.labels)
+    if labels.grid.shape != (cube.rows, cube.cols):
+        raise FormatError(
+            f"cube {cube.rows}x{cube.cols} and labels "
+            f"{labels.grid.shape[0]}x{labels.grid.shape[1]} disagree")
+    mcfg = cfg.build(model.ModelConfig, in_bands=cube.bands,
+                     num_classes=labels.num_classes)
+    cube = data.normalize(cube)
+
     split = data.sample_split(labels, strategy, tcfg.seed)
     for name, n_train, n_test in data.split_report(labels, split):
         print(f"{name}: train={n_train} test={n_test}")
-
-    mcfg = cfg.build(model.ModelConfig, in_bands=cube.bands,
-                     num_classes=labels.num_classes)
     net = model.build(mcfg, np.random.default_rng(tcfg.seed))
     trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
     rows = train.train(cube, labels, split, net, tcfg, trace_path=trace)
@@ -194,9 +194,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # a bad palette or a missing Pillow fails here, before any output exists
+    # a bad palette fails here, before any output exists
     palette = data.load_palette(args.palette) if args.palette else None
-    png = _png_module() if args.out_png else None
     cube = data.load_cube(args.cube)
     net = model.load_checkpoint(args.ckpt)
     if net.config.in_bands != cube.bands:
@@ -215,23 +214,8 @@ def cmd_classify(args) -> int:
     palette = palette if palette is not None else data.make_palette(names)
     ppm = args.out_ppm or f"{args.out_map}.ppm"
     write_ppm(grid, palette, ppm)
-    wrote = [str(args.out_map), str(ppm)]
-    if png is not None:
-        image = png.fromarray(_colorize(grid, palette), mode="RGB")
-        image.save(args.out_png, format="PNG")
-        wrote.append(str(args.out_png))
-    print(f"wrote {', '.join(wrote)}")
+    print(f"wrote {args.out_map}, {ppm}")
     return 0
-
-
-def _png_module():
-    """Pillow's ``Image`` module, or a config error when Pillow is absent."""
-    try:
-        from PIL import Image
-    except ImportError:
-        raise ConfigError(
-            "PNG output needs Pillow; install the 'png' extra or use the PPM") from None
-    return Image
 
 
 def cmd_eval(args) -> int:
@@ -299,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="propagation steps, 0 for the unrefined map (default: checkpoint)")
     p.add_argument("--out-map", required=True, help="HSL1 output path")
     p.add_argument("--out-ppm", help="P6 pixmap (default <out-map>.ppm)")
-    p.add_argument("--out-png", help="optional PNG (needs Pillow)")
     p.add_argument("--palette", help="palette CSV (default: generated)")
     p.set_defaults(func=cmd_classify)
 

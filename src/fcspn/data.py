@@ -327,8 +327,9 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
     """
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    if bands < 1 or noise < 0:
-        raise ValueError("bands must be >= 1 and noise >= 0")
+    if bands < 1 or not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"bands must be >= 1 and noise finite and >= 0, "
+                         f"got {bands} and {noise}")
     if size < 1:
         raise ValueError(f"scene must be at least 1x1, got {size}x{size}")
 

@@ -41,7 +41,7 @@ from . import tensor as T
 from .tensor import FormatError, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"FCSP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Validation bound on ``cspn_steps``, not a setting: far above the paper's 24,
 # it stops a corrupt checkpoint header from asking for billions of steps.
@@ -285,13 +285,14 @@ def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Fcs
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file: "FCSP" header + TSR1 records
+# checkpoint file: "FCSP" header + one f32 payload
 # ---------------------------------------------------------------------------
 # layout, little-endian:
 #   magic "FCSP" | u32 version | u32 in_bands | u32 num_classes
 #   | u32 base_channels | u32 dsr_per_stage | u8 attention | u32 cspn_steps
-#   | TSR1 records of ``ModelParams.arrays()``: the learnable tensors sorted
-#     by path, then running mean and variance per norm, sorted by path
+#   | f32 values of ``ModelParams.arrays()``, row-major, back to back: the
+#     learnable tensors sorted by path, then running mean and variance per
+#     norm, sorted by path; the header fixes every shape
 
 _HEADER = "<4sIIIIIBI"
 
@@ -311,8 +312,8 @@ def save_checkpoint(model: FcspnModel, path) -> None:
                              cfg.in_bands, cfg.num_classes, cfg.base_channels,
                              cfg.dsr_per_stage, int(cfg.attention_enabled),
                              cfg.cspn_steps))
-        for _, arr in model.params.arrays():
-            T.write_tensor_record(fh, arr)
+        for arr in model.params.arrays():
+            fh.write(arr.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> FcspnModel:
@@ -341,11 +342,14 @@ def load_checkpoint(path) -> FcspnModel:
         # every tensor and statistic is read from the file below, so the
         # model starts from zeros instead of drawing weights
         model = FcspnModel(config, None)
-        for name, target in model.params.arrays():
-            arr = T.read_tensor_record(fh)
-            if arr.shape != target.shape:
-                raise FormatError(
-                    f"checkpoint {name} has shape {arr.shape}, expected {target.shape}")
-            target[...] = arr
-        src.check_end("checkpoint payload")
+        arrays = model.params.arrays()
+        need = 4 * sum(arr.size for arr in arrays)
+        if left != need:
+            gap = (f"{left - need} trailing bytes" if left > need
+                   else f"{need - left} bytes short")
+            raise FormatError(
+                f"checkpoint payload is {left} bytes, {need} expected: {gap}")
+        for arr in arrays:
+            values = src.read(4 * arr.size, "checkpoint payload")
+            arr[...] = np.frombuffer(values, dtype="<f4").reshape(arr.shape)
     return model

@@ -478,15 +478,12 @@ class ModelParams:
     def total_count(self) -> int:
         return sum(t.size for t in self._tensors.values())
 
-    def arrays(self) -> List[Tuple[str, np.ndarray]]:
-        """(name, array) of everything stored, in checkpoint order: the
-        tensors sorted by path, then per norm, sorted by path, its running
-        mean and variance."""
-        out = [(f"tensor {p!r}", self._tensors[p].data) for p in sorted(self._tensors)]
+    def arrays(self) -> List[np.ndarray]:
+        """Everything stored, in checkpoint order: the tensors sorted by
+        path, then per norm, sorted by path, its running mean and variance."""
+        out = [self._tensors[p].data for p in sorted(self._tensors)]
         for p in sorted(self._states):
-            for field in ("running_mean", "running_var"):
-                out.append((f"running statistics {p + '.' + field!r}",
-                            getattr(self._states[p], field)))
+            out += [self._states[p].running_mean, self._states[p].running_var]
         return out
 
 

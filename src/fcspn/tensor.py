@@ -22,7 +22,6 @@ Tensors themselves are safe to share for concurrent reads.
 
 from __future__ import annotations
 
-import struct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -337,22 +336,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# serialization: bounded reads and the TSR1 record
+# bounded reads of binary files
 # ---------------------------------------------------------------------------
-# little-endian: magic "TSR1" | u8 rank | u32 extents | f32 payload row-major
-
-_TSR_MAGIC = b"TSR1"
-
-
-def write_tensor_record(fh, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    if arr.ndim > 255:
-        raise FormatError("tensor rank exceeds TSR1 limit of 255")
-    fh.write(_TSR_MAGIC)
-    fh.write(struct.pack("<B", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.astype("<f4").tobytes(order="C"))
-
 
 class BoundedReader:
     """A binary file read only in sizes checked against the bytes left; the
@@ -381,21 +366,3 @@ class BoundedReader:
             raise FormatError(f"{self.left()} trailing bytes after {what} "
                               f"at offset {self.fh.tell()}")
 
-
-def read_tensor_record(fh) -> np.ndarray:
-    src = BoundedReader(fh)
-    offset = fh.tell()
-    magic = src.read(4, "tensor magic")
-    if magic != _TSR_MAGIC:
-        raise FormatError(f"bad tensor magic {magic!r} at offset {offset}")
-    rank = src.read(1, "tensor header")[0]
-    shape = struct.unpack(f"<{rank}I", src.read(4 * rank, "tensor extents"))
-    count = 1
-    for s in shape:
-        if s < 1 or s > 2**31:
-            raise FormatError(f"invalid extent {s} at offset {offset}")
-        count *= s
-        if count > 2**33:
-            raise FormatError(f"extent overflow in tensor at offset {offset}")
-    payload = src.read(4 * count, "tensor payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(DTYPE)

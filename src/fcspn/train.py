@@ -41,9 +41,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1 or self.steps_per_epoch < 1:
             raise ShapeError("batch_size, epochs, and steps_per_epoch must be >= 1")
-        if min(self.weight_decay, self.momentum,
-               self.learning_rate, self.focal_gamma) < 0:
-            raise ShapeError("rates and exponents must be >= 0")
+        rates = (self.weight_decay, self.momentum, self.learning_rate, self.focal_gamma)
+        if not (np.isfinite(rates).all() and min(rates) >= 0):
+            raise ShapeError("rates and exponents must be finite and >= 0")
         object.__setattr__(self, "crop_size",
                            (int(self.crop_size[0]), int(self.crop_size[1])))
         if min(self.crop_size) < 1:

@@ -105,8 +105,10 @@ def test_synth_heavy_noise_degrades(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--classes", "1"), ("--size", "0"),
-                                         ("--bands", "0"), ("--noise", "-1")],
-                         ids=["classes", "size", "bands", "noise"])
+                                         ("--bands", "0"), ("--noise", "-1"),
+                                         ("--noise", "nan"), ("--noise", "inf")],
+                         ids=["classes", "size", "bands", "noise",
+                              "noise-nan", "noise-inf"])
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     rc = cli.main(["synth", "--out", str(tmp_path / "x"), flag, value])
     assert rc == 2
@@ -194,6 +196,32 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     assert rc == 2
     assert "bad.cfg line 1: model.attention_enabled expects on/off, got 'maybe'" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("model.base_channels = 0", (), "base_channels must be >= 1"),
+    ("train.batch_size = 0", (), "batch_size"),
+    ("", ("--strategy", "bogus:1"), "unknown strategy 'bogus:1'"),
+    ("train.learning_rate = nan", (), "finite"),
+    ("train.learning_rate = inf", (), "finite"),
+    ("train.momentum = nan", (), "finite"),
+    ("train.weight_decay = inf", (), "finite"),
+    ("train.focal_gamma = nan", (), "finite"),
+], ids=["base-channels", "batch-size", "strategy", "rate-nan", "rate-inf",
+        "momentum-nan", "decay-inf", "gamma-nan"])
+def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys,
+                                                      line, flags, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    for root in (tmp_path, workdir):  # no scene files under tmp_path
+        rc = cli.main(["train", "--cube", str(root / "scene.hsc1"),
+                       "--labels", str(root / "scene.hsl1"), "--config", str(bad),
+                       "--out-ckpt", str(tmp_path / "x.ckpt"), *flags])
+        out, err = capsys.readouterr()
+        assert rc == 2, root
+        assert message in err
+        assert out == ""  # no split report before the error
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("line", ["train.momentum = fast",
@@ -300,7 +328,7 @@ def test_classify_bad_running_variance_is_data_error(workdir, tmp_path, capsys):
     rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
                    "--ckpt", str(bad), "--out-map", str(tmp_path / "pred.hsl1")])
     assert rc == 3
-    assert "running statistics" in capsys.readouterr().err
+    assert "12 trailing bytes" in capsys.readouterr().err  # 3 floats
     assert not (tmp_path / "pred.hsl1").exists()
 
 
@@ -383,16 +411,6 @@ def test_classify_bad_palette_fails_before_inference(workdir, tmp_path, monkeypa
                                  "--palette", str(palette)))
     assert rc == 3
     assert not (tmp_path / "pal.hsl1").exists()
-
-
-def test_classify_png_without_pillow_writes_nothing(workdir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "PIL", None)
-    rc = cli.main(_classify_args(workdir, tmp_path / "pred.hsl1",
-                                 "--out-png", str(tmp_path / "pred.png")))
-    assert rc == 2
-    assert "Pillow" in capsys.readouterr().err
-    assert not (tmp_path / "pred.hsl1").exists()
-    assert not (tmp_path / "pred.hsl1.ppm").exists()
 
 
 def test_classify_max_steps_accepted(workdir, tmp_path):

@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -283,6 +284,49 @@ def test_checkpoint_save_is_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_layout(tmp_path):
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(21))
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+    raw = p.read_bytes()
+    header = struct.calcsize("<4sIIIIIBI")
+    assert header == 29 and raw[:4] == M.CHECKPOINT_MAGIC
+    statistics = sum(state.running_mean.size + state.running_var.size
+                     for _, state in m.params.states())
+    assert len(raw) == header + 4 * m.params.total_count() + 4 * statistics
+    first = m.params.get(sorted(m.params.paths())[0]).data
+    assert np.array_equal(np.frombuffer(raw, "<f4", first.size, header),
+                          first.astype("<f4").ravel())
+
+
+class _RecordingReader(io.BytesIO):
+    """An in-memory file that remembers the size of every read."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.reads = []
+
+    def read(self, size=-1):
+        self.reads.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("delta, message", [(-4, "4 bytes short"),
+                                            (4, "4 trailing bytes")],
+                         ids=["one-float-short", "one-float-long"])
+def test_checkpoint_payload_size_checked_before_read(tmp_path, monkeypatch,
+                                                     delta, message):
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(22))
+    p = tmp_path / "model.fcsp"
+    M.save_checkpoint(m, p)
+    raw = p.read_bytes()
+    fh = _RecordingReader(raw[:delta] if delta < 0 else raw + bytes(delta))
+    monkeypatch.setattr(M, "open", lambda *args: fh, raising=False)
+    with pytest.raises(T.FormatError, match=message):
+        M.load_checkpoint(p)
+    assert fh.reads == [struct.calcsize("<4sIIIIIBI")]  # the header only
+
+
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "bad.fcsp"
     p.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -417,7 +461,7 @@ def test_checkpoint_running_variance_shape_checked(tmp_path):
     dict(m.params.states())["affinity.norm"].running_var = np.ones(5)  # 2 channels
     p = tmp_path / "model.fcsp"
     M.save_checkpoint(m, p)
-    with pytest.raises(T.FormatError, match="running statistics"):
+    with pytest.raises(T.FormatError, match="12 trailing bytes"):  # 3 floats
         M.load_checkpoint(p)
 
 

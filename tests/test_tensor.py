@@ -1,6 +1,4 @@
-import io
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -208,76 +206,3 @@ def test_no_grad_suppresses_tape():
         y = T.mul(x, T.Tensor(3.0))
     assert not y.requires_grad
     assert T.tape_size() == 0
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_tsr1_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    t = T.Tensor(rng.uniform(-1, 1, (2, 3, 4)).astype(np.float32))
-    p = tmp_path / "t.tsr"
-    with open(p, "wb") as fh:
-        T.write_tensor_record(fh, t.data)
-    with open(p, "rb") as fh:
-        back = T.Tensor(T.read_tensor_record(fh))
-    assert back.shape == (2, 3, 4)
-    assert np.array_equal(back.data, t.data)
-
-
-def test_tsr1_layout(tmp_path):
-    t = T.Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    p = tmp_path / "t.tsr"
-    with open(p, "wb") as fh:
-        T.write_tensor_record(fh, t.data)
-    raw = p.read_bytes()
-    assert raw[:4] == b"TSR1"
-    assert raw[4] == 2
-    assert np.frombuffer(raw[5:13], dtype="<u4").tolist() == [2, 3]
-    assert np.frombuffer(raw[13:], dtype="<f4").tolist() == [0, 1, 2, 3, 4, 5]
-
-
-def test_tsr1_bad_magic(tmp_path):
-    p = tmp_path / "bad.tsr"
-    p.write_bytes(b"XXXX\x01\x02\x00\x00\x00")
-    with open(p, "rb") as fh, pytest.raises(T.FormatError):
-        T.read_tensor_record(fh)
-
-
-def test_tsr1_truncated(tmp_path):
-    p = tmp_path / "short.tsr"
-    p.write_bytes(b"TSR1\x01\x04\x00\x00\x00" + b"\x00" * 7)
-    with open(p, "rb") as fh, pytest.raises(T.FormatError):
-        T.read_tensor_record(fh)
-
-
-class _RecordingReader(io.BytesIO):
-    """An in-memory file that remembers the size of every read."""
-
-    def __init__(self, raw):
-        super().__init__(raw)
-        self.reads = []
-
-    def read(self, size=-1):
-        self.reads.append(size)
-        return super().read(size)
-
-
-def test_tsr1_payload_checked_before_read():
-    # the header claims 1000 values (4000 bytes); 3 bytes short of that remain
-    fh = _RecordingReader(b"TSR1\x01" + struct.pack("<I", 1000) + b"\x00" * 3997)
-    with pytest.raises(T.FormatError, match="4000 bytes claimed, 3997 remain"):
-        T.read_tensor_record(fh)
-    assert max(fh.reads) < 4000
-
-
-@pytest.mark.parametrize("extents, message", [
-    ((2, 0), "invalid extent 0"),
-    ((2**31 + 1,), "invalid extent"),
-    ((2**20, 2**20), "extent overflow"),
-], ids=["zero", "too-large", "overflow"])
-def test_tsr1_bad_extents_rejected(extents, message):
-    raw = b"TSR1" + struct.pack(f"<B{len(extents)}I", len(extents), *extents)
-    with pytest.raises(T.FormatError, match=message):
-        T.read_tensor_record(io.BytesIO(raw))
