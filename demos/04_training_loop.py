@@ -58,7 +58,8 @@ for line in cm.counts:
 
 print()
 print("== checkpoint round trip ==")
-# Checkpoints hold float32 payloads, so reloaded scores agree to single
+# Checkpoints hold float32 payloads and a reloaded model computes in
+# float32, so its scores agree with the float64 model's to single
 # precision and the argmax map comes back unchanged.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.ckpt"

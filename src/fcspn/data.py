@@ -150,6 +150,8 @@ def load_cube(path) -> HsiCube:
         payload = src.read(4 * bands * rows * cols, "cube payload")
         src.check_end("cube payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(bands, rows, cols)
+    if not np.all(np.isfinite(values)):
+        raise FormatError("cube payload holds NaN or infinity")
     return HsiCube(values)
 
 

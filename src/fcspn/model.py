@@ -25,7 +25,9 @@ Every layer, the affinity branch included, is an ``ops.Conv`` or
 the checkpoint stores that registry in path order.  Convolutions that feed
 a normalization layer carry no bias (the shift would be absorbed); the
 attention gate conv and the head conv do.  All weights come from one
-caller-supplied generator so builds are reproducible.
+caller-supplied generator so builds are reproducible.  A built model is
+float64 and a loaded checkpoint float32, the precision the file holds; the
+input is cast once to the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -201,6 +203,11 @@ class FcspnModel:
                                   (1, 1, 1), (1, 1, 1), rng, bias=True)
         self.affinity = cspn.AffinityBranch(self.params, "affinity", b, rng)
 
+    @property
+    def dtype(self):
+        """The parameters' dtype: float64 when built, float32 when loaded."""
+        return self.stem_conv.w.data.dtype
+
     # -- shape bookkeeping ---------------------------------------------------
 
     def shape_plan(self, height: int, width: int) -> List[Tuple[str, Tuple[int, ...]]]:
@@ -225,8 +232,9 @@ class FcspnModel:
         return plan
 
     def _as_input(self, x: Tensor) -> Tensor:
-        """``x`` as the (1, N, B, H, W) batch the layers take; a (B, H, W)
-        or (1, B, H, W) cube is a batch of one."""
+        """``x`` as the (1, N, B, H, W) batch the layers take, in the
+        parameters' dtype; a (B, H, W) or (1, B, H, W) cube is a batch of
+        one."""
         if x.data.ndim == 3 or (x.data.ndim == 4 and x.shape[0] == 1):
             x = T.reshape(x, (1, 1) + x.shape[-3:])
         if x.data.ndim != 5 or x.shape[0] != 1:
@@ -236,7 +244,7 @@ class FcspnModel:
             raise ShapeError(
                 f"model expects {self.config.in_bands} bands, got {x.shape[2]}")
         self.shape_plan(x.shape[3], x.shape[4])  # validates spatial extents
-        return x
+        return T.astype(x, self.dtype)
 
     # -- inference -----------------------------------------------------------
 
@@ -340,8 +348,10 @@ def load_checkpoint(path) -> FcspnModel:
                 f"checkpoint header asks for at least {_min_floats(config)} "
                 f"parameters, more than the {left} bytes after it can hold")
         # every tensor and statistic is read from the file below, so the
-        # model starts from zeros instead of drawing weights
+        # model starts from zeros instead of drawing weights, in float32,
+        # the precision the file holds
         model = FcspnModel(config, None)
+        model.params.cast(np.float32)
         arrays = model.params.arrays()
         need = 4 * sum(arr.size for arr in arrays)
         if left != need:
@@ -350,6 +360,10 @@ def load_checkpoint(path) -> FcspnModel:
             raise FormatError(
                 f"checkpoint payload is {left} bytes, {need} expected: {gap}")
         for arr in arrays:
+            at = fh.tell()
             values = src.read(4 * arr.size, "checkpoint payload")
             arr[...] = np.frombuffer(values, dtype="<f4").reshape(arr.shape)
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(
+                    f"checkpoint payload holds NaN or infinity in the array at offset {at}")
     return model

@@ -229,7 +229,7 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
 
     origin = tuple(-p for p in spec.pad())
     grid = (n,) + spec.out_extents((d, h, wd))
-    out = np.empty((cout,) + grid, dtype=T.DTYPE)
+    out = np.empty((cout,) + grid, dtype=np.result_type(xd, w.data))
     _correlate(xd, w.data.reshape(cout, -1), origin, spec.kernel, spec.stride, out)
     if b is not None:
         out += b.data[:, None, None, None, None]
@@ -241,13 +241,13 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(1, 2, 3, 4)))
         if w.requires_grad:
-            gw = np.zeros((cout, w.size // cout), dtype=T.DTYPE)
+            gw = np.zeros((cout, w.size // cout), dtype=wd_data.dtype)
             for cs, zs, ys, cols in _columns(xd, origin, spec.kernel, spec.stride, grid):
                 gs = g[:, cs, zs, ys]
                 gw += gs.reshape(cout, -1) @ cols.T
             accumulate(w, gw.reshape(w.shape))
         if x.requires_grad:
-            dx = np.zeros(xd.shape, dtype=T.DTYPE)  # phases without taps stay 0
+            dx = np.zeros_like(xd)  # phases without taps stay 0
             for pos, taps, kernel, start in _phases((d, h, wd), spec):
                 wt = wd_data[(slice(None), slice(None)) + taps][:, :, ::-1, ::-1, ::-1]
                 _correlate(g, wt.transpose(1, 0, 2, 3, 4).reshape(cin, -1), start,
@@ -268,8 +268,8 @@ class BatchNormState:
     def __init__(self, channels: int):
         if channels < 1:
             raise ShapeError("channels must be >= 1")
-        self.running_mean = np.zeros(channels, dtype=T.DTYPE)
-        self.running_var = np.ones(channels, dtype=T.DTYPE)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
     @property
     def channels(self) -> int:
@@ -342,25 +342,26 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 # resampling
 # ---------------------------------------------------------------------------
 
-def _axis_taps(n: int, m: int):
-    """Source index pairs and blend weights for 1-d linear resampling.
+def _axis_taps(n: int, m: int, dtype):
+    """Source index pairs and blend weights, in ``dtype``, for 1-d linear
+    resampling.
 
     Corner-aligned: output o samples position o*(n-1)/(m-1), so first and
     last samples always coincide with the input endpoints.
     """
     if n == 1 or m == 1:
         lo = np.zeros(m, dtype=np.intp)
-        return lo, lo, np.zeros(m)
+        return lo, lo, np.zeros(m, dtype=dtype)
     pos = np.arange(m) * ((n - 1) / (m - 1))
     lo = np.minimum(np.floor(pos).astype(np.intp), n - 2)
-    return lo, lo + 1, pos - lo
+    return lo, lo + 1, (pos - lo).astype(dtype, copy=False)
 
 
-def _axis_matrix(n: int, m: int) -> np.ndarray:
+def _axis_matrix(n: int, m: int, dtype) -> np.ndarray:
     """The (m, n) matrix of :func:`_axis_taps`: row o holds output o's two
     blend weights."""
-    lo, hi, w = _axis_taps(n, m)
-    a = np.zeros((m, n), dtype=T.DTYPE)
+    lo, hi, w = _axis_taps(n, m, dtype)
+    a = np.zeros((m, n), dtype=dtype)
     rows = np.arange(m)
     a[rows, lo] = 1.0 - w
     a[rows, hi] += w
@@ -397,12 +398,13 @@ def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
     sources = x.shape[-3:]
     out = x.data
     for axis, n, m in zip(axes, sources, target):
-        out = _resample_axis(out, axis, *_axis_taps(n, m))
+        out = _resample_axis(out, axis, *_axis_taps(n, m, x.data.dtype))
 
     def fn(g):
         if x.requires_grad:
             for axis, n, m in reversed(list(zip(axes, sources, target))):
-                g = np.moveaxis(np.tensordot(g, _axis_matrix(n, m), axes=(axis, 0)),
+                g = np.moveaxis(np.tensordot(g, _axis_matrix(n, m, g.dtype),
+                                             axes=(axis, 0)),
                                 -1, axis)
             accumulate(x, g)
 
@@ -477,6 +479,14 @@ class ModelParams:
 
     def total_count(self) -> int:
         return sum(t.size for t in self._tensors.values())
+
+    def cast(self, dtype) -> None:
+        """Convert every tensor and running statistic to ``dtype``."""
+        for t in self._tensors.values():
+            t.data = t.data.astype(dtype)
+        for s in self._states.values():
+            s.running_mean = s.running_mean.astype(dtype)
+            s.running_var = s.running_var.astype(dtype)
 
     def arrays(self) -> List[np.ndarray]:
         """Everything stored, in checkpoint order: the tensors sorted by

@@ -9,8 +9,12 @@ walks it once in reverse.
 
 Numeric conventions:
 
-* dtype is float64 throughout (:data:`DTYPE`); all stated tolerances
-  assume it;
+* the dtype follows the arrays: :class:`Tensor` and :func:`record` keep
+  a float32 or float64 array's dtype and turn anything else into
+  float64, every op allocates in the dtype of its inputs, and a gradient
+  is stored in its tensor's dtype.  Built models are float64, and every
+  stated tolerance assumes it unless a test states a float32 one; models
+  loaded from a checkpoint are float32, the precision the file holds;
 * reductions delegate to numpy's pairwise summation, so results are
   bit-deterministic for a given build mode;
 * every public operation checks its output for NaN/Inf and raises
@@ -39,7 +43,14 @@ class FormatError(ValueError):
     """Raised on malformed binary container data (bad magic, truncation)."""
 
 
-DTYPE = np.float64
+def _as_float(data) -> np.ndarray:
+    """``data`` as a C-contiguous float32 or float64 array: either keeps
+    its dtype, any other becomes float64."""
+    arr = np.asarray(data)
+    dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
+    # asarray with order="C", not ascontiguousarray: the latter turns
+    # rank-0 arrays into shape (1,)
+    return np.asarray(arr, dtype=dtype, order="C")
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -54,16 +65,15 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense array plus an optional gradient slot.
 
-    ``data`` is always a C-contiguous numpy array of :data:`DTYPE`.
-    ``grad``, once populated by :func:`backward`, has the same shape.
+    ``data`` is always a C-contiguous float32 or float64 numpy array.
+    ``grad``, once populated by :func:`backward`, has the same shape and
+    dtype.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        # asarray with order="C", not ascontiguousarray: the latter turns
-        # rank-0 arrays into shape (1,)
-        arr = np.asarray(data, dtype=DTYPE, order="C")
+        arr = _as_float(data)
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -140,7 +150,7 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     _check_finite(out_data, op)
     needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(out_data, dtype=DTYPE, order="C")
+    out.data = _as_float(out_data)
     out.requires_grad = needs
     out.grad = None
     if needs:
@@ -149,14 +159,14 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``: the first gradient is stored as given,
-    later ones are summed into a new array.  No code writes into a gradient
-    in place, so a stored gradient may share memory with the output
-    gradient it came from."""
+    """Add ``g`` into ``t.grad``, in ``t``'s dtype: the first gradient is
+    stored as given, later ones are summed into a new array.  No code
+    writes into a gradient in place, so a stored gradient may share memory
+    with the output gradient it came from."""
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=DTYPE)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
-        t.grad = t.grad + g
+        t.grad = np.add(t.grad, g, dtype=t.data.dtype)
 
 
 def backward(loss: Tensor) -> None:
@@ -195,11 +205,11 @@ def _validate_shape(shape) -> tuple:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(_validate_shape(shape), dtype=DTYPE), requires_grad)
+    return Tensor(np.zeros(_validate_shape(shape), dtype=np.float64), requires_grad)
 
 
 def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_validate_shape(shape), value, dtype=DTYPE), requires_grad)
+    return Tensor(np.full(_validate_shape(shape), value, dtype=np.float64), requires_grad)
 
 
 def kaiming_normal(shape, fan_in: int, rng: np.random.Generator,
@@ -322,6 +332,19 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
             accumulate(a, np.broadcast_to(np.expand_dims(g, axes), shape) / n)
 
     return record("mean", (a,), a.data.mean(axis=axes), fn)
+
+
+def astype(a: Tensor, dtype) -> Tensor:
+    """``a`` in ``dtype``, float32 or float64; ``a`` itself, not a copy,
+    when it already has that dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def fn(g):
+        if a.requires_grad:
+            accumulate(a, g)
+
+    return record("astype", (a,), a.data.astype(dtype), fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

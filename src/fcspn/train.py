@@ -91,7 +91,8 @@ def focal_loss(logits: Tensor, labels, gamma: float) -> Tensor:
     one_minus = 1.0 - pt
     # pixels come crop by crop, so each crop's terms are one contiguous run
     terms = np.split(-(one_minus ** gamma) * logpt, np.cumsum(counts)[:-1])
-    value = np.asarray(sum(np.mean(part) for part in terms) * (1.0 / crops))
+    value = np.asarray(sum(np.mean(part) for part in terms) * (1.0 / crops),
+                       dtype=z.dtype)
 
     def fn(g):
         if not logits.requires_grad:
@@ -125,16 +126,17 @@ def l2_penalty(params: ModelParams, weight_decay: float) -> Tensor:
             if w.requires_grad:
                 accumulate(w, (float(g) * weight_decay) * w.data)
 
-    return record("l2_penalty", tuple(weights), np.asarray(value), fn)
+    dtype = np.result_type(*(w.data for w in weights)) if weights else np.float64
+    return record("l2_penalty", tuple(weights), np.asarray(value, dtype=dtype), fn)
 
 
 class OptimizerState:
-    """Momentum buffer per parameter path, shapes mirroring the registry."""
+    """Momentum buffer per parameter path, shapes and dtypes mirroring the
+    registry."""
 
     def __init__(self, params: ModelParams):
         self.velocity: Dict[str, np.ndarray] = {
-            path: np.zeros(t.shape, dtype=T.DTYPE)
-            for path, t in params.items()
+            path: np.zeros_like(t.data) for path, t in params.items()
         }
 
 
@@ -239,8 +241,10 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
                 zero_grads(model.params)
                 origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
                            for _ in range(config.batch_size)]
+                # stacked in the model's dtype, so no second copy of the
+                # batch is alive during the step
                 x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
-                                       for r, c in origins])[None])
+                                       for r, c in origins], dtype=model.dtype)[None])
                 crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
                                         for r, c in origins])
                 refined, _ = model.forward_refined(x, training=True)

@@ -244,7 +244,7 @@ def test_train_bad_strategy_is_usage_error(workdir, tmp_path):
     assert rc == 2
 
 
-def test_train_nan_cube_exits_numeric(workdir, tmp_path):
+def test_train_nan_cube_is_data_error(workdir, tmp_path):
     cube = data.HsiCube(np.full((8, 16, 16), np.nan, dtype=np.float32))
     data.save_cube(cube, tmp_path / "nan.hsc1")
     cfg = tmp_path / "one.cfg"
@@ -254,7 +254,8 @@ def test_train_nan_cube_exits_numeric(workdir, tmp_path):
                    "--labels", str(workdir / "scene.hsl1"),
                    "--config", str(cfg), "--strategy", "per_class:20",
                    "--out-ckpt", str(tmp_path / "nan.ckpt")])
-    assert rc == 4
+    assert rc == 3
+    assert not (tmp_path / "nan.ckpt").exists()
 
 
 def test_train_missing_cube_is_data_error(workdir, tmp_path):
@@ -303,9 +304,50 @@ def test_classify_steps_zero_equals_refine_off(workdir, tmp_path):
     net = model.load_checkpoint(workdir / "model.ckpt")
     cube = data.normalize(data.load_cube(workdir / "scene.hsc1"))
     with no_grad():
-        logits = net.forward(Tensor(cube.values[None].astype(np.float64)))
+        logits = net.forward(Tensor(cube.values[None]))
     want = logits.data.argmax(axis=0).astype(np.uint16) + 1
     assert np.array_equal(data.load_labels(out_map).grid, want)
+
+
+def test_classify_map_equals_float64_inference(workdir, tmp_path):
+    # classify computes in the checkpoint's float32; the same f32-rounded
+    # weights in float64 give the same map
+    out_map = tmp_path / "pred.hsl1"
+    assert cli.main(_classify_args(workdir, out_map)) == 0
+    net = model.load_checkpoint(workdir / "model.ckpt")
+    assert net.params.get("head.conv.weights").data.dtype == np.float32
+    net.params.cast(np.float64)
+    cube = data.normalize(data.load_cube(workdir / "scene.hsc1"))
+    with no_grad():
+        logits, _ = net.forward_refined(Tensor(cube.values[None]))
+    assert logits.data.dtype == np.float64
+    want = logits.data.argmax(axis=0).astype(np.uint16) + 1
+    assert np.array_equal(data.load_labels(out_map).grid, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classify_non_finite_cube_is_data_error(workdir, tmp_path, capsys, bad):
+    values = data.load_cube(workdir / "scene.hsc1").values.copy()
+    values[3, 5, 7] = bad
+    data.save_cube(data.HsiCube(values), tmp_path / "bad.hsc1")
+    rc = cli.main(["classify", "--cube", str(tmp_path / "bad.hsc1"),
+                   "--ckpt", str(workdir / "model.ckpt"),
+                   "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert "NaN or infinity" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
+
+
+def test_classify_non_finite_checkpoint_is_data_error(workdir, tmp_path, capsys):
+    net = model.load_checkpoint(workdir / "model.ckpt")
+    net.params.get("up2.conv_b.weights").data.flat[4] = np.nan
+    bad = tmp_path / "bad.ckpt"
+    model.save_checkpoint(net, bad)
+    rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
+                   "--ckpt", str(bad), "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert "NaN or infinity" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
 
 
 def test_classify_other_checkpoint_version_is_data_error(workdir, tmp_path, capsys):

@@ -253,6 +253,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.config == m.config
     for path in m.params.paths():
         want = m.params.get(path).data.astype("<f4").astype(np.float64)
+        assert back.params.get(path).data.dtype == np.float32, path
         assert np.array_equal(back.params.get(path).data, want), path
     with T.no_grad():
         a = m.forward(x).data
@@ -374,7 +375,7 @@ def test_checkpoint_roundtrip_every_batchnorm_state(tmp_path):
         for name in ("running_mean", "running_var"):
             want = getattr(state, name).astype("<f4").astype(np.float64)
             got = getattr(back[path], name)
-            assert got.dtype == np.float64, (path, name)
+            assert got.dtype == np.float32, (path, name)
             assert np.array_equal(got, want), (path, name)
 
 
