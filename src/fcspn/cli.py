@@ -9,6 +9,7 @@ before any data.  ``train --seed`` is the one flag that overrides a file key.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
@@ -119,6 +120,14 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
 
+def _check_outputs(*paths) -> None:
+    """FileNotFoundError (exit 3) naming the first output path whose
+    directory does not exist, so a run fails before it reads any data."""
+    for path in paths:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+
+
 def write_ppm(grid: np.ndarray, palette, path) -> None:
     """Render a class-id grid as a P6 pixmap; id 0 and ids without a color
     stay black."""
@@ -167,6 +176,9 @@ def cmd_train(args) -> int:
     # the model keys, with the smallest valid bands and classes: the data
     # fixes both below
     cfg.build(model.ModelConfig, in_bands=5, num_classes=1)
+    trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
+    split_path = args.out_split or f"{args.out_ckpt}.split.hss1"
+    _check_outputs(args.out_ckpt, trace, split_path)
 
     cube = data.load_cube(args.cube)
     labels = data.load_labels(args.labels)
@@ -182,11 +194,9 @@ def cmd_train(args) -> int:
     for name, n_train, n_test in data.split_report(labels, split):
         print(f"{name}: train={n_train} test={n_test}")
     net = model.build(mcfg, np.random.default_rng(tcfg.seed))
-    trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
     rows = train.train(cube, labels, split, net, tcfg, trace_path=trace)
 
     model.save_checkpoint(net, args.out_ckpt)
-    split_path = args.out_split or f"{args.out_ckpt}.split.hss1"
     data.save_split(split, split_path)
     print(f"final loss: {rows[-1].total:.6f}")
     print(f"wrote {args.out_ckpt}, {trace}, {split_path}")
@@ -194,7 +204,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # a bad palette fails here, before any output exists
+    # a bad palette or output path fails here, before any output exists
+    ppm = args.out_ppm or f"{args.out_map}.ppm"
+    _check_outputs(args.out_map, ppm)
     palette = data.load_palette(args.palette) if args.palette else None
     cube = data.load_cube(args.cube)
     net = model.load_checkpoint(args.ckpt)
@@ -211,7 +223,6 @@ def cmd_classify(args) -> int:
     predicted = data.LabelMap(grid, names)
     data.save_labels(predicted, args.out_map)
     palette = palette if palette is not None else data.make_palette(names)
-    ppm = args.out_ppm or f"{args.out_map}.ppm"
     write_ppm(grid, palette, ppm)
     print(f"wrote {args.out_map}, {ppm}")
     return 0

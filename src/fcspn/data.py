@@ -325,7 +325,8 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
     """A ``size`` x ``size`` scene of Voronoi regions with per-class bump
     spectra plus white noise.
 
-    Every pixel is labeled.  Same seed, same scene.
+    Every pixel is labeled and every class has a region; ValueError if
+    none of 100 layouts gives each class a pixel.  Same seed, same scene.
     """
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
@@ -347,6 +348,9 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
         grid = site_class[dist2.argmin(axis=2)]
         if len(np.unique(grid)) == classes:
             break
+    else:
+        raise ValueError(f"no Voronoi layout of 100 drawn gives each of {classes} "
+                         f"classes a pixel of the {size}x{size} scene")
 
     values = signatures[grid - 1].transpose(2, 0, 1)
     if noise > 0:

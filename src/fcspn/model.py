@@ -40,7 +40,7 @@ import numpy as np
 
 from . import cspn, ops
 from . import tensor as T
-from .tensor import FormatError, ShapeError, Tensor
+from .tensor import FormatError, NumericError, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"FCSP"
 CHECKPOINT_VERSION = 3
@@ -314,7 +314,16 @@ def _min_floats(config: ModelConfig) -> int:
 
 
 def save_checkpoint(model: FcspnModel, path) -> None:
+    """Write ``model`` to ``path``; NumericError, before the file is opened,
+    if a value is NaN, infinite or beyond float32's range."""
     cfg = model.config
+    at = struct.calcsize(_HEADER)
+    for arr in model.params.arrays():
+        if not np.all(np.abs(arr) <= np.finfo(np.float32).max):
+            raise NumericError(
+                f"cannot save checkpoint: the array at offset {at} holds NaN, "
+                f"infinity or a value beyond float32's range")
+        at += 4 * arr.size
     with open(path, "wb") as fh:
         fh.write(struct.pack(_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                              cfg.in_bands, cfg.num_classes, cfg.base_channels,

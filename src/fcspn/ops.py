@@ -342,51 +342,43 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 # resampling
 # ---------------------------------------------------------------------------
 
-def _axis_taps(n: int, m: int, dtype):
-    """Source index pairs and blend weights, in ``dtype``, for 1-d linear
-    resampling.
+def _axis_matrix(n: int, m: int, dtype) -> np.ndarray:
+    """The (m, n) matrix, in ``dtype``, of 1-d linear resampling from ``n``
+    samples to ``m``: row o blends the two inputs around o's position.
 
     Corner-aligned: output o samples position o*(n-1)/(m-1), so first and
     last samples always coincide with the input endpoints.
     """
-    if n == 1 or m == 1:
-        lo = np.zeros(m, dtype=np.intp)
-        return lo, lo, np.zeros(m, dtype=dtype)
-    pos = np.arange(m) * ((n - 1) / (m - 1))
-    lo = np.minimum(np.floor(pos).astype(np.intp), n - 2)
-    return lo, lo + 1, (pos - lo).astype(dtype, copy=False)
-
-
-def _axis_matrix(n: int, m: int, dtype) -> np.ndarray:
-    """The (m, n) matrix of :func:`_axis_taps`: row o holds output o's two
-    blend weights."""
-    lo, hi, w = _axis_taps(n, m, dtype)
     a = np.zeros((m, n), dtype=dtype)
+    if n == 1 or m == 1:
+        a[:, 0] = 1.0
+        return a
     rows = np.arange(m)
+    pos = rows * ((n - 1) / (m - 1))
+    lo = np.minimum(np.floor(pos).astype(np.intp), n - 2)
+    w = (pos - lo).astype(dtype, copy=False)
     a[rows, lo] = 1.0 - w
-    a[rows, hi] += w
+    a[rows, lo + 1] = w
     return a
 
 
-def _resample_axis(arr: np.ndarray, axis: int, lo, hi, w):
-    shape = [1] * arr.ndim
-    shape[axis] = len(w)
-    wb = w.reshape(shape)
-    out = np.take(arr, lo, axis=axis)  # take(lo) * (1 - w) + take(hi) * w, in place
-    out *= 1 - wb
-    upper = np.take(arr, hi, axis=axis)
-    upper *= wb
-    out += upper
-    return out
+def _resample(arr: np.ndarray, mats) -> np.ndarray:
+    """Apply the depth, height and width matrices ``mats`` to the last three
+    axes of ``arr``, one GEMM per axis, over any leading axes."""
+    a_d, a_h, a_w = mats
+    *lead, d, h, w = arr.shape
+    out = arr.reshape(-1, w) @ a_w.T
+    out = a_h @ out.reshape(-1, h, a_w.shape[0])
+    out = a_d @ out.reshape(-1, d, a_h.shape[0] * a_w.shape[0])
+    return out.reshape(*lead, a_d.shape[0], a_h.shape[0], a_w.shape[0])
 
 
 def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
     """Corner-aligned separable linear resampling of the last three axes of
     ``x`` (C,N,D,H,W) or (C,D,H,W) to ``target``.
 
-    Forward gathers two taps per output sample along each axis; the
-    pullback applies the transposed tap matrix ``A.T`` of each axis, in
-    reverse axis order.
+    Each axis is one (target, source) tap matrix ``A``: the forward applies
+    ``A`` to each axis and the pullback ``A.T``, both via :func:`_resample`.
     """
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"trilinear_upsample input must be rank 4 or 5, got {x.shape}")
@@ -394,21 +386,13 @@ def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
     if len(target) != 3 or any(t < 1 for t in target):
         raise ShapeError(f"target extents must be three values >= 1, got {target}")
 
-    axes = range(x.data.ndim - 3, x.data.ndim)
-    sources = x.shape[-3:]
-    out = x.data
-    for axis, n, m in zip(axes, sources, target):
-        out = _resample_axis(out, axis, *_axis_taps(n, m, x.data.dtype))
+    mats = [_axis_matrix(n, m, x.data.dtype) for n, m in zip(x.shape[-3:], target)]
 
     def fn(g):
         if x.requires_grad:
-            for axis, n, m in reversed(list(zip(axes, sources, target))):
-                g = np.moveaxis(np.tensordot(g, _axis_matrix(n, m, g.dtype),
-                                             axes=(axis, 0)),
-                                -1, axis)
-            accumulate(x, g)
+            accumulate(x, _resample(g, [a.T for a in mats]))
 
-    return record("trilinear_upsample", (x,), out, fn)
+    return record("trilinear_upsample", (x,), _resample(x.data, mats), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,10 @@ def test_synth_heavy_noise_degrades(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--classes", "1"), ("--size", "0"),
                                          ("--bands", "0"), ("--noise", "-1"),
-                                         ("--noise", "nan"), ("--noise", "inf")],
+                                         ("--noise", "nan"), ("--noise", "inf"),
+                                         ("--size", "1")],
                          ids=["classes", "size", "bands", "noise",
-                              "noise-nan", "noise-inf"])
+                              "noise-nan", "noise-inf", "size-below-classes"])
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     rc = cli.main(["synth", "--out", str(tmp_path / "x"), flag, value])
     assert rc == 2
@@ -258,6 +259,36 @@ def test_train_nan_cube_is_data_error(workdir, tmp_path):
     assert not (tmp_path / "nan.ckpt").exists()
 
 
+def test_train_weights_beyond_float32_exit_4(workdir, tmp_path, capsys):
+    # the weights leave float32's range during training: the trace of the
+    # finished steps is kept, and neither a checkpoint nor a split is written
+    cfg = tmp_path / "wild.cfg"
+    cfg.write_text(TINY_CONFIG + "train.epochs = 3\ntrain.learning_rate = 1e30\n")
+    ckpt = tmp_path / "wild.ckpt"
+    rc = cli.main(_train_args(workdir, ckpt, "--config", str(cfg)))
+    assert rc == 4
+    assert "float32's range" in capsys.readouterr().err
+    assert len((tmp_path / "wild.ckpt.trace.csv").read_text().splitlines()) == 4
+    assert not ckpt.exists()
+    assert not (tmp_path / "wild.ckpt.split.hss1").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out-ckpt", "--out-trace", "--out-split"])
+def test_train_missing_output_directory_fails_before_any_work(workdir, tmp_path, capsys,
+                                                              monkeypatch, flag):
+    def no_read(*args):
+        raise AssertionError("the cube was read")
+
+    monkeypatch.setattr(data, "load_cube", no_read)
+    missing = str(tmp_path / "nodir" / "out")
+    rc = cli.main(_train_args(workdir, tmp_path / "m.ckpt", flag, missing))
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""  # no split report
+    assert missing in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_cube_is_data_error(workdir, tmp_path):
     rc = cli.main(["train", "--cube", str(tmp_path / "absent.hsc1"),
                    "--labels", str(workdir / "scene.hsl1"),
@@ -296,6 +327,21 @@ def test_classify_outputs(workdir, tmp_path):
     raw = (tmp_path / "pred.hsl1.ppm").read_bytes()
     assert raw.startswith(b"P6\n16 16\n255\n")
     assert len(raw) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+
+
+@pytest.mark.parametrize("flag", ["--out-map", "--out-ppm"])
+def test_classify_missing_output_directory_fails_before_any_work(workdir, tmp_path,
+                                                                 capsys, monkeypatch,
+                                                                 flag):
+    def no_read(*args):
+        raise AssertionError("the cube was read")
+
+    monkeypatch.setattr(data, "load_cube", no_read)
+    missing = str(tmp_path / "nodir" / "out")
+    rc = cli.main(_classify_args(workdir, tmp_path / "pred.hsl1", flag, missing))
+    assert rc == 3
+    assert missing in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_steps_zero_equals_refine_off(workdir, tmp_path):
@@ -339,10 +385,16 @@ def test_classify_non_finite_cube_is_data_error(workdir, tmp_path, capsys, bad):
 
 
 def test_classify_non_finite_checkpoint_is_data_error(workdir, tmp_path, capsys):
+    # save_checkpoint refuses NaN, so it goes into the file's bytes: the
+    # payload follows the 29-byte header in sorted path order
     net = model.load_checkpoint(workdir / "model.ckpt")
-    net.params.get("up2.conv_b.weights").data.flat[4] = np.nan
+    paths = sorted(net.params.paths())
+    before = sum(net.params.get(path).size
+                 for path in paths[:paths.index("up2.conv_b.weights")])
+    raw = bytearray((workdir / "model.ckpt").read_bytes())
+    struct.pack_into("<f", raw, 29 + 4 * (before + 4), np.nan)
     bad = tmp_path / "bad.ckpt"
-    model.save_checkpoint(net, bad)
+    bad.write_bytes(bytes(raw))
     rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
                    "--ckpt", str(bad), "--out-map", str(tmp_path / "pred.hsl1")])
     assert rc == 3

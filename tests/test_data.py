@@ -364,6 +364,14 @@ def test_synth_heavy_noise_degrades_oracle():
     assert D.nearest_centroid_oa(cube, labels) < 0.9
 
 
+def test_synth_refuses_a_scene_without_every_class():
+    # one pixel cannot hold 3 classes; no layout of seed 0's 2x2 scene holds 5
+    with pytest.raises(ValueError, match="each of 3 classes"):
+        D.synth_scene(classes=3, size=1)
+    with pytest.raises(ValueError, match="each of 5 classes"):
+        D.synth_scene(classes=5, size=2, seed=0)
+
+
 def test_synth_validation():
     with pytest.raises(ValueError):
         D.synth_scene(classes=1)

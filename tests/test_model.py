@@ -285,6 +285,17 @@ def test_checkpoint_save_is_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("value", [1e39, -np.inf, np.nan], ids=["beyond-f32", "inf", "nan"])
+def test_checkpoint_save_refuses_what_float32_cannot_hold(tmp_path, value):
+    # refused before the file is opened, with no cast warning
+    m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(12))
+    m.params.get("up2.conv_b.weights").data.flat[4] = value
+    p = tmp_path / "model.fcsp"
+    with pytest.raises(T.NumericError, match="float32's range"):
+        M.save_checkpoint(m, p)
+    assert not p.exists()
+
+
 def test_checkpoint_layout(tmp_path):
     m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(21))
     p = tmp_path / "model.fcsp"

@@ -379,14 +379,25 @@ def test_trilinear_identity_and_constant():
     assert np.allclose(const, 3.5, atol=1e-12)
 
 
-def test_trilinear_matches_separable_oracle():
+@pytest.mark.parametrize("shape, target, dtype", [
+    ((2, 3, 4, 2), (5, 7, 4), np.float64),
+    ((64, 3, 1, 4, 4), (1, 8, 8), np.float64),      # up1 of a 32x32 training batch
+    ((32, 3, 1, 8, 8), (2, 16, 16), np.float64),    # up2
+    ((16, 3, 2, 16, 16), (4, 32, 32), np.float64),  # up3
+    ((16, 3, 2, 16, 16), (4, 32, 32), np.float32),  # up3 of a loaded checkpoint
+], ids=["tiny", "up1", "up2", "up3", "up3-float32"])
+def test_trilinear_matches_separable_oracle(shape, target, dtype):
     rng = np.random.default_rng(6)
-    x = rng.uniform(-1, 1, (2, 3, 4, 2))
-    got = ops.trilinear_upsample(T.Tensor(x), (5, 7, 4)).data
-    want = x
-    for axis, m in ((1, 5), (2, 7), (3, 4)):
+    x = rng.uniform(-1, 1, shape).astype(dtype)
+    got = ops.trilinear_upsample(T.Tensor(x), target).data
+    want = x.astype(np.float64)
+    for axis, m in zip(range(x.ndim - 3, x.ndim), target):
         want = np.apply_along_axis(oracles.trilinear_axis_reference, axis, want, m)
-    assert np.allclose(got, want, atol=1e-12)
+    assert got.dtype == dtype
+    # float32 within 4 eps of the largest magnitude, float64 within 1e-12
+    tol = (4 * np.finfo(np.float32).eps * np.abs(want).max() if dtype == np.float32
+           else 1e-12)
+    assert np.allclose(got, want, rtol=0, atol=tol)
 
 
 def test_trilinear_endpoints_pinned():
