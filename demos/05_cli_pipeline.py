@@ -14,8 +14,7 @@ CONFIG = """\
 # small network so the demo trains in seconds
 model.base_channels = 8
 cspn.steps = 2
-train.epochs = 12
-train.steps_per_epoch = 2
+train.epochs = 24
 train.crop_size = 24
 train.batch_size = 20
 train.seed = 4

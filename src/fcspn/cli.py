@@ -35,14 +35,12 @@ CONFIG_KEYS: Dict[str, Tuple[type, str, str]] = {
     "train.batch_size": (train.TrainConfig, "batch_size", "crops per optimizer step"),
     "train.weight_decay": (train.TrainConfig, "weight_decay",
                            "L2 coefficient on conv weights"),
-    "train.epochs": (train.TrainConfig, "epochs", "training epochs"),
+    "train.epochs": (train.TrainConfig, "epochs", "epochs, one optimizer step each"),
     "train.momentum": (train.TrainConfig, "momentum", "SGD momentum"),
     "train.learning_rate": (train.TrainConfig, "learning_rate", "SGD learning rate"),
     "train.focal_gamma": (train.TrainConfig, "focal_gamma", "focal loss exponent"),
     "train.crop_size": (train.TrainConfig, "crop_size", "spatial crop, N or HxW"),
     "train.seed": (train.TrainConfig, "seed", "training RNG seed"),
-    "train.steps_per_epoch": (train.TrainConfig, "steps_per_epoch",
-                              "optimizer steps per epoch"),
     "cspn.steps": (model.ModelConfig, "cspn_steps", "propagation steps in refinement"),
 }
 
@@ -94,23 +92,27 @@ class RunConfig:
         self._given: Dict[type, Dict[str, object]] = {}
         if path is None:
             return
-        with open(path) as fh:
-            for number, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, value = (part.strip() for part in line.partition("="))
-                where = f"{path} line {number}"
-                if not eq or not key:
-                    raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
-                if key not in CONFIG_KEYS:
-                    raise ConfigError(f"{where}: unknown key {key!r}")
-                cls, name, _ = CONFIG_KEYS[key]
-                parse, form = _PARSERS[type(_default(key))]
-                try:
-                    self._given.setdefault(cls, {})[name] = parse(value)
-                except ValueError:
-                    raise ConfigError(f"{where}: {key} expects {form}, got {value!r}") from None
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read {path}: {err}") from None
+        for number, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = (part.strip() for part in line.partition("="))
+            where = f"{path} line {number}"
+            if not eq or not key:
+                raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            cls, name, _ = CONFIG_KEYS[key]
+            parse, form = _PARSERS[type(_default(key))]
+            try:
+                self._given.setdefault(cls, {})[name] = parse(value)
+            except ValueError:
+                raise ConfigError(f"{where}: {key} expects {form}, got {value!r}") from None
 
     def build(self, cls, **given):
         """A ``cls`` from its defaults, then this file's keys, then ``given``."""
@@ -186,14 +188,26 @@ def cmd_train(args) -> int:
         raise FormatError(
             f"cube {cube.rows}x{cube.cols} and labels "
             f"{labels.grid.shape[0]}x{labels.grid.shape[1]} disagree")
-    mcfg = cfg.build(model.ModelConfig, in_bands=cube.bands,
-                     num_classes=labels.num_classes)
+    try:
+        mcfg = cfg.build(model.ModelConfig, in_bands=cube.bands,
+                         num_classes=labels.num_classes)
+    except ConfigError as err:
+        # the dry run above passed every file key, so the data is at fault
+        raise FormatError(str(err)) from None
     cube = data.normalize(cube)
+    net = model.build(mcfg, np.random.default_rng(tcfg.seed))
+    # a scene no crop of which the model can train on is the data's fault,
+    # any other crop it cannot train on the config's
+    for crop, error in (((cube.rows, cube.cols), FormatError),
+                        (tcfg.crop_size, ConfigError)):
+        try:
+            train.fit_crop(net, crop, cube.rows, cube.cols)
+        except ShapeError as err:
+            raise error(str(err)) from None
 
     split = data.sample_split(labels, strategy, tcfg.seed)
     for name, n_train, n_test in data.split_report(labels, split):
         print(f"{name}: train={n_train} test={n_test}")
-    net = model.build(mcfg, np.random.default_rng(tcfg.seed))
     rows = train.train(cube, labels, split, net, tcfg, trace_path=trace)
 
     model.save_checkpoint(net, args.out_ckpt)

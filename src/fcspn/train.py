@@ -4,7 +4,7 @@ One optimizer step consumes a batch of randomly positioned crops (full
 spectral extent, fixed spatial window), stacked on the network's crop axis:
 the batch runs forward once through the network and the refinement stage,
 the focal loss averages each crop's own mean, and a single backward pass
-distributes the gradient.  Regularization
+distributes the gradient.  An epoch is one optimizer step.  Regularization
 enters the loss once, as an explicit penalty term, rather than as optimizer
 weight decay, so the parameter-square-sum term is never applied twice.
 """
@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
+from .data import HsiCube, LabelMap, SplitMask
 from .model import FcspnModel
 from .ops import ModelParams
 from .tensor import NumericError, ShapeError, Tensor, accumulate, record
@@ -36,11 +37,10 @@ class TrainConfig:
     focal_gamma: float = 2.0
     crop_size: Tuple[int, int] = (64, 64)
     seed: int = 0
-    steps_per_epoch: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.steps_per_epoch < 1:
-            raise ShapeError("batch_size, epochs, and steps_per_epoch must be >= 1")
+        if self.batch_size < 1 or self.epochs < 1 or self.seed < 0:
+            raise ShapeError("batch_size and epochs must be >= 1, seed >= 0")
         rates = (self.weight_decay, self.momentum, self.learning_rate, self.focal_gamma)
         if not (np.isfinite(rates).all() and min(rates) >= 0):
             raise ShapeError("rates and exponents must be finite and >= 0")
@@ -50,35 +50,29 @@ class TrainConfig:
             raise ShapeError(f"crop_size must be >= 1, got {self.crop_size}")
 
 
-def _label_grid(labels) -> np.ndarray:
-    grid = getattr(labels, "grid", labels)
-    return np.asarray(grid)
-
-
-def focal_loss(logits: Tensor, labels, gamma: float) -> Tensor:
+def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float) -> Tensor:
     """Mean over crops of each crop's mean of -(1 - p_t)^gamma * log(p_t)
     over its labeled pixels.
 
-    ``logits`` is (c, N, H, W) with ``labels`` an (N, H, W) integer grid, or
-    the one-crop view: (c, H, W) logits with an (H, W) grid or a LabelMap.
-    Id 0 marks unlabeled pixels, which contribute nothing to the value or
-    the gradient; every crop needs at least one labeled pixel.
+    ``logits`` is (c, N, H, W) with ``labels`` an (N, H, W) integer id
+    array, or the one-crop view: (c, H, W) logits with (H, W) ids.  Id 0
+    marks unlabeled pixels, which contribute nothing to the value or the
+    gradient; every crop needs at least one labeled pixel.
     """
-    grid = _label_grid(labels)
     if logits.data.ndim not in (3, 4):
         raise ShapeError(f"logits must be (c, N, H, W) or (c, H, W), got {logits.shape}")
-    if grid.shape != logits.shape[1:]:
-        raise ShapeError(f"labels {grid.shape} do not match logits {logits.shape}")
+    if labels.shape != logits.shape[1:]:
+        raise ShapeError(f"labels {labels.shape} do not match logits {logits.shape}")
     if gamma < 0:
         raise ShapeError(f"gamma must be >= 0, got {gamma}")
     z = logits.data.reshape(logits.shape[:1] + (-1,) + logits.shape[-2:])
-    grid = grid.reshape(z.shape[1:])
+    labels = labels.reshape(z.shape[1:])
     crops = z.shape[1]
-    kk, ii, jj = np.nonzero(grid > 0)
+    kk, ii, jj = np.nonzero(labels > 0)
     counts = np.bincount(kk, minlength=crops)
     if counts.min() == 0:
         raise ValueError("focal loss needs at least one labeled pixel in every crop")
-    tt = grid[kk, ii, jj].astype(np.intp) - 1
+    tt = labels[kk, ii, jj].astype(np.intp) - 1
     if tt.max() >= logits.shape[0]:
         raise ShapeError(
             f"label id {tt.max() + 1} exceeds {logits.shape[0]} classes")
@@ -130,19 +124,10 @@ def l2_penalty(params: ModelParams, weight_decay: float) -> Tensor:
     return record("l2_penalty", tuple(weights), np.asarray(value, dtype=dtype), fn)
 
 
-class OptimizerState:
-    """Momentum buffer per parameter path, shapes and dtypes mirroring the
-    registry."""
-
-    def __init__(self, params: ModelParams):
-        self.velocity: Dict[str, np.ndarray] = {
-            path: np.zeros_like(t.data) for path, t in params.items()
-        }
-
-
-def sgd_step(params: ModelParams, state: OptimizerState,
+def sgd_step(params: ModelParams, velocity: Dict[str, np.ndarray],
              config: TrainConfig) -> None:
-    """v <- momentum * v + grad; w <- w - lr * v.  Unused grads count as zero."""
+    """v <- momentum * v + grad; w <- w - lr * v, with ``velocity`` keyed by
+    parameter path and a new path's v zero.  Unused grads count as zero."""
     bad = [path for path, t in params.items()
            if t.grad is not None and not np.all(np.isfinite(t.grad))]
     if bad:
@@ -150,7 +135,9 @@ def sgd_step(params: ModelParams, state: OptimizerState,
             "non-finite gradient for parameter(s): " + ", ".join(sorted(bad)))
     for path, t in params.items():
         grad = t.grad if t.grad is not None else 0.0
-        v = state.velocity[path]
+        v = velocity.get(path)
+        if v is None:
+            v = velocity[path] = np.zeros_like(t.data)
         v *= config.momentum
         v += grad
         t.data = t.data - config.learning_rate * v
@@ -168,93 +155,87 @@ def zero_grads(params: ModelParams) -> None:
 @dataclass
 class TraceRow:
     epoch: int
-    step: int
     focal: float
     l2: float
     total: float
-
-
-def _crop_bounds(extent: int, size: int) -> int:
-    return max(0, extent - size)
 
 
 def _sample_crop(rng, height, width, crop, train_labels):
     """Crop origin with at least one training label inside, or raise."""
     ch, cw = crop
     for _ in range(200):
-        r = int(rng.integers(0, _crop_bounds(height, ch) + 1))
-        c = int(rng.integers(0, _crop_bounds(width, cw) + 1))
+        r = int(rng.integers(0, height - ch + 1))
+        c = int(rng.integers(0, width - cw + 1))
         if np.any(train_labels[r: r + ch, c: c + cw] > 0):
             return r, c
     raise ValueError("could not sample a crop containing training labels")
 
 
-def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
-          on_epoch: Optional[Callable[[int, TraceRow], bool]] = None,
-          trace_path=None) -> List[TraceRow]:
-    """Optimize ``model`` in place; returns (and optionally writes) the trace.
-
-    ``cube`` supplies (B, H, W) values, ``labels`` the (H, W) class grid, and
-    ``split`` the boolean training mask (LabelMap/SplitMask containers or
-    plain arrays).  One optimizer step runs ``batch_size`` crops as one
-    batch, averages their losses and adds the L2 term once.  A crop so
-    small that ``model.shape_plan`` leaves down3 a single voxel raises
-    :class:`ShapeError` before the first step.  Deterministic for a given
-    config.
-    ``on_epoch`` may return True to stop early (the target-reached case).
-    ``trace_path`` gets the rows of the finished steps also when a step
-    raises (a non-finite gradient, say); a check before the first step
-    writes nothing.
-    """
-    values = np.asarray(getattr(cube, "values", cube))
-    grid = _label_grid(labels)
-    mask = np.asarray(getattr(split, "train", split))
-    if values.ndim != 3:
-        raise ShapeError(f"cube values must be (B, H, W), got {values.shape}")
-    if grid.shape != values.shape[1:] or mask.shape != grid.shape:
-        raise ShapeError("cube, labels, and split extents disagree")
-    train_labels = np.where(mask, grid, 0)
-    if not np.any(train_labels > 0):
-        raise ValueError("training split selects no labeled pixels")
-
-    height, width = grid.shape
-    ch, cw = config.crop_size
-    if ch > height or cw > width:
-        warnings.warn(
-            f"crop {config.crop_size} exceeds scene {height}x{width}; clamping",
-            RuntimeWarning)
-        ch, cw = min(ch, height), min(cw, width)
+def fit_crop(model: FcspnModel, crop_size: Tuple[int, int],
+             height: int, width: int) -> Tuple[int, int]:
+    """``crop_size`` clamped to the scene; :class:`ShapeError` if ``model``
+    cannot train on that crop (``shape_plan`` rejects it or down3 is one voxel)."""
+    ch, cw = min(crop_size[0], height), min(crop_size[1], width)
     deepest = dict(model.shape_plan(ch, cw))["down3"]
     if int(np.prod(deepest[1:])) == 1:
         raise ShapeError(
             f"crop {ch}x{cw} leaves down3 a single voxel {deepest[1:]}, so its "
             "batch normalization has one element per channel and passes no "
             "gradient; use a larger crop")
+    return ch, cw
+
+
+def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
+          config: TrainConfig,
+          on_epoch: Optional[Callable[[int, TraceRow], bool]] = None,
+          trace_path=None) -> List[TraceRow]:
+    """Optimize ``model`` in place; returns (and optionally writes) the trace.
+
+    Each of the ``config.epochs`` steps runs ``batch_size`` crops of the
+    ``split.train`` pixels as one batch, averages their losses and adds the
+    L2 term once.  A crop :func:`fit_crop` rejects raises before the first
+    step.  Deterministic for a given config.
+    ``on_epoch`` may return True to stop early (the target-reached case).
+    ``trace_path`` gets the rows of the finished steps also when a step
+    raises (a non-finite gradient, say); a check before the first step
+    writes nothing.
+    """
+    values, grid = cube.values, labels.grid
+    if grid.shape != values.shape[1:] or split.train.shape != grid.shape:
+        raise ShapeError("cube, labels, and split extents disagree")
+    train_labels = np.where(split.train, grid, 0)
+    if not np.any(train_labels > 0):
+        raise ValueError("training split selects no labeled pixels")
+
+    height, width = grid.shape
+    ch, cw = fit_crop(model, config.crop_size, height, width)
+    if (ch, cw) != config.crop_size:
+        warnings.warn(
+            f"crop {config.crop_size} exceeds scene {height}x{width}; clamping",
+            RuntimeWarning)
 
     rng = np.random.default_rng(config.seed)
-    state = OptimizerState(model.params)
+    velocity: Dict[str, np.ndarray] = {}
     rows: List[TraceRow] = []
     try:
         for epoch in range(config.epochs):
-            for step in range(config.steps_per_epoch):
-                T.clear_tape()
-                zero_grads(model.params)
-                origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
-                           for _ in range(config.batch_size)]
-                # stacked in the model's dtype, so no second copy of the
-                # batch is alive during the step
-                x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
-                                       for r, c in origins], dtype=model.dtype)[None])
-                crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
-                                        for r, c in origins])
-                refined, _ = model.forward_refined(x, training=True)
-                focal = focal_loss(refined, crop_labels, config.focal_gamma)
-                penalty = l2_penalty(model.params, config.weight_decay)
-                total = T.add(focal, penalty)
-                T.backward(total)
-                sgd_step(model.params, state, config)
-                rows.append(TraceRow(epoch, step, focal.item(),
-                                     penalty.item(), total.item()))
+            T.clear_tape()
+            zero_grads(model.params)
+            origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
+                       for _ in range(config.batch_size)]
+            # stacked in the model's dtype, so no second copy of the
+            # batch is alive during the step
+            x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
+                                   for r, c in origins], dtype=model.dtype)[None])
+            crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
+                                    for r, c in origins])
+            refined, _ = model.forward_refined(x, training=True)
+            focal = focal_loss(refined, crop_labels, config.focal_gamma)
+            penalty = l2_penalty(model.params, config.weight_decay)
+            total = T.add(focal, penalty)
+            T.backward(total)
+            sgd_step(model.params, velocity, config)
+            rows.append(TraceRow(epoch, focal.item(), penalty.item(), total.item()))
             if on_epoch is not None and on_epoch(epoch, rows[-1]):
                 break
     finally:
@@ -266,7 +247,6 @@ def train(cube, labels, split, model: FcspnModel, config: TrainConfig,
 def write_trace(rows: List[TraceRow], path) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["epoch", "step", "focal", "l2", "total"])
+        out.writerow(["epoch", "focal", "l2", "total"])
         for row in rows:
-            out.writerow([row.epoch, row.step,
-                          f"{row.focal:.9g}", f"{row.l2:.9g}", f"{row.total:.9g}"])
+            out.writerow([row.epoch] + [f"{v:.9g}" for v in (row.focal, row.l2, row.total)])

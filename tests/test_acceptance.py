@@ -271,6 +271,8 @@ def overfit_run():
     history = []
 
     def eval_oa(epoch, row):
+        if epoch % 2 == 0:  # evaluate every second step
+            return False
         with T.no_grad():
             refined, _ = net.forward_refined(x, training=False)
         pred = np.argmax(refined.data, axis=0) + 1
@@ -278,7 +280,7 @@ def overfit_run():
         history.append(oa)
         return oa >= 0.98
 
-    cfg = TR.TrainConfig(crop_size=(32, 32), seed=7, steps_per_epoch=2)
+    cfg = TR.TrainConfig(epochs=120, crop_size=(32, 32), seed=7)
     TR.train(cube, labels, split, net, cfg, on_epoch=eval_oa)
     return SimpleNamespace(net=net, cube=cube, labels=labels, split=split,
                            history=history,
@@ -286,7 +288,7 @@ def overfit_run():
 
 
 def test_a3_end_to_end_overfit(overfit_run):
-    """The stock recipe reaches train-split OA >= 0.95 within 60 epochs."""
+    """The stock recipe reaches train-split OA >= 0.95 within 120 steps."""
     stock = TR.TrainConfig()
     assert (stock.batch_size, stock.weight_decay, stock.epochs,
             stock.momentum, stock.learning_rate) == (20, 1e-5, 60, 0.9, 0.01)
@@ -456,8 +458,7 @@ def test_a8_deterministic_checkpoints(tmp_path):
                                  seed=3)
     cube = D.normalize(cube)
     split = D.sample_split(labels, "per_class:10", seed=2)
-    cfg = TR.TrainConfig(batch_size=3, epochs=2, crop_size=(9, 9), seed=5,
-                         steps_per_epoch=2)
+    cfg = TR.TrainConfig(batch_size=3, epochs=4, crop_size=(9, 9), seed=5)
     blobs = []
     for name in ("first.ckpt", "second.ckpt"):
         net = M.build(M.ModelConfig(in_bands=8, num_classes=2,

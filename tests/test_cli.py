@@ -124,10 +124,10 @@ def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
 def test_train_outputs(workdir):
     assert (workdir / "model.ckpt").exists()
     trace = (workdir / "model.ckpt.trace.csv").read_text().strip().splitlines()
-    assert trace[0] == "epoch,step,focal,l2,total"
+    assert trace[0] == "epoch,focal,l2,total"
     assert len(trace) == 3  # 2 epochs, one step each
     for line in trace[1:]:
-        assert all(np.isfinite(float(v)) for v in line.split(",")[2:])
+        assert all(np.isfinite(float(v)) for v in line.split(",")[1:])
     split = data.load_split(workdir / "model.ckpt.split.hss1")
     labels = data.load_labels(workdir / "scene.hsl1")
     assert np.array_equal(split.train | split.test, labels.grid > 0)
@@ -208,8 +208,10 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     ("train.momentum = nan", (), "finite"),
     ("train.weight_decay = inf", (), "finite"),
     ("train.focal_gamma = nan", (), "finite"),
+    ("train.seed = -1", (), "seed >= 0"),
+    ("", ("--seed", "-1"), "seed >= 0"),
 ], ids=["base-channels", "batch-size", "strategy", "rate-nan", "rate-inf",
-        "momentum-nan", "decay-inf", "gamma-nan"])
+        "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "seed-flag"])
 def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys,
                                                       line, flags, message):
     bad = tmp_path / "bad.cfg"
@@ -223,6 +225,64 @@ def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys
         assert message in err
         assert out == ""  # no split report before the error
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("content", [None, b"train.epochs = 2\xff\n"],
+                         ids=["missing", "undecodable"])
+def test_train_unreadable_config_exits_2_before_data_is_read(workdir, tmp_path, capsys,
+                                                            content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    for root in (tmp_path, workdir):  # no scene files under tmp_path
+        rc = cli.main(["train", "--cube", str(root / "scene.hsc1"),
+                       "--labels", str(root / "scene.hsl1"), "--config", str(cfg),
+                       "--out-ckpt", str(tmp_path / "x.ckpt")])
+        out, err = capsys.readouterr()
+        assert rc == 2, root
+        assert f"config error: cannot read {cfg}" in err
+        assert out == ""
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("crop, message", [("4", "spatial extents must be >= 8"),
+                                           ("8", "leaves down3 a single voxel")],
+                         ids=["below-minimum", "single-voxel-down3"])
+def test_train_crop_the_model_cannot_train_on_exits_2(workdir, tmp_path, capsys,
+                                                      crop, message):
+    cfg = tmp_path / "crop.cfg"
+    cfg.write_text(TINY_CONFIG + f"train.crop_size = {crop}\n")
+    rc = cli.main(_train_args(workdir, tmp_path / "x.ckpt", "--config", str(cfg)))
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "config error" in err and message in err
+    assert out == ""  # no split report
+    assert [path.name for path in tmp_path.iterdir()] == ["crop.cfg"]
+
+
+@pytest.mark.parametrize("bands, rows, named", [(4, 16, True), (8, 16, False),
+                                                (8, 7, True)],
+                         ids=["four-bands", "no-class-names", "scene-below-8-rows"])
+def test_train_scene_the_model_cannot_fit_is_data_error(workdir, tmp_path, capsys,
+                                                        bands, rows, named):
+    # the cube's band count and the label map's class count size the model,
+    # and no crop of a scene below 8 rows fits it
+    cube = data.load_cube(workdir / "scene.hsc1")
+    labels = data.load_labels(workdir / "scene.hsl1")
+    data.save_cube(data.HsiCube(cube.values[:bands, :rows]), tmp_path / "cut.hsc1")
+    grid = labels.grid[:rows]
+    data.save_labels(data.LabelMap(grid, labels.class_names) if named else
+                     data.LabelMap(np.zeros_like(grid), []), tmp_path / "cut.hsl1")
+    written = sorted(tmp_path.iterdir())
+    rc = cli.main(["train", "--cube", str(tmp_path / "cut.hsc1"),
+                   "--labels", str(tmp_path / "cut.hsl1"),
+                   "--config", str(workdir / "tiny.cfg"),
+                   "--out-ckpt", str(tmp_path / "x.ckpt")])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "data error" in err
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("line", ["train.momentum = fast",

@@ -1,20 +1,27 @@
-"""Smoke test: demos 01-03 run to completion.
+"""Smoke test: demos 01-03 run to completion, and every demo's settings exist.
 
 Each demo runs in its own interpreter, with ``src`` on the path and a
 scratch working directory, and must exit 0; the three take about a second
 together.  Demos 04 and 05 train a model and take about 20 s each, so they
-are not part of the test suite; run them by hand after a change they cover:
+are not run here, only checked statically: every settings keyword they pass
+and every config key they or the README name must exist.  Run them by hand
+after a change they cover:
 
     PYTHONPATH=src python demos/04_training_loop.py
     PYTHONPATH=src python demos/05_cli_pipeline.py
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from fcspn import cli, model, train
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +37,25 @@ def test_demo_exits_zero(name, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_demos_name_only_existing_settings():
+    classes = {cls.__name__: cls for cls in (model.ModelConfig, train.TrainConfig)}
+    prefixes = "|".join(sorted({key.split(".")[0] for key in cli.CONFIG_KEYS}))
+    config_line = re.compile(rf"^\s*((?:{prefixes})\.\w+)\s*=", re.M)
+    calls, keys = [], []
+    for path in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]:
+        text = path.read_text()
+        keys += [(path.name, key) for key in config_line.findall(text)]
+        if path.suffix != ".py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in classes:
+                    calls.append((path.name, name, [kw.arg for kw in node.keywords]))
+    assert calls and keys  # demos 04 and 05 set both kinds
+    for where, name, given in calls:
+        known = {field.name for field in fields(classes[name])}
+        assert set(given) <= known, (where, name, set(given) - known)
+    assert [(where, key) for where, key in keys if key not in cli.CONFIG_KEYS] == []

@@ -148,13 +148,13 @@ def test_training_step_keeps_the_model_dtype(tmp_path, monkeypatch, loaded, dtyp
     refined, _ = net.forward_refined(x, training=True)
     total = T.add(TR.focal_loss(refined, labels, 2.0), TR.l2_penalty(net.params, 1e-5))
     T.backward(total)
-    state = TR.OptimizerState(net.params)
-    TR.sgd_step(net.params, state, TR.TrainConfig())
+    velocity = {}
+    TR.sgd_step(net.params, velocity, TR.TrainConfig())
 
     assert outputs and [op for op, d in outputs if d != dtype] == []
     assert grads and all(t == g == dtype for t, g in grads)
     assert all(t.grad.dtype == dtype for _, t in net.params.items())
     assert all(t.data.dtype == dtype for _, t in net.params.items())
-    assert all(v.dtype == dtype for v in state.velocity.values())
+    assert velocity and all(v.dtype == dtype for v in velocity.values())
     for _, norm in net.params.states():
         assert norm.running_mean.dtype == norm.running_var.dtype == dtype

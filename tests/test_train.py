@@ -167,13 +167,13 @@ def _params_with_grad(g):
 
 def test_sgd_first_step():
     params, w = _params_with_grad(3.0)
-    TR.sgd_step(params, TR.OptimizerState(params), TR.TrainConfig())
+    TR.sgd_step(params, {}, TR.TrainConfig())
     assert w.data[0] == pytest.approx(1.0 - 0.01 * 3.0, abs=1e-15)
 
 
 def test_sgd_two_steps_momentum():
     params, w = _params_with_grad(2.0)
-    state = TR.OptimizerState(params)
+    state = {}
     cfg = TR.TrainConfig()
     TR.sgd_step(params, state, cfg)
     w.grad = np.asarray([2.0])
@@ -184,14 +184,14 @@ def test_sgd_two_steps_momentum():
 
 def test_sgd_zero_grad_noop():
     params, w = _params_with_grad(0.0)
-    TR.sgd_step(params, TR.OptimizerState(params), TR.TrainConfig())
+    TR.sgd_step(params, {}, TR.TrainConfig())
     assert w.data[0] == 1.0
 
 
 def test_sgd_momentum_zero_is_plain_descent():
     cfg = TR.TrainConfig(momentum=0.0, learning_rate=0.1)
     params, w = _params_with_grad(1.5)
-    state = TR.OptimizerState(params)
+    state = {}
     for _ in range(3):
         w.grad = np.asarray([1.5])
         TR.sgd_step(params, state, cfg)
@@ -201,7 +201,7 @@ def test_sgd_momentum_zero_is_plain_descent():
 def test_sgd_nan_grad_aborts_with_path():
     params, w = _params_with_grad(float("nan"))
     with pytest.raises(T.NumericError, match="w.weights"):
-        TR.sgd_step(params, TR.OptimizerState(params), TR.TrainConfig())
+        TR.sgd_step(params, {}, TR.TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +209,11 @@ def test_sgd_nan_grad_aborts_with_path():
 # ---------------------------------------------------------------------------
 
 def _toy_scene(rng, size=12, bands=10, classes=2):
-    values = rng.uniform(0, 1, (bands, size, size))
-    labels = rng.integers(1, classes + 1, (size, size))
-    mask = np.ones((size, size), dtype=bool)
-    return values, labels, mask
+    cube = D.HsiCube(rng.uniform(0, 1, (bands, size, size)))
+    labels = D.LabelMap(rng.integers(1, classes + 1, (size, size)),
+                        [f"class_{k}" for k in range(1, classes + 1)])
+    everything = np.ones((size, size), dtype=bool)
+    return cube, labels, D.SplitMask(everything, ~everything)
 
 
 def _toy_model(rng, bands=10, classes=2):
@@ -230,20 +231,20 @@ def _fast_cfg(**kw):
 
 def test_train_trace_is_finite_and_complete(tmp_path):
     rng = np.random.default_rng(5)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(6))
     trace = tmp_path / "trace.csv"
-    rows = TR.train(values, labels, mask, model, _fast_cfg(), trace_path=trace)
+    rows = TR.train(cube, labels, split, model, _fast_cfg(), trace_path=trace)
     assert len(rows) == 2
     assert all(np.isfinite([r.focal, r.l2, r.total]).all() for r in rows)
     lines = trace.read_text().strip().splitlines()
-    assert lines[0] == "epoch,step,focal,l2,total"
+    assert lines[0] == "epoch,focal,l2,total"
     assert len(lines) == 3
 
 
 def test_train_failed_step_keeps_trace_of_finished_steps(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(6))
     calls = []
     sgd_step = TR.sgd_step
@@ -257,27 +258,27 @@ def test_train_failed_step_keeps_trace_of_finished_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(TR, "sgd_step", diverge_on_third_call)
     trace = tmp_path / "trace.csv"
     with pytest.raises(T.NumericError, match="head.conv.weights"):
-        TR.train(values, labels, mask, model, _fast_cfg(epochs=5), trace_path=trace)
+        TR.train(cube, labels, split, model, _fast_cfg(epochs=5), trace_path=trace)
     lines = trace.read_text().strip().splitlines()
-    assert lines[0] == "epoch,step,focal,l2,total"
+    assert lines[0] == "epoch,focal,l2,total"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
     # a check before the first step leaves no trace file
     early = tmp_path / "early.csv"
     with pytest.raises(T.ShapeError, match="single voxel"):
-        TR.train(values, labels, mask, model, _fast_cfg(crop_size=(8, 8)),
+        TR.train(cube, labels, split, model, _fast_cfg(crop_size=(8, 8)),
                  trace_path=early)
     assert not early.exists()
 
 
 def test_train_zero_lr_constant_trace():
     rng = np.random.default_rng(7)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(8))
     # crop covers the scene, so every batch sees identical data
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = TR.train(values, labels, mask, model,
+        rows = TR.train(cube, labels, split, model,
                         _fast_cfg(learning_rate=0.0, epochs=3, crop_size=(30, 30)))
     totals = [r.total for r in rows]
     assert max(totals) - min(totals) < 1e-12
@@ -285,11 +286,11 @@ def test_train_zero_lr_constant_trace():
 
 def test_train_is_deterministic():
     rng = np.random.default_rng(9)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
 
     def run():
         model = _toy_model(np.random.default_rng(10))
-        TR.train(values, labels, mask, model, _fast_cfg(seed=3))
+        TR.train(cube, labels, split, model, _fast_cfg(seed=3))
         return model
 
     a, b = run(), run()
@@ -299,19 +300,19 @@ def test_train_is_deterministic():
 
 def test_train_early_stop():
     rng = np.random.default_rng(11)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(12))
-    rows = TR.train(values, labels, mask, model, _fast_cfg(epochs=5),
+    rows = TR.train(cube, labels, split, model, _fast_cfg(epochs=5),
                     on_epoch=lambda epoch, row: epoch == 1)
     assert rows[-1].epoch == 1
 
 
 def test_train_crop_clamp_warns():
     rng = np.random.default_rng(13)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(14))
     with pytest.warns(RuntimeWarning, match="clamping"):
-        TR.train(values, labels, mask, model,
+        TR.train(cube, labels, split, model,
                  _fast_cfg(epochs=1, crop_size=(64, 64)))
 
 
@@ -319,7 +320,7 @@ def test_one_pass_per_step(monkeypatch):
     # the tape just before backward holds one forward pass, whatever the
     # batch size; crops run one at a time would grow it with the batch
     rng = np.random.default_rng(17)
-    values, labels, mask = _toy_scene(rng)
+    cube, labels, split = _toy_scene(rng)
     sizes = []
     backward = T.backward
 
@@ -330,17 +331,18 @@ def test_one_pass_per_step(monkeypatch):
     monkeypatch.setattr(T, "backward", counted)
     for batch_size in (1, 4):
         model = _toy_model(np.random.default_rng(18))
-        TR.train(values, labels, mask, model, _fast_cfg(batch_size=batch_size, epochs=1))
+        TR.train(cube, labels, split, model, _fast_cfg(batch_size=batch_size, epochs=1))
     assert len(sizes) == 2
     assert sizes[0] == sizes[1], sizes
 
 
 def test_train_requires_labeled_split():
     rng = np.random.default_rng(15)
-    values, labels, _ = _toy_scene(rng)
+    cube, labels, _ = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(16))
+    nothing = np.zeros_like(labels.grid, dtype=bool)
     with pytest.raises(ValueError):
-        TR.train(values, labels, np.zeros_like(labels, dtype=bool),
+        TR.train(cube, labels, D.SplitMask(nothing, nothing),
                  model, _fast_cfg())
 
 
@@ -406,7 +408,9 @@ def test_train_rejects_crop_with_single_voxel_down3():
               for _, s in model.params.states()]
     cfg = TR.TrainConfig(batch_size=2, epochs=1, crop_size=(8, 8), seed=21)
     with pytest.raises(T.ShapeError, match="8x8"):
-        TR.train(D.normalize(cube), labels, labels.grid > 0, model, cfg)
+        TR.train(D.normalize(cube), labels,
+                 D.SplitMask(labels.grid > 0, np.zeros_like(labels.grid, dtype=bool)),
+                 model, cfg)
     for path, t in model.params.items():
         assert np.array_equal(t.data, before[path]), path
         assert t.grad is None, path
