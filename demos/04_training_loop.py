@@ -51,7 +51,7 @@ print("== held-out evaluation ==")
 with T.no_grad():
     refined, _ = net.forward_refined(scene, training=False)
 pred = np.argmax(refined.data, axis=0).astype(np.uint16) + 1
-cm = ME.confusion(pred, labels, mask=split)
+cm = ME.confusion(pred, labels, mask=split.test)
 for row in ME.format_report(cm, labels.class_names):
     print(f"  {row[0]:>10s}  {row[1]}")
 print("  confusion matrix (rows = reference):")

@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
     # every setting is checked before any data is read
     cfg = RunConfig(args.config)
     try:
-        strategy = data.parse_strategy(args.strategy)
+        data.parse_strategy(args.strategy)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     flags = {} if args.seed is None else {"seed": args.seed}
@@ -205,7 +205,7 @@ def cmd_train(args) -> int:
         except ShapeError as err:
             raise error(str(err)) from None
 
-    split = data.sample_split(labels, strategy, tcfg.seed)
+    split = data.sample_split(labels, args.strategy, tcfg.seed)
     for name, n_train, n_test in data.split_report(labels, split):
         print(f"{name}: train={n_train} test={n_test}")
     rows = train.train(cube, labels, split, net, tcfg, trace_path=trace)
@@ -245,10 +245,7 @@ def cmd_classify(args) -> int:
 def cmd_eval(args) -> int:
     pred = data.load_labels(args.pred)
     ref = data.load_labels(args.ref)
-    mask = None
-    if args.split:
-        split = data.load_split(args.split)
-        mask = (split.train | split.test) if args.include_train else split.test
+    mask = data.load_split(args.split).test if args.split else None
     cm = metrics.confusion(pred, ref, mask, classes=ref.num_classes)
     report = metrics.format_report(cm, ref.class_names)
     if args.out_csv:
@@ -314,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predicted HSL1 file")
     p.add_argument("--ref", required=True, help="reference HSL1 file")
     p.add_argument("--split", help="HSS1 split; scoring uses its test half")
-    p.add_argument("--include-train", action="store_true",
-                   help="score training pixels too (map-rendering parity)")
     p.add_argument("--out-csv", help="write the per-class report here")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -16,7 +16,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ SPLIT_MAGIC = b"HSS1"
 # not be addressable anyway; reject early instead of letting numpy try.
 _MAX_ELEMENTS = 1 << 31
 _MAX_CLASS_ID = np.iinfo(np.uint16).max
+_MAX_NAME_BYTES = np.iinfo(np.uint16).max  # HSL1 prefixes each name with a u16
 
 
 @dataclass
@@ -71,6 +72,11 @@ class LabelMap:
         if len(self.class_names) > _MAX_CLASS_ID:
             raise FormatError(f"class ids are uint16, so at most {_MAX_CLASS_ID} "
                               f"classes; got {len(self.class_names)} names")
+        for name in self.class_names:
+            size = len(str(name).encode("utf-8"))
+            if size > _MAX_NAME_BYTES:
+                raise FormatError(f"a class name holds at most {_MAX_NAME_BYTES} "
+                                  f"UTF-8 bytes; got one of {size}")
         if grid.min() < 0 or grid.max() > len(self.class_names):
             raise FormatError(
                 f"label ids must lie in 0..{len(self.class_names)}, "
@@ -222,20 +228,19 @@ def normalize(cube: HsiCube) -> HsiCube:
 
 
 def parse_strategy(text: str) -> Tuple[str, float]:
-    """Parse 'per_class:200' or 'fraction:0.05'; bare names take defaults."""
+    """Parse ``per_class:N`` (N >= 1) or ``fraction:F`` (0 < F <= 1); any
+    other text, a bare name included, raises one ValueError naming it."""
     name, _, arg = text.partition(":")
-    if name == "per_class":
-        count = int(arg) if arg else 200
-        if count < 1:
-            raise ValueError(f"per_class count must be >= 1, got {count}")
-        return name, count
-    if name == "fraction":
-        frac = float(arg) if arg else 0.05
-        if not 0.0 < frac <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {frac}")
-        return name, frac
-    raise ValueError(
-        f"unknown strategy {text!r}; expected per_class:N or fraction:F")
+    try:
+        value = {"per_class": int, "fraction": float}[name](arg)
+    except (KeyError, ValueError):
+        raise ValueError(f"unknown strategy {text!r}; "
+                         "expected per_class:N or fraction:F") from None
+    if name == "per_class" and value < 1:
+        raise ValueError(f"per_class count must be >= 1, got {value}")
+    if name == "fraction" and not 0.0 < value <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {value}")
+    return name, value
 
 
 def _per_class_count(total: int, requested: int) -> int:
@@ -250,15 +255,14 @@ def _fraction_count(total: int, frac: float) -> int:
     return min(total, max(1, math.ceil(frac * total - 1e-9)))
 
 
-def sample_split(labels: LabelMap, strategy: Union[str, Tuple[str, float]],
-                 seed: int) -> SplitMask:
+def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
     """Draw the training pixels per class; everything else labeled is test.
 
     ``strategy`` is ``per_class:N`` (N per class, capped for small classes)
-    or ``fraction:F`` (stratified ceil(F*N) per class), as a string or as the
-    pair :func:`parse_strategy` returns.  Deterministic for a given seed.
+    or ``fraction:F`` (stratified ceil(F*N) per class), as read by
+    :func:`parse_strategy`.  Deterministic for a given seed.
     """
-    name, arg = parse_strategy(strategy) if isinstance(strategy, str) else strategy
+    name, arg = parse_strategy(strategy)
     grid = labels.grid
     rng = np.random.default_rng(seed)
     train = np.zeros(grid.shape, dtype=bool)
@@ -268,7 +272,7 @@ def sample_split(labels: LabelMap, strategy: Union[str, Tuple[str, float]],
         if pixels.size == 0:
             raise ValueError(f"class {cls} has no labeled pixels")
         if name == "per_class":
-            count = _per_class_count(pixels.size, int(arg))
+            count = _per_class_count(pixels.size, arg)
         else:
             count = _fraction_count(pixels.size, arg)
         chosen = rng.choice(pixels, size=count, replace=False)
@@ -363,7 +367,8 @@ def nearest_centroid_oa(cube: HsiCube, labels: LabelMap) -> float:
     """Fraction of labeled pixels whose spectrum sits nearest its own class mean.
 
     A training-free separability oracle: scores near 1.0 mean any reasonable
-    classifier should master the scene.
+    classifier should master the scene.  Distances are taken one class at a
+    time, so memory does not grow with the class count.
     """
     grid = labels.grid
     spectra = cube.values.reshape(cube.bands, -1).T.astype(np.float64)
@@ -373,7 +378,8 @@ def nearest_centroid_oa(cube: HsiCube, labels: LabelMap) -> float:
         raise ValueError("no labeled pixels to score")
     centroids = np.stack([spectra[flat == cls].mean(axis=0)
                           for cls in range(1, labels.num_classes + 1)])
-    dist2 = ((spectra[labeled, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    points = spectra[labeled]
+    dist2 = np.stack([((points - c) ** 2).sum(axis=1) for c in centroids], axis=1)
     predicted = dist2.argmin(axis=1) + 1
     return float((predicted == flat[labeled]).mean())
 

@@ -2,7 +2,8 @@
 
 Rows index the reference class, columns the predicted class.  Evaluation
 restricts itself to labeled test pixels; training pixels would inflate every
-score.  Chance agreement for kappa is computed from exact integer marginal
+score.  Every score takes the :class:`ConfusionMatrix` that :func:`confusion`
+builds.  Chance agreement for kappa is computed from exact integer marginal
 products so the degenerate p_e = 1 case is detected without float fuzz.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 @dataclass
 class ConfusionMatrix:
-    """c x c nonnegative counts; counts.sum() is the number of scored pixels."""
+    """c x c nonnegative integer counts; counts.sum() is the pixels scored."""
 
     counts: np.ndarray
 
@@ -24,10 +25,7 @@ class ConfusionMatrix:
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"confusion matrix must be square, got {counts.shape}")
         if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if not np.array_equal(rounded, counts):
-                raise ValueError("confusion counts must be integers")
-            counts = rounded
+            raise ValueError(f"confusion counts must be integers, got {counts.dtype}")
         if counts.min() < 0:
             raise ValueError("confusion counts must be nonnegative")
         self.counts = counts.astype(np.int64)
@@ -45,8 +43,8 @@ def confusion(pred, ref, mask=None,
               classes: Optional[int] = None) -> ConfusionMatrix:
     """Count (reference, predicted) pairs over the evaluation pixels.
 
-    ``mask`` may be a SplitMask (its test half is used), a boolean array, or
-    None for every labeled reference pixel.  Predictions at scored pixels
+    ``mask`` is a boolean array over the grid (a split's ``test`` half, say),
+    or None for every labeled reference pixel.  Predictions at scored pixels
     must carry ids in 1..c.
     """
     pred_grid = _grid(pred)
@@ -60,7 +58,7 @@ def confusion(pred, ref, mask=None,
         classes = int(ref_grid.max())
     scored = ref_grid > 0
     if mask is not None:
-        where = np.asarray(getattr(mask, "test", mask), dtype=bool)
+        where = np.asarray(mask, dtype=bool)
         if where.shape != ref_grid.shape:
             raise ValueError(
                 f"mask {where.shape} does not match grids {ref_grid.shape}")
@@ -79,22 +77,18 @@ def confusion(pred, ref, mask=None,
     return ConfusionMatrix(counts)
 
 
-def _counts(cm) -> np.ndarray:
-    return ConfusionMatrix(getattr(cm, "counts", cm)).counts
-
-
-def oa(cm) -> float:
+def oa(cm: ConfusionMatrix) -> float:
     """Overall accuracy: trace over total."""
-    counts = _counts(cm)
+    counts = cm.counts
     total = counts.sum()
     if total == 0:
         raise ValueError("empty confusion matrix")
     return float(np.trace(counts) / total)
 
 
-def per_class_accuracy(cm) -> np.ndarray:
+def per_class_accuracy(cm: ConfusionMatrix) -> np.ndarray:
     """Diagonal over row sums (the recall reading of per-class accuracy)."""
-    counts = _counts(cm)
+    counts = cm.counts
     rows = counts.sum(axis=1)
     if np.any(rows == 0):
         missing = int(np.flatnonzero(rows == 0)[0]) + 1
@@ -102,14 +96,14 @@ def per_class_accuracy(cm) -> np.ndarray:
     return np.diag(counts) / rows
 
 
-def aa(cm) -> float:
+def aa(cm: ConfusionMatrix) -> float:
     """Average accuracy: unweighted mean of per-class accuracies."""
     return float(per_class_accuracy(cm).mean())
 
 
-def kappa(cm) -> float:
+def kappa(cm: ConfusionMatrix) -> float:
     """Cohen's kappa: agreement corrected for the chance rate of the marginals."""
-    counts = _counts(cm)
+    counts = cm.counts
     total = int(counts.sum())
     if total == 0:
         raise ValueError("empty confusion matrix")
@@ -124,21 +118,20 @@ def kappa(cm) -> float:
     return float((observed - expected) / (1.0 - expected))
 
 
-def format_report(cm, class_names: Sequence[str]) -> List[List[str]]:
+def format_report(cm: ConfusionMatrix, class_names: Sequence[str]) -> List[List[str]]:
     """Per-class accuracy rows, then OA, AA, and kappa x 100, all in percent."""
-    counts = _counts(cm)
-    if len(class_names) != counts.shape[0]:
-        raise ValueError(
-            f"{len(class_names)} names for {counts.shape[0]} classes")
+    classes = cm.counts.shape[0]
+    if len(class_names) != classes:
+        raise ValueError(f"{len(class_names)} names for {classes} classes")
     rows = [["class", "accuracy"]]
-    for name, acc in zip(class_names, per_class_accuracy(counts)):
+    for name, acc in zip(class_names, per_class_accuracy(cm)):
         rows.append([name, f"{100 * acc:.2f}"])
-    rows.append(["OA", f"{100 * oa(counts):.2f}"])
-    rows.append(["AA", f"{100 * aa(counts):.2f}"])
-    rows.append(["kappa_x100", f"{100 * kappa(counts):.2f}"])
+    rows.append(["OA", f"{100 * oa(cm):.2f}"])
+    rows.append(["AA", f"{100 * aa(cm):.2f}"])
+    rows.append(["kappa_x100", f"{100 * kappa(cm):.2f}"])
     return rows
 
 
-def write_report(cm, class_names: Sequence[str], path) -> None:
+def write_report(cm: ConfusionMatrix, class_names: Sequence[str], path) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(format_report(cm, class_names))

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import struct
@@ -68,6 +69,18 @@ def test_train_help_lists_every_key_with_its_default(tmp_path, capsys):
     assert cfg.build(model.ModelConfig, in_bands=20, num_classes=3) == \
         model.ModelConfig(in_bands=20, num_classes=3)
     assert cfg.build(train.TrainConfig) == train.TrainConfig()
+
+
+def test_every_option_is_named_in_this_file():
+    # static: an option that no test here names is an option no test runs
+    source = Path(__file__).read_text()
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unnamed = [(command, option) for command, sub in commands.items()
+               for action in sub._actions for option in action.option_strings
+               if option not in ("-h", "--help") and f'"{option}"' not in source]
+    assert unnamed == []
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +216,12 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     ("model.base_channels = 0", (), "base_channels must be >= 1"),
     ("train.batch_size = 0", (), "batch_size"),
     ("", ("--strategy", "bogus:1"), "unknown strategy 'bogus:1'"),
+    ("", ("--strategy", "per_class:"),
+     "unknown strategy 'per_class:'; expected per_class:N or fraction:F"),
+    ("", ("--strategy", "per_class:abc"),
+     "unknown strategy 'per_class:abc'; expected per_class:N or fraction:F"),
+    ("", ("--strategy", "fraction:x"),
+     "unknown strategy 'fraction:x'; expected per_class:N or fraction:F"),
     ("train.learning_rate = nan", (), "finite"),
     ("train.learning_rate = inf", (), "finite"),
     ("train.momentum = nan", (), "finite"),
@@ -210,7 +229,8 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     ("train.focal_gamma = nan", (), "finite"),
     ("train.seed = -1", (), "seed >= 0"),
     ("", ("--seed", "-1"), "seed >= 0"),
-], ids=["base-channels", "batch-size", "strategy", "rate-nan", "rate-inf",
+], ids=["base-channels", "batch-size", "strategy", "strategy-no-count",
+        "strategy-bad-count", "strategy-bad-fraction", "rate-nan", "rate-inf",
         "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "seed-flag"])
 def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys,
                                                       line, flags, message):

@@ -153,6 +153,17 @@ def test_labels_class_ids_fit_uint16(tmp_path):
     assert again.class_names == names[:-1]
 
 
+def test_labelmap_refuses_a_name_hsl1_cannot_hold(tmp_path):
+    # HSL1 stores each name's UTF-8 byte count as a u16; "é" is two bytes
+    path = tmp_path / "gt.hsl"
+    grid = np.array([[1, 2]])
+    with pytest.raises(FormatError, match="65535 UTF-8 bytes"):
+        D.save_labels(D.LabelMap(grid, ["a", "é" * 32768]), path)
+    assert not path.exists()
+    D.save_labels(D.LabelMap(grid, ["a", "x" * 65535]), path)
+    assert D.load_labels(path).class_names == ["a", "x" * 65535]
+
+
 def test_labels_name_count_checked_against_file(tmp_path):
     path = tmp_path / "gt.hsl"
     path.write_bytes(b"HSL1" + struct.pack("<III", 1, 1, 2**32 - 1) + bytes(4))
@@ -305,9 +316,8 @@ def test_empty_class_errors():
 def test_parse_strategy():
     assert D.parse_strategy("per_class:200") == ("per_class", 200)
     assert D.parse_strategy("fraction:0.05") == ("fraction", 0.05)
-    assert D.parse_strategy("per_class") == ("per_class", 200)
-    assert D.parse_strategy("fraction") == ("fraction", 0.05)
-    for bad in ("knn:3", "fraction:0", "fraction:1.5", "per_class:0"):
+    for bad in ("knn:3", "fraction:0", "fraction:1.5", "per_class:0",
+                "per_class", "fraction"):
         with pytest.raises(ValueError):
             D.parse_strategy(bad)
 
@@ -344,6 +354,25 @@ def test_synth_sigma_zero_constant_spectra():
 def test_synth_default_is_separable():
     cube, labels = D.synth_scene()
     assert D.nearest_centroid_oa(cube, labels) > 0.99
+
+
+def test_oracle_memory_does_not_grow_with_classes():
+    # every pixel is labeled; the peak must stay near a few pixels x bands
+    # float64 arrays, where all 12 classes at once need about 19 MiB of differences
+    cube, labels = D.synth_scene(classes=12, size=64, bands=50, noise=0.3, seed=0)
+    tracemalloc.start()
+    try:
+        oa = D.nearest_centroid_oa(cube, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    # reference: all classes' distances in one broadcast
+    spectra = cube.values.reshape(cube.bands, -1).T.astype(np.float64)
+    flat = labels.grid.ravel()
+    centroids = np.stack([spectra[flat == cls].mean(axis=0) for cls in range(1, 13)])
+    dist2 = ((spectra[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assert oa == np.mean(dist2.argmin(axis=1) + 1 == flat)
 
 
 def test_synth_identical_signatures_confusable():

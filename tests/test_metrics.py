@@ -19,7 +19,7 @@ def test_confusion_counts_test_pixels_only():
     pred = np.array([[1, 2], [2, 2]])
     mask = D.SplitMask(np.array([[True, False], [False, False]]),
                        np.array([[False, True], [True, True]]))
-    cm = ME.confusion(pred, ref, mask)
+    cm = ME.confusion(pred, ref, mask.test)
     assert cm.total == 3
     assert np.array_equal(cm.counts, [[0, 1], [0, 2]])
 
@@ -57,34 +57,36 @@ def test_unlabeled_reference_ignored():
 
 
 def test_scores_hand_case():
-    cm = [[45, 5], [10, 40]]
+    cm = ME.ConfusionMatrix(np.array([[45, 5], [10, 40]]))
     assert ME.oa(cm) == pytest.approx(0.85, abs=1e-12)
     assert ME.aa(cm) == pytest.approx(0.85, abs=1e-12)
     assert ME.kappa(cm) == pytest.approx(0.70, abs=1e-12)
 
 
 def test_aa_differs_from_oa_for_skewed_rows():
-    cm = [[90, 10], [5, 5]]
+    cm = ME.ConfusionMatrix(np.array([[90, 10], [5, 5]]))
     assert ME.oa(cm) == pytest.approx(95 / 110, abs=1e-12)
     assert ME.aa(cm) == pytest.approx(0.5 * (0.9 + 0.5), abs=1e-12)
 
 
 def test_aa_requires_nonzero_rows():
     with pytest.raises(ValueError, match="class 2"):
-        ME.aa([[3, 1], [0, 0]])
+        ME.aa(ME.ConfusionMatrix(np.array([[3, 1], [0, 0]])))
 
 
 def test_kappa_degenerate_marginals():
-    assert ME.kappa([[7, 0], [0, 0]]) == 1.0
+    assert ME.kappa(ME.ConfusionMatrix(np.array([[7, 0], [0, 0]]))) == 1.0
     # all reference mass in one class but predictions split: p_e < 1
-    assert ME.kappa([[5, 5], [0, 0]]) == pytest.approx(0.0, abs=1e-12)
+    assert ME.kappa(ME.ConfusionMatrix(np.array([[5, 5], [0, 0]]))) == \
+        pytest.approx(0.0, abs=1e-12)
 
 
 def test_kappa_permutation_invariant():
     rng = np.random.default_rng(1)
     counts = rng.integers(0, 30, (5, 5))
     perm = rng.permutation(5)
-    shuffled = counts[np.ix_(perm, perm)]
+    shuffled = ME.ConfusionMatrix(counts[np.ix_(perm, perm)])
+    counts = ME.ConfusionMatrix(counts)
     assert ME.kappa(shuffled) == pytest.approx(ME.kappa(counts), abs=1e-12)
     assert ME.oa(shuffled) == pytest.approx(ME.oa(counts), abs=1e-12)
 
@@ -92,7 +94,8 @@ def test_kappa_permutation_invariant():
 def test_kappa_below_oa():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        counts = rng.integers(0, 50, (4, 4)) + np.diag(rng.integers(10, 99, 4))
+        counts = ME.ConfusionMatrix(rng.integers(0, 50, (4, 4))
+                                    + np.diag(rng.integers(10, 99, 4)))
         assert ME.kappa(counts) <= ME.oa(counts) + 1e-12
 
 
@@ -111,11 +114,13 @@ def test_confusion_matrix_validation():
         ME.ConfusionMatrix(np.array([[1, -1], [0, 2]]))
     with pytest.raises(ValueError):
         ME.ConfusionMatrix(np.array([[0.5, 0], [0, 1]]))
-    assert ME.ConfusionMatrix(np.eye(2)).total == 2  # integral floats pass
+    with pytest.raises(ValueError):
+        ME.ConfusionMatrix(np.eye(2))  # integer counts only, integral floats too
 
 
 def test_report_layout(tmp_path):
-    rows = ME.format_report([[45, 5], [10, 40]], ["corn", "oats"])
+    cm = ME.ConfusionMatrix(np.array([[45, 5], [10, 40]]))
+    rows = ME.format_report(cm, ["corn", "oats"])
     assert rows[0] == ["class", "accuracy"]
     assert rows[1] == ["corn", "90.00"]
     assert rows[2] == ["oats", "80.00"]
@@ -123,11 +128,11 @@ def test_report_layout(tmp_path):
     assert rows[4] == ["AA", "85.00"]
     assert rows[5] == ["kappa_x100", "70.00"]
     path = tmp_path / "report.csv"
-    ME.write_report([[45, 5], [10, 40]], ["corn", "oats"], path)
+    ME.write_report(cm, ["corn", "oats"], path)
     assert path.read_text().strip().splitlines()[0] == "class,accuracy"
 
 
 def test_report_perfect_prediction():
-    rows = ME.format_report(np.diag([7, 9, 4]), ["a", "b", "c"])
+    rows = ME.format_report(ME.ConfusionMatrix(np.diag([7, 9, 4])), ["a", "b", "c"])
     assert rows[-3:] == [["OA", "100.00"], ["AA", "100.00"],
                          ["kappa_x100", "100.00"]]
