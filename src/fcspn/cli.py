@@ -249,7 +249,7 @@ def cmd_eval(args) -> int:
     cm = metrics.confusion(pred, ref, mask, classes=ref.num_classes)
     report = metrics.format_report(cm, ref.class_names)
     if args.out_csv:
-        metrics.write_report(cm, ref.class_names, args.out_csv)
+        metrics.write_report(report, args.out_csv)
     for label, value in report[-3:]:
         print(f"{label}: {value}")
     return 0

@@ -132,6 +132,7 @@ def format_report(cm: ConfusionMatrix, class_names: Sequence[str]) -> List[List[
     return rows
 
 
-def write_report(cm: ConfusionMatrix, class_names: Sequence[str], path) -> None:
+def write_report(rows: Sequence[Sequence[str]], path) -> None:
+    """Write the rows :func:`format_report` returned as a CSV file."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(format_report(cm, class_names))
+        csv.writer(fh).writerows(rows)

@@ -286,6 +286,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     new) crop by crop, in crop order, so a batch leaves the same running
     statistics as its crops passed one at a time; eval mode normalizes
     with the running estimates alone.
+
+    The pullback keeps the input and the per-(channel, crop) statistics,
+    not a normalized copy of the input, and recomputes that copy from them.
+    In eval mode it keeps the running mean array of the forward: an update
+    replaces that array and never writes into it.
     """
     xd = _crops(x.data)
     c = xd.shape[0]
@@ -312,7 +317,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             state.running_var = (BN_MOMENTUM * state.running_var
                                  + (1 - BN_MOMENTUM) * var[:, k, 0, 0, 0])
     else:
-        centered = xd - state.running_mean[expand]
+        mu = state.running_mean[expand]
+        centered = xd - mu
         var = state.running_var[expand]
 
     s = np.sqrt(var + BN_EPS)
@@ -321,6 +327,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     gd = gamma.data
 
     def fn(g):
+        # the forward's normalized input, recomputed bitwise from x
+        xhat = _crops(x.data) - mu
+        np.divide(xhat, s, out=xhat)
         g = g.reshape(xhat.shape)
         # per (channel, crop) sums, shared by the scale/shift and input terms
         gsum = g.sum(axis=axes, keepdims=True)

@@ -5,7 +5,10 @@ Every differentiable operation in this package funnels through
 mode is on and an input requires grad) appends a tape node holding a closure
 that maps the output gradient to input gradients.  The tape is a flat list in
 creation order, which is already a topological order, so :func:`backward`
-walks it once in reverse.
+walks it once in reverse.  The walk consumes the tape: it pops each node,
+hands the pullback its output's gradient and then drops both, so a closure's
+saved activations and an op output's gradient are freed as soon as that
+pullback returns.  Only leaf tensors (parameters, inputs) keep ``grad``.
 
 Numeric conventions:
 
@@ -104,7 +107,8 @@ class TapeNode:
 
     The closure receives dLoss/dOutput and accumulates dLoss/dInput into each
     input tensor's ``grad`` slot.  Inputs and saved activations live in the
-    closure.
+    closure, and die with the node when :func:`backward` pops it and the
+    pullback returns.
     """
 
     __slots__ = ("out", "fn")
@@ -162,7 +166,9 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``, in ``t``'s dtype: the first gradient is
     stored as given, later ones are summed into a new array.  No code
     writes into a gradient in place, so a stored gradient may share memory
-    with the output gradient it came from."""
+    with the output gradient it came from.  An op output's ``grad`` lives
+    only until :func:`backward` takes it for that op's pullback; a leaf
+    tensor's stays until ``zero_grad``."""
     if t.grad is None:
         t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
@@ -170,11 +176,16 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
+    """Populate ``grad`` on every leaf tensor the scalar ``loss`` depends on.
 
     Walks the tape in reverse creation order (a valid reverse-topological
-    order by construction) and consumes it: a second backward without a new
-    forward raises.  Gradients accumulate across calls until ``zero_grad``.
+    order by construction) and consumes it as it goes: each node is popped
+    and its output's ``grad`` taken (and reset to None) for the pullback,
+    and the node, its closure and that gradient are released before the
+    next node is popped.  So memory held falls as the walk proceeds, every
+    op output (``loss`` included) ends with ``grad`` None, and a second
+    backward without a new forward raises.  Leaf gradients accumulate
+    across calls until ``zero_grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -183,11 +194,12 @@ def backward(loss: Tensor) -> None:
                            "(no recorded forward, or tape already consumed)")
     try:
         accumulate(loss, np.ones_like(loss.data))
-        for node in reversed(_TAPE):
-            g = node.out.grad
-            if g is None:
-                continue  # branch not upstream of the loss
-            node.fn(g)
+        # pop in place, never rebind: observers may hold the list itself
+        while _TAPE:
+            node = _TAPE.pop()
+            g, node.out.grad = node.out.grad, None
+            if g is not None:  # None: a branch not upstream of the loss
+                node.fn(g)
     finally:
         _TAPE.clear()
 

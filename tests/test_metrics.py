@@ -128,8 +128,8 @@ def test_report_layout(tmp_path):
     assert rows[4] == ["AA", "85.00"]
     assert rows[5] == ["kappa_x100", "70.00"]
     path = tmp_path / "report.csv"
-    ME.write_report(cm, ["corn", "oats"], path)
-    assert path.read_text().strip().splitlines()[0] == "class,accuracy"
+    ME.write_report(rows, path)
+    assert path.read_text().splitlines() == [",".join(row) for row in rows]
 
 
 def test_report_perfect_prediction():

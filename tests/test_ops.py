@@ -360,6 +360,44 @@ def test_bn_gradcheck_train_and_eval():
             gradcheck.check_grads(build, arrs, nonzero=True)
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_pullback_keeps_no_input_sized_array(training):
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.uniform(-1, 1, (4, 3, 4, 8, 8)), requires_grad=True)
+    gamma, beta = _bn_params(4)
+    ops.batchnorm(x, gamma, beta, ops.BatchNormState(4), training=training)
+    held = [cell.cell_contents for cell in T._TAPE[-1].fn.__closure__]
+    assert any(value is x for value in held)  # the input, not a copy of it
+    for value in held:  # gamma and the per-(channel, crop) statistics
+        if isinstance(value, np.ndarray):
+            assert value.size <= x.shape[0] * x.shape[1], value.shape
+
+
+def test_bn_eval_pullback_uses_the_statistics_of_its_forward():
+    rng = np.random.default_rng(13)
+    xs = rng.uniform(-1, 1, (2, 3, 2, 3, 3))
+    g = rng.uniform(-1, 1, xs.shape)
+
+    def grads(update_between):
+        state = ops.BatchNormState(2)
+        state.running_mean = np.array([0.3, -0.2])
+        state.running_var = np.array([1.5, 0.7])
+        x = T.Tensor(xs, requires_grad=True)
+        gamma = T.Tensor([1.2, 0.8], requires_grad=True)
+        beta = T.Tensor([0.1, -0.1], requires_grad=True)
+        out = ops.batchnorm(x, gamma, beta, state, training=False)
+        if update_between:
+            with T.no_grad():
+                ops.batchnorm(T.Tensor(rng.uniform(-3, 3, xs.shape)), gamma, beta,
+                              state, training=True)
+            assert not np.array_equal(state.running_mean, [0.3, -0.2])
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        return [t.grad for t in (x, gamma, beta)]
+
+    for want, got in zip(grads(False), grads(True)):
+        assert np.array_equal(want, got)
+
+
 # ---------------------------------------------------------------------------
 # resampling
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +164,71 @@ def test_backward_sum_of_graphs_is_sum_of_backwards():
     T.backward(g(x))
     gg = x.grad.copy()
     assert np.allclose(combined, gf + gg, atol=1e-12)
+
+
+def test_backward_consumes_the_tape_as_it_walks():
+    rng = np.random.default_rng(29)
+    a, b = rng.uniform(-1, 1, (2, 3, 4))
+    x = T.Tensor(a, requires_grad=True)
+    w = T.Tensor(b, requires_grad=True)
+    s = T.sigmoid(x)
+    p = T.mul(s, w)
+    q = T.add(p, x)
+    r = T.sigmoid(q)
+    loss = T.reduce_sum(r)
+    outs = [s, p, q, r, loss]
+    assert T.tape_size() == len(outs)  # one node per op, in creation order
+
+    refs = []  # weakref to each node's pullback, by tape index
+    walked = []
+
+    def checked(k, fn):
+        def pullback(g):
+            assert T.tape_size() == k  # nodes 0..k-1 are not yet walked
+            assert outs[k].grad is None  # taken before the pullback runs
+            for j in walked:
+                assert refs[j]() is None, f"pullback {j} outlived its node"
+                assert outs[j].grad is None
+            fn(g)
+            walked.append(k)
+        return pullback
+
+    for k, node in enumerate(T._TAPE):
+        refs.append(weakref.ref(node.fn))
+        node.fn = checked(k, node.fn)
+    del node
+    T.backward(loss)
+
+    assert walked == [4, 3, 2, 1, 0]
+    assert T.tape_size() == 0
+    assert all(ref() is None for ref in refs)
+    assert all(out.grad is None for out in outs)
+    # leaf gradients, by hand
+    sa = 1 / (1 + np.exp(-a))
+    rq = 1 / (1 + np.exp(-(sa * b + a)))
+    dq = rq * (1 - rq)
+    assert np.allclose(w.grad, dq * sa, rtol=0, atol=1e-14)
+    assert np.allclose(x.grad, dq + dq * b * sa * (1 - sa), rtol=0, atol=1e-14)
+
+
+def test_backward_memory_does_not_grow_with_depth():
+    # 32 element-wise ops on a 1 MiB array: kept until the walk ended,
+    # their output gradients alone would be 32 MiB
+    rng = np.random.default_rng(31)
+    x = T.Tensor(rng.uniform(-1, 1, 1 << 17), requires_grad=True)
+    half = T.Tensor(0.5)
+    h = x
+    for k in range(32):
+        h = T.sigmoid(h) if k % 2 else T.mul(h, half)
+    loss = T.reduce_sum(h)
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and np.any(x.grad != 0)
+    assert peak < 4 * x.data.nbytes, peak
 
 
 def test_gradcheck_composed_graph():
