@@ -72,7 +72,7 @@ for path in params.paths():
 print(f"kernel cells per channel pair: {cells} (a dense 3x3x3 needs 27)")
 print("running statistics in the same registry:",
       ", ".join(path for path, _ in params.states()))
-print(f"decayed by the L2 term: {len(params.decayed())} conv weights "
+print(f"weight decay in the SGD step: {len(params.decayed())} conv weights "
       f"of {len(params.paths())} tensors")
 feat = T.Tensor(rng.normal(size=(3, 6, 7, 7)))
 with T.no_grad():

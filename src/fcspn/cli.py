@@ -34,7 +34,7 @@ CONFIG_KEYS: Dict[str, Tuple[type, str, str]] = {
                                 "channel attention in encoder stages"),
     "train.batch_size": (train.TrainConfig, "batch_size", "crops per optimizer step"),
     "train.weight_decay": (train.TrainConfig, "weight_decay",
-                           "L2 coefficient on conv weights"),
+                           "weight decay on conv weights, applied in the SGD step"),
     "train.epochs": (train.TrainConfig, "epochs", "epochs, one optimizer step each"),
     "train.momentum": (train.TrainConfig, "momentum", "SGD momentum"),
     "train.learning_rate": (train.TrainConfig, "learning_rate", "SGD learning rate"),
@@ -86,10 +86,12 @@ _PARSERS = {
 
 class RunConfig:
     """The settings a file at ``path`` gives, each parsed as its line is
-    read; unknown keys and malformed values are rejected with line numbers."""
+    read; unknown keys, keys set twice and malformed values are rejected
+    with line numbers."""
 
     def __init__(self, path: Optional[str] = None):
         self._given: Dict[type, Dict[str, object]] = {}
+        first_line: Dict[str, int] = {}
         if path is None:
             return
         try:
@@ -107,6 +109,10 @@ class RunConfig:
                 raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{where}: unknown key {key!r}")
+            if key in first_line:
+                raise ConfigError(
+                    f"{where}: {key} already set on line {first_line[key]}")
+            first_line[key] = number
             cls, name, _ = CONFIG_KEYS[key]
             parse, form = _PARSERS[type(_default(key))]
             try:

@@ -244,9 +244,10 @@ def parse_strategy(text: str) -> Tuple[str, float]:
 
 
 def _per_class_count(total: int, requested: int) -> int:
-    if total >= requested:
+    if total > requested:
         return requested
-    # small classes fall back to a fifth of their pixels, at least one
+    # a class of at most N pixels falls back to a fifth of them, at least
+    # one, so it keeps test pixels
     return max(1, -(-total // 5))
 
 
@@ -258,9 +259,10 @@ def _fraction_count(total: int, frac: float) -> int:
 def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
     """Draw the training pixels per class; everything else labeled is test.
 
-    ``strategy`` is ``per_class:N`` (N per class, capped for small classes)
-    or ``fraction:F`` (stratified ceil(F*N) per class), as read by
-    :func:`parse_strategy`.  Deterministic for a given seed.
+    ``strategy`` is ``per_class:N`` (N per class; a class of N pixels or
+    fewer gives a fifth of them, at least one) or ``fraction:F``
+    (stratified ceil(F*N) per class), as read by :func:`parse_strategy`.
+    Deterministic for a given seed.
     """
     name, arg = parse_strategy(strategy)
     grid = labels.grid

@@ -164,6 +164,10 @@ class _DownBlock(_ConvPair):
         return t
 
 
+# (kernel, stride) of each conv of an up block's pair
+_UP_HALVES = (((5, 1, 1), (1, 1, 1)), ((3, 3, 3), (1, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # the assembled network
 # ---------------------------------------------------------------------------
@@ -173,7 +177,6 @@ class FcspnModel:
     weights are Kaiming-normal from ``rng``, or zero when it is None."""
 
     MIN_SPATIAL = 8
-    UP_HALVES = (((5, 1, 1), (1, 1, 1)), ((3, 3, 3), (1, 1, 1)))
 
     def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator]):
         self.config = config
@@ -196,7 +199,7 @@ class FcspnModel:
         for i in range(3):
             cmir = c // 2
             self.ups.append(_ConvPair(self.params, f"up{i + 1}", c + cmir, cmir,
-                                      self.UP_HALVES, rng))
+                                      _UP_HALVES, rng))
             c = cmir
 
         self.head_conv = ops.Conv(self.params, "head.conv", b, config.num_classes,
@@ -305,12 +308,30 @@ def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Fcs
 _HEADER = "<4sIIIIIBI"
 
 
-def _min_floats(config: ModelConfig) -> int:
-    """A lower bound on the values ``build(config)`` allocates: down3.conv_b,
-    the residual units of down1 and the head conv."""
-    b = config.base_channels
-    return (9 * (8 * b) ** 2 + 96 * b * b * config.dsr_per_stage
-            + (b + 1) * config.num_classes)
+def _payload_floats(config: ModelConfig) -> int:
+    """The number of values ``ModelParams.arrays()`` holds for ``config``,
+    counted from the layer plan alone, so a header can be checked against
+    the payload before any array is allocated.  A conv holds its weights and
+    bias, a norm four values per channel: scale, shift and running mean and
+    variance."""
+    def conv(cin, cout, kernel, bias=False):
+        return cout * (cin * kernel[0] * kernel[1] * kernel[2] + bias)
+
+    def pair(cin, cout, halves):
+        (kernel_a, _), (kernel_b, _) = halves
+        return conv(cin, cout, kernel_a) + conv(cout, cout, kernel_b) + 8 * cout
+
+    b, unit = config.base_channels, (_DsrUnit.SPATIAL, _DsrUnit.SPECTRAL)
+    n = conv(1, b, (5, 1, 1)) + 4 * b                                   # stem
+    for c in (2 * b, 4 * b, 8 * b):                                     # downs
+        n += pair(c // 2, c, _DownBlock.HALVES)
+        n += config.dsr_per_stage * (pair(c, c, unit) + pair(c, c, unit[::-1]))
+        n += conv(c, c, (1, 1, 1), True) if config.attention_enabled else 0
+    for c in (4 * b, 2 * b, b):                 # ups: 2c resampled + c mirror in
+        n += pair(3 * c, c, _UP_HALVES)
+    n += conv(b, config.num_classes, (1, 1, 1), True)                   # head
+    n += conv(b, b, (1, 3, 3)) + 4 * b + conv(b, 8, (1, 3, 3), True)    # affinity
+    return n
 
 
 def save_checkpoint(model: FcspnModel, path) -> None:
@@ -351,24 +372,18 @@ def load_checkpoint(path) -> FcspnModel:
                                  attention_enabled=bool(attn), cspn_steps=steps)
         except ShapeError as err:
             raise FormatError(f"bad checkpoint header: {err}") from err
-        left = src.left()
-        if 4 * _min_floats(config) > left:
-            raise FormatError(
-                f"checkpoint header asks for at least {_min_floats(config)} "
-                f"parameters, more than the {left} bytes after it can hold")
-        # every tensor and statistic is read from the file below, so the
-        # model starts from zeros instead of drawing weights, in float32,
-        # the precision the file holds
-        model = FcspnModel(config, None)
-        model.params.cast(np.float32)
-        arrays = model.params.arrays()
-        need = 4 * sum(arr.size for arr in arrays)
+        left, need = src.left(), 4 * _payload_floats(config)
         if left != need:
             gap = (f"{left - need} trailing bytes" if left > need
                    else f"{need - left} bytes short")
             raise FormatError(
                 f"checkpoint payload is {left} bytes, {need} expected: {gap}")
-        for arr in arrays:
+        # every tensor and statistic is read from the file below, so the
+        # model starts from zeros instead of drawing weights, in float32,
+        # the precision the file holds
+        model = FcspnModel(config, None)
+        model.params.cast(np.float32)
+        for arr in model.params.arrays():
             at = fh.tell()
             values = src.read(4 * arr.size, "checkpoint payload")
             arr[...] = np.frombuffer(values, dtype="<f4").reshape(arr.shape)

@@ -433,7 +433,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 class ModelParams:
     """Everything a checkpoint stores, keyed by dotted layer path: the
     learnable tensors and the batchnorm running statistics, in registration
-    order, plus the tensors the L2 term decays (``decay=True``: conv weights).
+    order, plus the tensors the SGD step decays (``decay=True``: conv weights).
     """
 
     def __init__(self):

@@ -1,12 +1,12 @@
-"""Masked focal loss, L2 penalty, momentum SGD, and the crop-batch loop.
+"""Masked focal loss, momentum SGD with weight decay, and the crop-batch loop.
 
 One optimizer step consumes a batch of randomly positioned crops (full
 spectral extent, fixed spatial window), stacked on the network's crop axis:
 the batch runs forward once through the network and the refinement stage,
 the focal loss averages each crop's own mean, and a single backward pass
-distributes the gradient.  An epoch is one optimizer step.  Regularization
-enters the loss once, as an explicit penalty term, rather than as optimizer
-weight decay, so the parameter-square-sum term is never applied twice.
+distributes the gradient.  An epoch is one optimizer step.  Only the focal
+loss is on the tape, so ``.grad`` is the loss gradient; :func:`sgd_step`
+decays the conv weights, for SGD the same update as an L2 penalty's gradient.
 """
 
 from __future__ import annotations
@@ -106,35 +106,34 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float) -> Tensor:
     return record("focal_loss", (logits,), value, fn)
 
 
-def l2_penalty(params: ModelParams, weight_decay: float) -> Tensor:
-    """(weight_decay / 2) * sum of squared convolution weights.
+def l2_penalty(params: ModelParams, weight_decay: float) -> np.ndarray:
+    """(weight_decay / 2) * sum of squared convolution weights, as a 0-d
+    array in the weights' dtype; a value to report, not a tape node.
 
     Normalization scales/shifts and biases are excluded on purpose; decaying
     them would fight the normalization layers rather than regularize.
     """
     weights = params.decayed()
     value = 0.5 * weight_decay * sum(float(np.sum(w.data ** 2)) for w in weights)
-
-    def fn(g):
-        for w in weights:
-            if w.requires_grad:
-                accumulate(w, (float(g) * weight_decay) * w.data)
-
     dtype = np.result_type(*(w.data for w in weights)) if weights else np.float64
-    return record("l2_penalty", tuple(weights), np.asarray(value, dtype=dtype), fn)
+    return np.asarray(value, dtype=dtype)
 
 
 def sgd_step(params: ModelParams, velocity: Dict[str, np.ndarray],
              config: TrainConfig) -> None:
     """v <- momentum * v + grad; w <- w - lr * v, with ``velocity`` keyed by
-    parameter path and a new path's v zero.  Unused grads count as zero."""
+    parameter path and a new path's v zero.  Unused grads count as zero, and
+    a conv weight's (``params.decayed()``) gains ``weight_decay * w``."""
     bad = [path for path, t in params.items()
            if t.grad is not None and not np.all(np.isfinite(t.grad))]
     if bad:
         raise NumericError(
             "non-finite gradient for parameter(s): " + ", ".join(sorted(bad)))
+    decayed = {id(t) for t in params.decayed()}
     for path, t in params.items():
         grad = t.grad if t.grad is not None else 0.0
+        if id(t) in decayed:  # decay first, the order an L2 penalty's gradient sums in
+            grad = np.asarray(config.weight_decay * t.data, dtype=t.data.dtype) + grad
         v = velocity.get(path)
         if v is None:
             v = velocity[path] = np.zeros_like(t.data)
@@ -192,9 +191,9 @@ def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
     """Optimize ``model`` in place; returns (and optionally writes) the trace.
 
     Each of the ``config.epochs`` steps runs ``batch_size`` crops of the
-    ``split.train`` pixels as one batch, averages their losses and adds the
-    L2 term once.  A crop :func:`fit_crop` rejects raises before the first
-    step.  Deterministic for a given config.
+    ``split.train`` pixels as one batch, averages their losses and decays
+    the conv weights once, in :func:`sgd_step`.  A crop :func:`fit_crop`
+    rejects raises before the first step.  Deterministic for a given config.
     ``on_epoch`` may return True to stop early (the target-reached case).
     ``trace_path`` gets the rows of the finished steps also when a step
     raises (a non-finite gradient, say); a check before the first step
@@ -231,11 +230,11 @@ def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
                                     for r, c in origins])
             refined, _ = model.forward_refined(x, training=True)
             focal = focal_loss(refined, crop_labels, config.focal_gamma)
+            T.backward(focal)
             penalty = l2_penalty(model.params, config.weight_decay)
-            total = T.add(focal, penalty)
-            T.backward(total)
             sgd_step(model.params, velocity, config)
-            rows.append(TraceRow(epoch, focal.item(), penalty.item(), total.item()))
+            rows.append(TraceRow(epoch, focal.item(), penalty.item(),
+                                 (focal.data + penalty).item()))
             if on_epoch is not None and on_epoch(epoch, rows[-1]):
                 break
     finally:

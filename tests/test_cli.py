@@ -229,9 +229,12 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     ("train.focal_gamma = nan", (), "finite"),
     ("train.seed = -1", (), "seed >= 0"),
     ("", ("--seed", "-1"), "seed >= 0"),
+    ("train.epochs = 2\ntrain.epochs = 3", (),
+     "line 2: train.epochs already set on line 1"),
 ], ids=["base-channels", "batch-size", "strategy", "strategy-no-count",
         "strategy-bad-count", "strategy-bad-fraction", "rate-nan", "rate-inf",
-        "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "seed-flag"])
+        "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "seed-flag",
+        "key-twice"])
 def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys,
                                                       line, flags, message):
     bad = tmp_path / "bad.cfg"
@@ -271,7 +274,8 @@ def test_train_unreadable_config_exits_2_before_data_is_read(workdir, tmp_path, 
 def test_train_crop_the_model_cannot_train_on_exits_2(workdir, tmp_path, capsys,
                                                       crop, message):
     cfg = tmp_path / "crop.cfg"
-    cfg.write_text(TINY_CONFIG + f"train.crop_size = {crop}\n")
+    cfg.write_text(TINY_CONFIG.replace("train.crop_size = 12",
+                                       f"train.crop_size = {crop}"))
     rc = cli.main(_train_args(workdir, tmp_path / "x.ckpt", "--config", str(cfg)))
     out, err = capsys.readouterr()
     assert rc == 2
@@ -343,7 +347,8 @@ def test_train_weights_beyond_float32_exit_4(workdir, tmp_path, capsys):
     # the weights leave float32's range during training: the trace of the
     # finished steps is kept, and neither a checkpoint nor a split is written
     cfg = tmp_path / "wild.cfg"
-    cfg.write_text(TINY_CONFIG + "train.epochs = 3\ntrain.learning_rate = 1e30\n")
+    cfg.write_text(TINY_CONFIG.replace("train.epochs = 2", "train.epochs = 3")
+                   + "train.learning_rate = 1e30\n")
     ckpt = tmp_path / "wild.ckpt"
     rc = cli.main(_train_args(workdir, ckpt, "--config", str(cfg)))
     assert rc == 4

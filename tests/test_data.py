@@ -279,11 +279,13 @@ def test_per_class_draws_exact_count():
 
 
 def test_small_class_capped_at_fifth():
-    labels = _uniform_labels([300, 46, 28, 3])
+    # a class of exactly N pixels is small too: taking all N would leave
+    # it no test pixel
+    labels = _uniform_labels([300, 46, 28, 3, 200])
     split = D.sample_split(labels, "per_class:200", seed=1)
     per_class = [int((split.train & (labels.grid == cls)).sum())
-                 for cls in (1, 2, 3, 4)]
-    assert per_class == [200, 10, 6, 1]
+                 for cls in (1, 2, 3, 4, 5)]
+    assert per_class == [200, 10, 6, 1, 40]
 
 
 def test_fraction_rounds_up():

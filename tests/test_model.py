@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,11 +398,12 @@ HUGE_HEADERS = {
 }
 
 
-def _huge_checkpoint(path, classes, base, dsr):
-    """A header claiming a network far larger than the 4 bytes after it."""
+def _huge_checkpoint(path, classes, base, dsr, payload=4):
+    """A header claiming a network far larger than the ``payload`` zero
+    bytes after it."""
     path.write_bytes(struct.pack("<4sIIIIIBI", M.CHECKPOINT_MAGIC,
                                  M.CHECKPOINT_VERSION, 20, classes, base, dsr,
-                                 1, 4) + bytes(4))
+                                 1, 4) + bytes(payload))
 
 
 @pytest.mark.parametrize("field", sorted(HUGE_HEADERS))
@@ -415,6 +417,21 @@ def test_checkpoint_header_bounded_before_build(tmp_path, monkeypatch, field):
     monkeypatch.setattr(M, "FcspnModel", no_build)
     with pytest.raises(T.FormatError, match="bytes"):
         M.load_checkpoint(p)
+
+
+def test_checkpoint_short_payload_rejected_in_bounded_memory(tmp_path):
+    # 330 residual units per stage need about 84 MB of float32 values: 8 MiB
+    # of junk is short, and the loader must say so before it allocates them
+    p = tmp_path / "junk.fcsp"
+    _huge_checkpoint(p, classes=3, base=8, dsr=330, payload=8 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(T.FormatError, match="bytes short"):
+            M.load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def _patched_header(tmp_path, offset, value):
@@ -462,10 +479,11 @@ def test_checkpoint_rejected_header_value_is_format_error(tmp_path):
 
 @pytest.mark.parametrize("kw", [{}, {"dsr_per_stage": 0}, {"dsr_per_stage": 2},
                                 {"attention_enabled": False}])
-def test_checkpoint_header_bound_is_a_lower_bound(kw):
+def test_checkpoint_payload_count_is_exact(kw):
     for base, classes in ((1, 1), (2, 3), (5, 7)):
         cfg = _tiny(bands=20, classes=classes, base=base, **kw)
-        assert M._min_floats(cfg) <= M.build(cfg).params.total_count()
+        assert M._payload_floats(cfg) == sum(
+            a.size for a in M.build(cfg).params.arrays())
 
 
 def test_checkpoint_running_variance_shape_checked(tmp_path):

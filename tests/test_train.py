@@ -147,12 +147,17 @@ def test_l2_examples():
 
 def test_l2_excludes_norm_and_bias():
     params, w = _one_weight_params([2.0, -1.0])
-    loss = TR.l2_penalty(params, 0.5)
-    assert loss.item() == pytest.approx(0.25 * (4 + 1), abs=1e-15)
-    T.backward(loss)
-    assert np.allclose(w.grad, [1.0, -0.5], atol=1e-15)
-    assert params.get("w.bias").grad is None
-    assert params.get("n.scale").grad is None
+    assert TR.l2_penalty(params, 0.5).item() == pytest.approx(0.25 * (4 + 1), abs=1e-15)
+    bias, scale = params.get("w.bias"), params.get("n.scale")
+    for t in (w, bias, scale):
+        t.grad = np.full(t.shape, 0.5)
+    cfg = TR.TrainConfig(weight_decay=0.5, momentum=0.0, learning_rate=0.1)
+    TR.sgd_step(params, {}, cfg)
+    # only the conv weight is decayed: it moves by lr * (g + wd * w)
+    assert np.allclose(w.data, [2.0 - 0.1 * (0.5 + 1.0), -1.0 - 0.1 * (0.5 - 0.5)],
+                       atol=1e-15)
+    assert np.allclose(bias.data, [3.0 - 0.1 * 0.5], atol=1e-15)
+    assert np.allclose(scale.data, [2.0 - 0.1 * 0.5], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def _params_with_grad(g):
 def test_sgd_first_step():
     params, w = _params_with_grad(3.0)
     TR.sgd_step(params, {}, TR.TrainConfig())
-    assert w.data[0] == pytest.approx(1.0 - 0.01 * 3.0, abs=1e-15)
+    assert w.data[0] == pytest.approx(1.0 - 0.01 * (3.0 + 1e-5 * 1.0), abs=1e-15)
 
 
 def test_sgd_two_steps_momentum():
@@ -176,26 +181,37 @@ def test_sgd_two_steps_momentum():
     state = {}
     cfg = TR.TrainConfig()
     TR.sgd_step(params, state, cfg)
+    w1 = w.data[0]
     w.grad = np.asarray([2.0])
     TR.sgd_step(params, state, cfg)
-    # v1 = g, v2 = 0.9 g + g -> total change 0.01 (g + 1.9 g)
-    assert w.data[0] == pytest.approx(1.0 - 0.01 * (2.0 + 1.9 * 2.0), abs=1e-15)
+    # v1 = g + wd w0, v2 = 0.9 v1 + g + wd w1; w2 = w0 - 0.01 (v1 + v2)
+    v1 = 2.0 + 1e-5 * 1.0
+    v2 = 0.9 * v1 + 2.0 + 1e-5 * w1
+    assert w.data[0] == pytest.approx(1.0 - 0.01 * (v1 + v2), abs=1e-15)
 
 
 def test_sgd_zero_grad_noop():
+    # a zero loss gradient leaves bias and scale alone; only the decay
+    # moves the conv weight
     params, w = _params_with_grad(0.0)
+    others = [params.get("w.bias"), params.get("n.scale")]
+    for t in others:
+        t.grad = np.zeros(t.shape)
     TR.sgd_step(params, {}, TR.TrainConfig())
-    assert w.data[0] == 1.0
+    assert w.data[0] == 1.0 - 0.01 * (1e-5 * 1.0)
+    assert [t.data[0] for t in others] == [3.0, 2.0]
 
 
 def test_sgd_momentum_zero_is_plain_descent():
     cfg = TR.TrainConfig(momentum=0.0, learning_rate=0.1)
     params, w = _params_with_grad(1.5)
     state = {}
+    expected = 1.0
     for _ in range(3):
         w.grad = np.asarray([1.5])
         TR.sgd_step(params, state, cfg)
-    assert w.data[0] == pytest.approx(1.0 - 3 * 0.1 * 1.5, abs=1e-12)
+        expected -= 0.1 * (1.5 + 1e-5 * expected)
+    assert w.data[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_sgd_nan_grad_aborts_with_path():
@@ -240,6 +256,34 @@ def test_train_trace_is_finite_and_complete(tmp_path):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "epoch,focal,l2,total"
     assert len(lines) == 3
+
+
+def test_train_grad_is_the_focal_loss_gradient_alone(monkeypatch):
+    # replay the step's batch on an identical model with the focal loss as
+    # the only loss: every gradient, conv weights included, must match
+    cube, labels, split = _toy_scene(np.random.default_rng(5))
+    model = _toy_model(np.random.default_rng(6))
+    twin = _toy_model(np.random.default_rng(6))
+    batch = []
+    forward_refined, focal_loss = model.forward_refined, TR.focal_loss
+
+    def spy_forward(x, **kw):
+        batch.append(x.data.copy())
+        return forward_refined(x, **kw)
+
+    def spy_focal(logits, crop_labels, gamma):
+        batch.append((crop_labels, gamma))
+        return focal_loss(logits, crop_labels, gamma)
+
+    monkeypatch.setattr(model, "forward_refined", spy_forward)
+    monkeypatch.setattr(TR, "focal_loss", spy_focal)
+    TR.train(cube, labels, split, model, _fast_cfg(epochs=1))
+    x, (crop_labels, gamma) = batch
+    refined, _ = twin.forward_refined(T.Tensor(x), training=True)
+    T.backward(focal_loss(refined, crop_labels, gamma))
+    assert model.params.decayed()
+    for path, t in twin.params.items():
+        assert np.array_equal(model.params.get(path).grad, t.grad), path
 
 
 def test_train_failed_step_keeps_trace_of_finished_steps(tmp_path, monkeypatch):
@@ -354,29 +398,19 @@ NETWORK = ("stem.", "down", "up", "head.")
 
 
 def _first_step_loss_grads(crop):
-    """Loss gradient of every registered parameter after one seeded step.
-
-    ``grad`` of a conv weight also holds the L2 term ``weight_decay * w``,
-    which would make a tensor the loss never reaches look alive; that term
-    is taken out again, so such a tensor reads exactly zero.
-    """
+    """Loss gradient of every registered parameter after one seeded step:
+    ``grad`` itself, which holds no weight decay, so a tensor the loss
+    never reaches reads exactly zero."""
     cube, labels = D.synth_scene(classes=3, size=32, bands=20, noise=0.02,
                                  seed=21)
     cube = D.normalize(cube)
     split = D.sample_split(labels, "per_class:50", seed=21)
     model = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=4,
                                   cspn_steps=2), np.random.default_rng(21))
-    before = {path: t.data.copy() for path, t in model.params.items()}
     cfg = TR.TrainConfig(batch_size=2, epochs=1, crop_size=(crop, crop), seed=21)
     TR.train(cube, labels, split, model, cfg)
-    grads = {}
-    decayed = {id(t) for t in model.params.decayed()}
-    for path, t in model.params.items():
-        g = np.zeros_like(t.data) if t.grad is None else t.grad
-        if id(t) in decayed:
-            g = g - (1.0 * cfg.weight_decay) * before[path]
-        grads[path] = g
-    return grads
+    return {path: np.zeros_like(t.data) if t.grad is None else t.grad
+            for path, t in model.params.items()}
 
 
 @pytest.mark.parametrize("crop, prefixes", [
