@@ -1,9 +1,9 @@
 """A tour of the layers that make up the classifier.
 
 Shows the 3D convolution geometry, batch normalization's two modes, the
-resampling op, the squeeze-excitation channel gate, the separable residual
-unit with its parameter budget, and finally the assembled network with its
-parameter ledger.
+decoder's resample-and-join op, the squeeze-excitation channel gate, the
+separable residual unit with its parameter budget, and finally the
+assembled network with its parameter ledger.
 """
 
 import numpy as np
@@ -42,11 +42,13 @@ print("eval mode reuses running stats; output mean:",
       f"{evaled.data.mean():+.3f}")
 
 print()
-print("== trilinear upsampling is corner-aligned ==")
+print("== the decoder join: corner-aligned upsampling, then the mirror ==")
 ramp = T.Tensor(np.arange(4.0).reshape(1, 1, 1, 4))
+mirror = T.Tensor(np.full((1, 1, 1, 7), -1.0))
 with T.no_grad():
-    up = ops.trilinear_upsample(ramp, (1, 1, 7))
-print("1D ramp 0..3 resampled to 7 points:", up.data.ravel())
+    join = ops.upsample_concat(ramp, mirror)
+print("1D ramp 0..3 resampled to the mirror's 7 points:", join.data[0].ravel())
+print("the mirror's channel follows it in the same array:", join.data[1].ravel())
 
 print()
 print("== the squeeze-excitation channel gate ==")

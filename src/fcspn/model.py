@@ -12,9 +12,10 @@ conv, builds every double convolution below:
   -> dual separable residual unit(s) (two pairs each) ->
   squeeze-excitation channel gate; channels double per block, extents
   halve (ceil);
-* three up blocks, each resampling to the extents of the matching down
-  block's input, concatenating with it, then a pair conv(5,1,1),
-  conv(3,3,3); channels retrace 8x -> 4x -> 2x -> 1x;
+* three up blocks, each joining its input, resampled to the extents of
+  the matching down block's input, with that input in one op
+  (``ops.upsample_concat``), then a pair conv(5,1,1), conv(3,3,3);
+  channels retrace 8x -> 4x -> 2x -> 1x;
 * head: mean over the residual spectral axis, then a 1x1 conv to class
   logits of shape ``(num_classes, N, H, W)``, or ``(num_classes, H, W)``
   for one cube; the same mean plane feeds the affinity branch of the
@@ -82,8 +83,9 @@ class ModelConfig:
 class _ConvPair:
     """conv -> norm -> relu -> conv -> norm -> relu; ``halves`` gives each
     conv's (kernel, stride).  Given an up block's ``mirror``, the input is
-    first resampled to its extents and concatenated with it; no caller holds
-    that join, the decoder's largest map, so it is freed after the first conv.
+    first joined with it by :func:`ops.upsample_concat`; no caller holds
+    that join, the decoder's largest map, so without a tape it is freed as
+    soon as the first conv returns, before the first norm runs.
     """
 
     def __init__(self, params, path, cin, cout, halves, rng):
@@ -97,8 +99,9 @@ class _ConvPair:
 
     def __call__(self, x, training, mirror=None):
         if mirror is not None:
-            x = ops.concat_channels(ops.trilinear_upsample(x, mirror.shape[-3:]), mirror)
-        x = T.relu(self.norm_a(self.conv_a(x), training))
+            x = ops.upsample_concat(x, mirror)
+        x = self.conv_a(x)
+        x = T.relu(self.norm_a(x, training))
         return T.relu(self.norm_b(self.conv_b(x), training))
 
     def out_extents(self, extents):

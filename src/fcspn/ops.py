@@ -17,6 +17,12 @@ slab by slab for the weight gradient, and computes the input gradient as
 the correlation of the output gradient with the flipped, transposed
 kernel, one call of the routine per stride phase.
 
+:func:`batchnorm` centres its input into one fresh array and divides,
+scales and shifts in place in it.  :func:`upsample_concat`, the decoder's
+join, resamples a map to its mirror's extents and stacks the two on the
+channel axis in one array it allocates once: the last resampling GEMM
+writes straight into the join's first channels.
+
 :class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
 layers that own their tensors and register them, with the running
 statistics, in a :class:`ModelParams` under a dotted layer path.
@@ -287,8 +293,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     statistics as its crops passed one at a time; eval mode normalizes
     with the running estimates alone.
 
-    The pullback keeps the input and the per-(channel, crop) statistics,
-    not a normalized copy of the input, and recomputes that copy from them.
+    The forward allocates one output-sized array, the centred input, and
+    divides, scales and shifts in place in it.  The pullback keeps the
+    input and the per-(channel, crop) statistics, not a normalized copy of
+    the input, and recomputes that copy from them.
     In eval mode it keeps the running mean array of the forward: an update
     replaces that array and never writes into it.
     """
@@ -322,8 +330,13 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         var = state.running_var[expand]
 
     s = np.sqrt(var + BN_EPS)
-    xhat = np.divide(centered, s, out=centered)  # centered is a fresh array
-    out = gamma.data[expand] * xhat + beta.data[expand]
+    # centered is a fresh array: divide, scale and shift in place in it, in
+    # the dtypes of ``gamma * xhat + beta`` (a wider scale or shift widens it)
+    out = np.divide(centered, s, out=centered)
+    out = out.astype(np.result_type(out, gamma.data), copy=False)
+    np.multiply(out, gamma.data[expand], out=out)
+    out = out.astype(np.result_type(out, beta.data), copy=False)
+    np.add(out, beta.data[expand], out=out)
     gd = gamma.data
 
     def fn(g):
@@ -371,59 +384,56 @@ def _axis_matrix(n: int, m: int, dtype) -> np.ndarray:
     return a
 
 
-def _resample(arr: np.ndarray, mats) -> np.ndarray:
+def _resample(arr: np.ndarray, mats, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the depth, height and width matrices ``mats`` to the last three
-    axes of ``arr``, one GEMM per axis, over any leading axes."""
+    axes of ``arr``, one GEMM per axis (width, height, then depth), over any
+    leading axes.  The depth GEMM writes into ``out`` when one is given: a
+    C-contiguous array of the result's shape."""
     a_d, a_h, a_w = mats
     *lead, d, h, w = arr.shape
-    out = arr.reshape(-1, w) @ a_w.T
-    out = a_h @ out.reshape(-1, h, a_w.shape[0])
-    out = a_d @ out.reshape(-1, d, a_h.shape[0] * a_w.shape[0])
-    return out.reshape(*lead, a_d.shape[0], a_h.shape[0], a_w.shape[0])
+    shape = (*lead, a_d.shape[0], a_h.shape[0], a_w.shape[0])
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(arr, *mats))
+    part = arr.reshape(-1, w) @ a_w.T
+    part = a_h @ part.reshape(-1, h, a_w.shape[0])
+    np.matmul(a_d, part.reshape(-1, d, a_h.shape[0] * a_w.shape[0]),
+              out=out.reshape(-1, a_d.shape[0], a_h.shape[0] * a_w.shape[0]))
+    return out
 
 
-def trilinear_upsample(x: Tensor, target: Triple) -> Tensor:
-    """Corner-aligned separable linear resampling of the last three axes of
-    ``x`` (C,N,D,H,W) or (C,D,H,W) to ``target``.
+def upsample_concat(x: Tensor, mirror: Tensor) -> Tensor:
+    """The decoder's join: ``x`` (Cx,N,D,H,W) resampled to the extents of
+    ``mirror`` (Cm,N,D',H',W'), stacked on the channel axis with it, as one
+    (Cx+Cm,N,D',H',W') map; both may also be one-crop (C,D,H,W) views.
 
-    Each axis is one (target, source) tap matrix ``A``: the forward applies
-    ``A`` to each axis and the pullback ``A.T``, both via :func:`_resample`.
+    The resampling is corner-aligned and separable: one (target, source)
+    tap matrix ``A`` per axis (:func:`_axis_matrix`), applied by
+    :func:`_resample`, whose last GEMM writes straight into the join's
+    first ``Cx`` channels; the mirror is copied into the rest.  So the
+    join is the one full-size array the op allocates.  The pullback
+    applies each ``A.T`` to the join gradient's first ``Cx`` channels and
+    passes the rest on to the mirror.
     """
     if x.data.ndim not in (4, 5):
-        raise ShapeError(f"trilinear_upsample input must be rank 4 or 5, got {x.shape}")
-    target = tuple(int(t) for t in target)
-    if len(target) != 3 or any(t < 1 for t in target):
-        raise ShapeError(f"target extents must be three values >= 1, got {target}")
-
-    mats = [_axis_matrix(n, m, x.data.dtype) for n, m in zip(x.shape[-3:], target)]
+        raise ShapeError(f"upsample_concat input must be rank 4 or 5, got {x.shape}")
+    if mirror.data.ndim != x.data.ndim:
+        raise ShapeError(f"rank mismatch: {x.shape} vs mirror {mirror.shape}")
+    if x.shape[1:-3] != mirror.shape[1:-3]:
+        raise ShapeError(f"crop counts differ: {x.shape} vs mirror {mirror.shape}")
+    cx = x.shape[0]
+    mats = [_axis_matrix(n, m, x.data.dtype) for n, m in zip(x.shape[-3:], mirror.shape[-3:])]
+    join = np.empty((cx + mirror.shape[0],) + mirror.shape[1:],
+                    dtype=np.result_type(x.data, mirror.data))
+    _resample(x.data, mats, out=join[:cx])
+    join[cx:] = mirror.data
 
     def fn(g):
         if x.requires_grad:
-            accumulate(x, _resample(g, [a.T for a in mats]))
+            accumulate(x, _resample(g[:cx], [a.T for a in mats]))
+        if mirror.requires_grad:
+            accumulate(mirror, g[cx:])
 
-    return record("trilinear_upsample", (x,), _resample(x.data, mats), fn)
-
-
-# ---------------------------------------------------------------------------
-# channel plumbing
-# ---------------------------------------------------------------------------
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two feature maps along the channel axis; every other extent
-    (crops and spatial) must agree."""
-    if a.data.ndim != b.data.ndim:
-        raise ShapeError(f"rank mismatch: {a.shape} vs {b.shape}")
-    if a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"non-channel extents differ: {a.shape} vs {b.shape}")
-    ca = a.shape[0]
-
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, g[:ca])
-        if b.requires_grad:
-            accumulate(b, g[ca:])
-
-    return record("concat", (a, b), np.concatenate([a.data, b.data], axis=0), fn)
+    return record("upsample_concat", (x, mirror), join, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -283,20 +283,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(a, 0), +0.0 for a -0.0 input.  The pullback rebuilds the mask
+    from the input it holds anyway, so the tape keeps no mask."""
+    ad = a.data
 
     def fn(g):
         if a.requires_grad:
-            accumulate(a, g * mask)
+            accumulate(a, g * (ad > 0))
 
-    return record("relu", (a,), np.where(mask, a.data, 0.0), fn)
+    return record("relu", (a,), np.maximum(ad, 0.0), fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # split by sign so exp never overflows
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def fn(g):
         if a.requires_grad:

@@ -81,19 +81,20 @@ def _grad_batchnorm(rng):
     return worst
 
 
-def _grad_trilinear(rng):
+def _grad_upsample_concat(rng):
     worst = 0.0
     for _ in range(20):
-        c = int(rng.integers(1, 3))
+        c, cm = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         x = rng.normal(0.0, 1.0, (c,) + tuple(
             int(rng.integers(1, 5)) for _ in range(3)))
         target = tuple(int(rng.integers(1, 6)) for _ in range(3))
-        proj = gradcheck.projection((c,) + target, rng)
+        mirror = rng.normal(0.0, 1.0, (cm,) + target)
+        proj = gradcheck.projection((c + cm,) + target, rng)
 
-        def build(xt):
-            return gradcheck.project(ops.trilinear_upsample(xt, target), proj)
+        def build(xt, mt):
+            return gradcheck.project(ops.upsample_concat(xt, mt), proj)
 
-        worst = max(worst, gradcheck.check_grads(build, [x]))
+        worst = max(worst, gradcheck.check_grads(build, [x, mirror]))
     return worst
 
 
@@ -197,7 +198,7 @@ def test_a1_gradient_oracle():
     checks = [
         ("conv3d", _grad_conv3d, 11),
         ("batchnorm", _grad_batchnorm, 12),
-        ("trilinear_upsample", _grad_trilinear, 13),
+        ("upsample_concat", _grad_upsample_concat, 13),
         ("attention", _grad_attention, 15),
         ("dsr_unit", _grad_dsr, 16),
         ("focal_loss", _grad_focal, 18),

@@ -111,13 +111,13 @@ def test_batchnorm_batch_equals_crops(training):
 
 def test_trilinear_batch_equals_crops():
     rng = np.random.default_rng(3)
-    _check(lambda x: ops.trilinear_upsample(x, (4, 9, 7)),
-           [rng.uniform(-1, 1, (2, N, 2, 5, 4))], [], rng)
+    _check(ops.upsample_concat, [rng.uniform(-1, 1, (2, N, 2, 5, 4)),
+                                 rng.uniform(-1, 1, (1, N, 4, 9, 7))], [], rng)
 
 
 def test_concat_batch_equals_crops():
     rng = np.random.default_rng(4)
-    _check(ops.concat_channels, [rng.uniform(-1, 1, (2, N, 2, 3, 3)),
+    _check(ops.upsample_concat, [rng.uniform(-1, 1, (2, N, 2, 3, 3)),
                                  rng.uniform(-1, 1, (3, N, 2, 3, 3))], [], rng)
 
 

@@ -398,22 +398,55 @@ def test_bn_eval_pullback_uses_the_statistics_of_its_forward():
         assert np.array_equal(want, got)
 
 
+def test_bn_eval_allocates_one_output():
+    # the output, centred, divided, scaled and shifted in place, plus
+    # record's finiteness mask, one byte per value; out-of-place scale and
+    # shift would hold three output-sized arrays at once
+    rng = np.random.default_rng(15)
+    x = T.Tensor(rng.uniform(-2, 2, (4, 2, 8, 32, 32)))
+    state = ops.BatchNormState(4)
+    state.running_mean, state.running_var = rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4)
+    gamma, beta = _bn_params(4)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = ops.batchnorm(x, gamma, beta, state, training=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + out.size + (16 << 10), peak
+
+
 # ---------------------------------------------------------------------------
-# resampling
+# the decoder join: resampling, then the mirror on the channel axis
 # ---------------------------------------------------------------------------
+
+def _mirror(x, target, rng=None):
+    """A one-channel mirror for ``x`` at extents ``target``, in ``x``'s
+    dtype: zeros, or uniform draws from ``rng``."""
+    shape = (1,) + x.shape[1:-3] + tuple(target)
+    values = np.zeros(shape) if rng is None else rng.uniform(-1, 1, shape)
+    return T.Tensor(values.astype(x.data.dtype))
+
+
+def _upsampled(x, target):
+    """``x`` resampled to ``target``: the first channels of its join."""
+    x = x if isinstance(x, T.Tensor) else T.Tensor(x)
+    return ops.upsample_concat(x, _mirror(x, target)).data[:x.shape[0]]
+
 
 def test_trilinear_axis_example():
     x = T.Tensor(np.array([0.0, 2.0]).reshape(1, 2, 1, 1))
-    out = ops.trilinear_upsample(x, (4, 1, 1)).data.ravel()
+    out = _upsampled(x, (4, 1, 1)).ravel()
     assert np.allclose(out, [0, 2 / 3, 4 / 3, 2], atol=1e-12)
 
 
 def test_trilinear_identity_and_constant():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, (2, 3, 4, 5))
-    same = ops.trilinear_upsample(T.Tensor(x), (3, 4, 5)).data
+    same = _upsampled(x, (3, 4, 5))
     assert np.allclose(same, x, atol=1e-12)
-    const = ops.trilinear_upsample(T.full((2, 2, 2, 2), 3.5), (5, 7, 3)).data
+    const = _upsampled(T.full((2, 2, 2, 2), 3.5), (5, 7, 3))
     assert np.allclose(const, 3.5, atol=1e-12)
 
 
@@ -427,7 +460,7 @@ def test_trilinear_identity_and_constant():
 def test_trilinear_matches_separable_oracle(shape, target, dtype):
     rng = np.random.default_rng(6)
     x = rng.uniform(-1, 1, shape).astype(dtype)
-    got = ops.trilinear_upsample(T.Tensor(x), target).data
+    got = _upsampled(x, target)
     want = x.astype(np.float64)
     for axis, m in zip(range(x.ndim - 3, x.ndim), target):
         want = np.apply_along_axis(oracles.trilinear_axis_reference, axis, want, m)
@@ -441,7 +474,7 @@ def test_trilinear_matches_separable_oracle(shape, target, dtype):
 def test_trilinear_endpoints_pinned():
     rng = np.random.default_rng(8)
     x = rng.uniform(-1, 1, (1, 4, 3, 3))
-    out = ops.trilinear_upsample(T.Tensor(x), (9, 3, 3)).data
+    out = _upsampled(x, (9, 3, 3))
     assert np.allclose(out[:, 0], x[:, 0], atol=1e-12)
     assert np.allclose(out[:, -1], x[:, -1], atol=1e-12)
 
@@ -449,12 +482,15 @@ def test_trilinear_endpoints_pinned():
 def test_trilinear_gradcheck():
     rng = np.random.default_rng(9)
     for shape in ((2, 3, 4, 3), (2, 2, 3, 4, 3)):
-        proj = gradcheck.projection(shape[:-3] + (5, 6, 3), rng)
+        target = shape[1:-3] + (5, 6, 3)  # crops, if any, and extents
+        proj = gradcheck.projection((shape[0] + 1,) + target, rng)
 
-        def build(x):
-            return gradcheck.project(ops.trilinear_upsample(x, (5, 6, 3)), proj)
+        def build(x, m):
+            return gradcheck.project(ops.upsample_concat(x, m), proj)
 
-        gradcheck.check_grads(build, [rng.uniform(-1, 1, shape)], nonzero=True)
+        gradcheck.check_grads(build, [rng.uniform(-1, 1, shape),
+                                      rng.uniform(-1, 1, (1,) + target)],
+                              nonzero=True)
 
 
 @pytest.mark.parametrize("shape, target", [
@@ -467,24 +503,24 @@ def test_trilinear_pullback_is_adjoint(shape, target):
     # <A x, g> = <x, A^T g>: the pullback is the transpose of the forward
     rng = np.random.default_rng(10)
     x = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
-    g = rng.uniform(-1, 1, shape[:-3] + target)
-    out = ops.trilinear_upsample(x, target)
+    mirror = _mirror(x, target, rng=rng)
+    g = rng.uniform(-1, 1, (shape[0] + 1,) + shape[1:-3] + target)
+    out = ops.upsample_concat(x, mirror)
     T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
-    forward, adjoint = np.sum(out.data * g), np.sum(x.data * x.grad)
+    cx = shape[0]
+    forward, adjoint = np.sum(out.data[:cx] * g[:cx]), np.sum(x.data * x.grad)
     assert abs(forward - adjoint) <= 1e-14 * abs(forward)
 
 
-# ---------------------------------------------------------------------------
-# channel plumbing
-# ---------------------------------------------------------------------------
-
 def test_concat_values_and_grads():
+    # at equal extents the resampling is the identity: the join is the two
+    # maps stacked, and its gradient splits back between them
     rng = np.random.default_rng(13)
     a = rng.uniform(-1, 1, (2, 3, 3, 3))
     b = rng.uniform(-1, 1, (4, 3, 3, 3))
     ta = T.Tensor(a, requires_grad=True)
     tb = T.Tensor(b, requires_grad=True)
-    out = ops.concat_channels(ta, tb)
+    out = ops.upsample_concat(ta, tb)
     assert out.shape == (6, 3, 3, 3)
     assert np.array_equal(out.data[:2], a)
     assert np.array_equal(out.data[2:], b)
@@ -495,5 +531,30 @@ def test_concat_values_and_grads():
 
 
 def test_concat_extent_mismatch():
+    # the spatial extents may differ (x is resampled); rank and crops may not
     with pytest.raises(T.ShapeError):
-        ops.concat_channels(T.zeros((2, 3, 3, 3)), T.zeros((2, 3, 3, 4)))
+        ops.upsample_concat(T.zeros((2, 3, 3, 3)), T.zeros((2, 1, 3, 3, 4)))
+    with pytest.raises(T.ShapeError):
+        ops.upsample_concat(T.zeros((2, 2, 3, 3, 3)), T.zeros((2, 3, 3, 3, 4)))
+    with pytest.raises(T.ShapeError):
+        ops.upsample_concat(T.zeros((2, 3, 3)), T.zeros((2, 3, 3)))
+
+
+def test_upsample_concat_allocates_only_the_join_and_two_passes():
+    # the join, plus the width and height passes of the resampling while
+    # they run; resampling into a map of its own and then copying that into
+    # the join also holds the upsampled map, larger than both passes
+    rng = np.random.default_rng(14)
+    x = T.Tensor(rng.uniform(-1, 1, (8, 2, 4, 16, 16)))
+    mirror = T.Tensor(rng.uniform(-1, 1, (4, 2, 8, 32, 32)))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            join = ops.upsample_concat(x, mirror)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    width = 2 * x.data.nbytes   # (8, 2, 4, 16, 32); upsampled (8, 2, 8, 32, 32) is 8x
+    height = 4 * x.data.nbytes  # (8, 2, 4, 32, 32)
+    assert join.shape == (12, 2, 8, 32, 32)
+    assert peak <= join.data.nbytes + width + height + (64 << 10), peak

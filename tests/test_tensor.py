@@ -56,6 +56,23 @@ def test_nonfinite_rejected():
 def test_relu_values():
     out = T.relu(T.Tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0, 0, 2])
+    assert not np.signbit(T.relu(T.Tensor([-0.0])).data).any()
+
+
+def test_relu_node_holds_only_its_output():
+    # the pullback rebuilds its mask from the input, which the tape holds
+    # anyway; a stored mask would add one byte per value
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.uniform(-1, 1, 1 << 17), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.relu(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + (4 << 10), held
+    T.backward(T.reduce_sum(out))
+    assert np.array_equal(x.grad, x.data > 0)
 
 
 def test_sigmoid_at_zero():
