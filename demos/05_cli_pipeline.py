@@ -47,7 +47,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
     run("classify", "--cube", str(work / "scene.hsc1"),
         "--ckpt", str(work / "model.ckpt"),
-        "--palette", str(work / "scene.palette.csv"),
         "--out-map", str(work / "pred.hsl1"))
 
     run("eval", "--pred", str(work / "pred.hsl1"),

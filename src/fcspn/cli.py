@@ -9,6 +9,7 @@ before any data.  ``train --seed`` is the one flag that overrides a file key.
 """
 
 import argparse
+import colorsys
 import os
 import sys
 from dataclasses import fields
@@ -128,21 +129,34 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
 
-def _check_outputs(*paths) -> None:
-    """FileNotFoundError (exit 3) naming the first output path whose
-    directory does not exist, so a run fails before it reads any data."""
-    for path in paths:
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+def _check_outputs(outputs: Dict[str, str], inputs: Dict[str, Optional[str]]) -> None:
+    """Check a run's paths, each keyed by its flag, before it reads any file.
+
+    ConfigError (exit 2) if an output resolves to the same file as another
+    output or as an input (None for an input not given); FileNotFoundError
+    (exit 3) if an output's directory does not exist.
+    """
+    taken = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"{flag} and {taken[real]} name one file, {path}")
+        taken[real] = flag
+        if not os.path.isdir(os.path.dirname(real)):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
 
 
-def write_ppm(grid: np.ndarray, palette, path) -> None:
-    """Render a class-id grid as a P6 pixmap; id 0 and ids without a color
-    stay black."""
-    colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
-    for cls, red, green, blue, _name in palette:
-        if cls < colors.shape[0]:
-            colors[cls] = (red, green, blue)
+def write_ppm(grid: np.ndarray, classes: int, path) -> None:
+    """Render a grid of class ids 0..``classes`` as a P6 pixmap.
+
+    Id k is the k-th of ``classes`` evenly spaced hues,
+    ``colorsys.hsv_to_rgb((k - 1) / classes, 0.85, 0.95)`` scaled by 255 and
+    rounded; id 0 is black.
+    """
+    colors = np.zeros((classes + 1, 3), dtype=np.uint8)
+    for cls in range(1, classes + 1):
+        rgb = colorsys.hsv_to_rgb((cls - 1) / classes, 0.85, 0.95)
+        colors[cls] = [round(255 * ch) for ch in rgb]
     image = colors[grid]
     height, width = grid.shape
     with open(path, "wb") as fh:
@@ -163,8 +177,6 @@ def cmd_synth(args) -> int:
         raise ConfigError(str(err)) from None
     data.save_cube(cube, f"{args.out}.hsc1")
     data.save_labels(labels, f"{args.out}.hsl1")
-    data.save_palette(data.make_palette(labels.class_names),
-                      f"{args.out}.palette.csv")
     oracle = data.nearest_centroid_oa(cube, labels)
     print(f"wrote {args.out}.hsc1 ({cube.bands}x{cube.rows}x{cube.cols}) "
           f"and {args.out}.hsl1 ({labels.num_classes} classes)")
@@ -173,7 +185,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # every setting is checked before any data is read
+    # every path and setting is checked before any data is read
+    trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
+    split_path = args.out_split or f"{args.out_ckpt}.split.hss1"
+    _check_outputs({"--out-ckpt": args.out_ckpt, "--out-trace": trace,
+                    "--out-split": split_path},
+                   {"--cube": args.cube, "--labels": args.labels,
+                    "--config": args.config})
     cfg = RunConfig(args.config)
     try:
         data.parse_strategy(args.strategy)
@@ -184,9 +202,6 @@ def cmd_train(args) -> int:
     # the model keys, with the smallest valid bands and classes: the data
     # fixes both below
     cfg.build(model.ModelConfig, in_bands=5, num_classes=1)
-    trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
-    split_path = args.out_split or f"{args.out_ckpt}.split.hss1"
-    _check_outputs(args.out_ckpt, trace, split_path)
 
     cube = data.load_cube(args.cube)
     labels = data.load_labels(args.labels)
@@ -224,10 +239,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # a bad palette or output path fails here, before any output exists
     ppm = args.out_ppm or f"{args.out_map}.ppm"
-    _check_outputs(args.out_map, ppm)
-    palette = data.load_palette(args.palette) if args.palette else None
+    _check_outputs({"--out-map": args.out_map, "--out-ppm": ppm},
+                   {"--cube": args.cube, "--ckpt": args.ckpt})
     cube = data.load_cube(args.cube)
     net = model.load_checkpoint(args.ckpt)
     if net.config.in_bands != cube.bands:
@@ -242,13 +256,14 @@ def cmd_classify(args) -> int:
     names = [f"class_{cls}" for cls in range(1, net.config.num_classes + 1)]
     predicted = data.LabelMap(grid, names)
     data.save_labels(predicted, args.out_map)
-    palette = palette if palette is not None else data.make_palette(names)
-    write_ppm(grid, palette, ppm)
+    write_ppm(grid, net.config.num_classes, ppm)
     print(f"wrote {args.out_map}, {ppm}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    _check_outputs({"--out-csv": args.out_csv} if args.out_csv else {},
+                   {"--pred": args.pred, "--ref": args.ref, "--split": args.split})
     pred = data.load_labels(args.pred)
     ref = data.load_labels(args.ref)
     mask = data.load_split(args.split).test if args.split else None
@@ -310,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="propagation steps, 0 for the unrefined map (default: checkpoint)")
     p.add_argument("--out-map", required=True, help="HSL1 output path")
     p.add_argument("--out-ppm", help="P6 pixmap (default <out-map>.ppm)")
-    p.add_argument("--palette", help="palette CSV (default: generated)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("eval", help="score a prediction against reference labels")

@@ -11,8 +11,6 @@ Voronoi regions with smooth per-class spectra so that a nearest-centroid
 oracle can certify separability before any training happens.
 """
 
-import colorsys
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -331,8 +329,10 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
     """A ``size`` x ``size`` scene of Voronoi regions with per-class bump
     spectra plus white noise.
 
-    Every pixel is labeled and every class has a region; ValueError if
-    none of 100 layouts gives each class a pixel.  Same seed, same scene.
+    Every pixel is labeled and every class has a region; ValueError,
+    before anything is drawn, if the scene has fewer pixels than classes,
+    and if none of 100 layouts gives each class a pixel.  Same seed, same
+    scene.
     """
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
@@ -341,6 +341,9 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
                          f"got {bands} and {noise}")
     if size < 1:
         raise ValueError(f"scene must be at least 1x1, got {size}x{size}")
+    if classes > size * size:
+        raise ValueError(f"a {size}x{size} scene has {size * size} pixels, too few "
+                         f"to give each of {classes} classes a pixel")
 
     rng = np.random.default_rng(seed)
     signatures = _draw_signatures(rng, classes, bands)
@@ -385,42 +388,3 @@ def nearest_centroid_oa(cube: HsiCube, labels: LabelMap) -> float:
     predicted = dist2.argmin(axis=1) + 1
     return float((predicted == flat[labeled]).mean())
 
-
-# ---------------------------------------------------------------------------
-# palettes
-# ---------------------------------------------------------------------------
-
-def make_palette(class_names: Sequence[str]) -> List[Tuple[int, int, int, int, str]]:
-    """(class_id, r, g, b, name) rows; hues spread evenly around the wheel."""
-    rows = []
-    for cls, name in enumerate(class_names, start=1):
-        hue = (cls - 1) / len(class_names)
-        rgb = colorsys.hsv_to_rgb(hue, 0.85, 0.95)
-        rows.append((cls, *(int(round(255 * ch)) for ch in rgb), name))
-    return rows
-
-
-def save_palette(rows: Sequence[Tuple[int, int, int, int, str]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["class_id", "r", "g", "b", "name"])
-        for row in rows:
-            out.writerow(row)
-
-
-def load_palette(path) -> List[Tuple[int, int, int, int, str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["class_id", "r", "g", "b", "name"]:
-            raise FormatError(f"palette header must be class_id,r,g,b,name, got {header}")
-        rows = []
-        for record in reader:
-            if len(record) != 5:
-                raise FormatError(f"palette row needs 5 fields, got {record}")
-            cls, red, green, blue = (int(field) for field in record[:4])
-            if cls < 0 or not all(0 <= c <= 255 for c in (red, green, blue)):
-                raise FormatError(
-                    f"palette row needs class_id >= 0 and r,g,b in 0..255, got {record}")
-            rows.append((cls, red, green, blue, record[4]))
-    return rows

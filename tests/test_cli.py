@@ -1,4 +1,5 @@
 import argparse
+import colorsys
 import os
 import re
 import struct
@@ -92,9 +93,7 @@ def test_synth_defaults(tmp_path, capsys):
     out = capsys.readouterr().out
     match = re.search(r"nearest-centroid OA: ([0-9.]+)", out)
     assert match and float(match.group(1)) > 0.99
-    assert (tmp_path / "s.hsc1").exists()
-    assert (tmp_path / "s.hsl1").exists()
-    assert (tmp_path / "s.palette.csv").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.hsc1", "s.hsl1"]
     cube = data.load_cube(tmp_path / "s.hsc1")
     assert (cube.bands, cube.rows, cube.cols) == (20, 32, 32)
 
@@ -107,8 +106,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                            "--out", str(tmp_path / "s"), "--size", "9"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    for suffix in (".hsc1", ".hsl1", ".palette.csv"):
-        assert (tmp_path / f"s{suffix}").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.hsc1", "s.hsl1"]
 
 
 def test_synth_heavy_noise_degrades(tmp_path, capsys):
@@ -414,6 +412,25 @@ def test_classify_outputs(workdir, tmp_path):
     assert len(raw) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
 
 
+def test_classify_ppm_colours_class_k_with_the_kth_hue(workdir, tmp_path):
+    # of K classes, class k is hue (k - 1) / K at saturation 0.85, value 0.95
+    out_map = tmp_path / "pred.hsl1"
+    assert cli.main(_classify_args(workdir, out_map)) == 0
+    grid = data.load_labels(out_map).grid
+    classes = model.load_checkpoint(workdir / "model.ckpt").config.num_classes
+    wheel = np.array([(0, 0, 0)] + [
+        tuple(int(round(255 * ch))
+              for ch in colorsys.hsv_to_rgb((k - 1) / classes, 0.85, 0.95))
+        for k in range(1, classes + 1)], dtype=np.uint8)
+    assert len(set(map(tuple, wheel[1:]))) == classes
+    height, width = grid.shape
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    raw = (tmp_path / "pred.hsl1.ppm").read_bytes()
+    assert raw[:len(header)] == header
+    image = np.frombuffer(raw[len(header):], dtype=np.uint8)
+    assert np.array_equal(image.reshape(height, width, 3), wheel[grid])
+
+
 @pytest.mark.parametrize("flag", ["--out-map", "--out-ppm"])
 def test_classify_missing_output_directory_fails_before_any_work(workdir, tmp_path,
                                                                  capsys, monkeypatch,
@@ -550,48 +567,6 @@ def test_classify_band_mismatch(workdir, tmp_path):
     assert rc == 3
 
 
-def test_classify_palette_file(workdir, tmp_path):
-    palette = tmp_path / "p.csv"
-    data.save_palette([(1, 255, 0, 0, "a"), (2, 0, 0, 255, "b")], palette)
-    out_map = tmp_path / "pal.hsl1"
-    assert cli.main(_classify_args(workdir, out_map, "--palette", str(palette),
-                                   "--out-ppm", str(tmp_path / "pal.ppm"))) == 0
-    raw = (tmp_path / "pal.ppm").read_bytes()
-    body = raw.split(b"\n255\n", 1)[1]
-    pixels = {tuple(body[k: k + 3]) for k in range(0, len(body), 3)}
-    assert pixels <= {(255, 0, 0), (0, 0, 255)}
-
-
-@pytest.mark.parametrize("row, message", [
-    ("-1,255,0,0,x", "class_id >= 0"),
-    ("1,300,0,0,x", "0..255"),
-    ("1,255,0,0", "5 fields"),
-], ids=["negative-class", "channel-range", "four-fields"])
-def test_classify_bad_palette_row_is_data_error(workdir, tmp_path, capsys,
-                                                row, message):
-    palette = tmp_path / "p.csv"
-    palette.write_text(f"class_id,r,g,b,name\n{row}\n")
-    rc = cli.main(_classify_args(workdir, tmp_path / "pal.hsl1",
-                                 "--palette", str(palette)))
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert message in err and str(row.split(",")) in err
-
-
-def test_classify_bad_palette_fails_before_inference(workdir, tmp_path, monkeypatch):
-    palette = tmp_path / "p.csv"
-    palette.write_text("class_id,r,g,b,name\n1,300,0,0,x\n")
-
-    def no_inference(*args, **kwargs):
-        raise AssertionError("inference ran before the palette was checked")
-
-    monkeypatch.setattr(model.FcspnModel, "forward_refined", no_inference)
-    rc = cli.main(_classify_args(workdir, tmp_path / "pal.hsl1",
-                                 "--palette", str(palette)))
-    assert rc == 3
-    assert not (tmp_path / "pal.hsl1").exists()
-
-
 def test_classify_max_steps_accepted(workdir, tmp_path):
     steps = str(model.MAX_CSPN_STEPS)
     assert cli.main(_classify_args(workdir, tmp_path / "s.hsl1", "--steps", steps)) == 0
@@ -642,3 +617,75 @@ def test_eval_disjoint_split_errors(workdir, tmp_path):
                    "--ref", str(workdir / "scene.hsl1"),
                    "--split", str(tmp_path / "empty.hss1")])
     assert rc == 3
+
+
+def test_eval_missing_output_directory_fails_before_any_work(workdir, tmp_path, capsys,
+                                                             monkeypatch):
+    def no_read(*args):
+        raise AssertionError("a label map was read")
+
+    monkeypatch.setattr(data, "load_labels", no_read)
+    missing = str(tmp_path / "nodir" / "report.csv")
+    rc = cli.main(["eval", "--pred", str(workdir / "scene.hsl1"),
+                   "--ref", str(workdir / "scene.hsl1"), "--out-csv", missing])
+    assert rc == 3
+    assert missing in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# one file per path
+# ---------------------------------------------------------------------------
+
+_TRAIN = ["train", "--cube", "scene.hsc1", "--labels", "scene.hsl1",
+          "--config", "tiny.cfg", "--strategy", "per_class:20"]
+_CLASSIFY = ["classify", "--cube", "scene.hsc1", "--ckpt", "model.ckpt"]
+_EVAL = ["eval", "--pred", "scene.hsl1", "--ref", "scene.hsl1",
+         "--split", "model.ckpt.split.hss1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_TRAIN + ["--out-ckpt", "m.ckpt", "--out-split", "m.ckpt"],
+     "--out-split and --out-ckpt"),
+    (_TRAIN + ["--out-ckpt", "m.ckpt", "--out-split", "m.ckpt.trace.csv"],
+     "--out-split and --out-trace"),
+    (_TRAIN + ["--out-ckpt", "scene.hsc1"], "--out-ckpt and --cube"),
+    (_TRAIN + ["--out-ckpt", "m.ckpt", "--out-trace", "./sub/../tiny.cfg"],
+     "--out-trace and --config"),
+    (_TRAIN + ["--out-ckpt", "link.ckpt"], "--out-ckpt and --labels"),
+    (_CLASSIFY + ["--out-map", "q.hsl1", "--out-ppm", "q.hsl1"],
+     "--out-ppm and --out-map"),
+    (_CLASSIFY + ["--out-map", "model.ckpt"], "--out-map and --ckpt"),
+    (_CLASSIFY + ["--out-map", "q.hsl1", "--out-ppm", "scene.hsc1"],
+     "--out-ppm and --cube"),
+    (_EVAL + ["--out-csv", "scene.hsl1"], "--out-csv and --ref"),
+    (_EVAL + ["--out-csv", "link.ckpt"], "--out-csv and --ref"),
+    (_EVAL + ["--out-csv", "model.ckpt.split.hss1"], "--out-csv and --split"),
+], ids=["train-split-on-ckpt", "train-split-on-default-trace", "train-ckpt-on-cube",
+        "train-trace-on-config", "train-ckpt-symlink-to-labels",
+        "classify-ppm-on-map", "classify-map-on-ckpt", "classify-ppm-on-cube",
+        "eval-csv-on-labels", "eval-csv-symlink-to-labels", "eval-csv-on-split"])
+def test_two_paths_of_one_run_naming_one_file_exit_2(workdir, tmp_path, monkeypatch,
+                                                     capsys, argv, message):
+    for name in ("scene.hsc1", "scene.hsl1", "tiny.cfg", "model.ckpt",
+                 "model.ckpt.split.hss1"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.ckpt").symlink_to("scene.hsl1")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()
+              if path.is_file()}
+
+    def no_read(*args):
+        raise AssertionError("an input was read")
+
+    for module, name in ((data, "load_cube"), (data, "load_labels"),
+                         (data, "load_split"), (model, "load_checkpoint")):
+        monkeypatch.setattr(module, name, no_read)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "config error" in err and message in err
+    assert out == ""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+            if path.is_file()} == before

@@ -396,11 +396,26 @@ def test_synth_heavy_noise_degrades_oracle():
 
 
 def test_synth_refuses_a_scene_without_every_class():
-    # one pixel cannot hold 3 classes; no layout of seed 0's 2x2 scene holds 5
+    # one pixel cannot hold 3 classes, nor four pixels 5
     with pytest.raises(ValueError, match="each of 3 classes"):
         D.synth_scene(classes=3, size=1)
     with pytest.raises(ValueError, match="each of 5 classes"):
         D.synth_scene(classes=5, size=2, seed=0)
+
+
+def test_synth_refuses_more_classes_than_pixels_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("signatures were drawn")
+
+    monkeypatch.setattr(D, "_draw_signatures", no_draw)
+    with pytest.raises(ValueError, match="64 pixels, too few .* each of 1000 classes"):
+        D.synth_scene(classes=1000, size=8)
+    with pytest.raises(AssertionError, match="signatures were drawn"):
+        D.synth_scene(classes=9, size=3)  # as many classes as pixels
+    monkeypatch.undo()
+    # ... which no layout of seed 0 gives every class
+    with pytest.raises(ValueError, match="no Voronoi layout .* each of 9 classes"):
+        D.synth_scene(classes=9, size=3, bands=4)
 
 
 def test_synth_validation():
@@ -409,23 +424,3 @@ def test_synth_validation():
     with pytest.raises(ValueError):
         D.synth_scene(noise=-0.1)
 
-
-# ---------------------------------------------------------------------------
-# palettes
-# ---------------------------------------------------------------------------
-
-def test_palette_round_trip(tmp_path):
-    rows = D.make_palette(["corn", "oats", "soil"])
-    assert [r[0] for r in rows] == [1, 2, 3]
-    assert len({r[1:4] for r in rows}) == 3  # distinct colors
-    path = tmp_path / "palette.csv"
-    D.save_palette(rows, path)
-    assert path.read_text().splitlines()[0] == "class_id,r,g,b,name"
-    assert D.load_palette(path) == rows
-
-
-def test_palette_bad_header(tmp_path):
-    path = tmp_path / "palette.csv"
-    path.write_text("id,r,g,b\n1,0,0,0\n")
-    with pytest.raises(FormatError):
-        D.load_palette(path)
