@@ -67,6 +67,8 @@ class LabelMap:
         grid = np.asarray(self.grid)
         if grid.ndim != 2 or min(grid.shape) < 1:
             raise FormatError(f"label grid must be (H, W), got {grid.shape}")
+        if grid.dtype.kind not in "iu":
+            raise FormatError(f"label ids must be integers, got a {grid.dtype} grid")
         if len(self.class_names) > _MAX_CLASS_ID:
             raise FormatError(f"class ids are uint16, so at most {_MAX_CLASS_ID} "
                               f"classes; got {len(self.class_names)} names")

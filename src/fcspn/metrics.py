@@ -49,6 +49,9 @@ def confusion(pred, ref, mask=None,
     """
     pred_grid = _grid(pred)
     ref_grid = _grid(ref)
+    for name, grid in (("prediction", pred_grid), ("reference", ref_grid)):
+        if grid.dtype.kind not in "iu":
+            raise ValueError(f"{name} ids must be integers, got a {grid.dtype} grid")
     if pred_grid.shape != ref_grid.shape:
         raise ValueError(
             f"prediction {pred_grid.shape} and reference {ref_grid.shape} disagree")

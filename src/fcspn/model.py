@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -216,26 +216,16 @@ class FcspnModel:
 
     # -- shape bookkeeping ---------------------------------------------------
 
-    def shape_plan(self, height: int, width: int) -> List[Tuple[str, Tuple[int, ...]]]:
-        """Extents of every stage for an input of the configured band count."""
+    def deepest_extents(self, height: int, width: int) -> Tuple[int, int, int]:
+        """(D, H, W) of the last down block's output for an input of the
+        configured band count; :class:`ShapeError` below ``MIN_SPATIAL``."""
         if height < self.MIN_SPATIAL or width < self.MIN_SPATIAL:
             raise ShapeError(
                 f"spatial extents must be >= {self.MIN_SPATIAL}, got {height}x{width}")
-        b = self.config.base_channels
-        plan = [("input", (1, self.config.in_bands, height, width))]
         ext = self.stem_conv.spec.out_extents((self.config.in_bands, height, width))
-        plan.append(("stem", (b,) + ext))
-        mirrors = []
-        ch = b
-        for i, down in enumerate(self.downs):
-            mirrors.append((ch,) + ext)
-            ch *= 2
+        for down in self.downs:
             ext = down.out_extents(ext)
-            plan.append((f"down{i + 1}", (ch,) + ext))
-        for i, mirror in enumerate(reversed(mirrors)):
-            plan.append((f"up{i + 1}", mirror))
-        plan.append(("head", (self.config.num_classes, height, width)))
-        return plan
+        return ext
 
     def _as_input(self, x: Tensor) -> Tensor:
         """``x`` as the (1, N, B, H, W) batch the layers take, in the
@@ -249,7 +239,7 @@ class FcspnModel:
         if x.shape[2] != self.config.in_bands:
             raise ShapeError(
                 f"model expects {self.config.in_bands} bands, got {x.shape[2]}")
-        self.shape_plan(x.shape[3], x.shape[4])  # validates spatial extents
+        self.deepest_extents(x.shape[3], x.shape[4])  # validates spatial extents
         return T.astype(x, self.dtype)
 
     # -- inference -----------------------------------------------------------

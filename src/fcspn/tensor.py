@@ -57,7 +57,8 @@ def _as_float(data) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # min and max reach every NaN and infinity without a bool temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -151,10 +152,10 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     ``fn`` is only retained (and the output only marked ``requires_grad``)
     when grad mode is enabled and at least one input requires grad.
     """
-    _check_finite(out_data, op)
     needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = _as_float(out_data)
+    _check_finite(out.data, op)
     out.requires_grad = needs
     out.grad = None
     if needs:
@@ -192,6 +193,8 @@ def backward(loss: Tensor) -> None:
     if not _TAPE:
         raise RuntimeError("backward called with an empty tape "
                            "(no recorded forward, or tape already consumed)")
+    if not any(node.out is loss for node in _TAPE):
+        raise RuntimeError("backward called on a loss the tape did not record")
     try:
         accumulate(loss, np.ones_like(loss.data))
         # pop in place, never rebind: observers may hold the list itself

@@ -173,12 +173,12 @@ def _sample_crop(rng, height, width, crop, train_labels):
 def fit_crop(model: FcspnModel, crop_size: Tuple[int, int],
              height: int, width: int) -> Tuple[int, int]:
     """``crop_size`` clamped to the scene; :class:`ShapeError` if ``model``
-    cannot train on that crop (``shape_plan`` rejects it or down3 is one voxel)."""
+    cannot train on it (under ``MIN_SPATIAL``, or a one-voxel deepest block)."""
     ch, cw = min(crop_size[0], height), min(crop_size[1], width)
-    deepest = dict(model.shape_plan(ch, cw))["down3"]
-    if int(np.prod(deepest[1:])) == 1:
+    deepest = model.deepest_extents(ch, cw)
+    if int(np.prod(deepest)) == 1:
         raise ShapeError(
-            f"crop {ch}x{cw} leaves down3 a single voxel {deepest[1:]}, so its "
+            f"crop {ch}x{cw} leaves down3 a single voxel {deepest}, so its "
             "batch normalization has one element per channel and passes no "
             "gradient; use a larger crop")
     return ch, cw

@@ -29,6 +29,14 @@ def test_labelmap_rejects_out_of_range():
         D.LabelMap(np.array([[0, 3]]), ["a", "b"])
 
 
+def test_labelmap_rejects_non_integer_ids():
+    # a cast to uint16 would turn [[0.6, 1.9]] into [[0, 1]]
+    with pytest.raises(FormatError, match="must be integers"):
+        D.LabelMap(np.array([[0.6, 1.9]]), ["a", "b"])
+    with pytest.raises(FormatError, match="must be integers"):
+        D.LabelMap(np.array([[0.0, 1.0]]), ["a", "b"])
+
+
 def test_split_rejects_overlap():
     ones = np.ones((2, 2), dtype=bool)
     with pytest.raises(FormatError):

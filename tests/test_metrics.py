@@ -48,6 +48,15 @@ def test_confusion_pred_out_of_range():
         ME.confusion(np.array([[0, 2]]), ref, classes=2)
 
 
+def test_confusion_rejects_non_integer_ids():
+    # a cast would read 1.9 as 1 and 2.7 as 2 and score a perfect map
+    ref = D.LabelMap(np.array([[1, 2]]), ["a", "b"])
+    with pytest.raises(ValueError, match="prediction ids must be integers"):
+        ME.confusion(np.array([[1.9, 2.7]]), ref)
+    with pytest.raises(ValueError, match="reference ids must be integers"):
+        ME.confusion(np.array([[1, 2]]), np.array([[1.0, 2.0]]))
+
+
 def test_unlabeled_reference_ignored():
     ref = np.array([[0, 1], [2, 0]])
     pred = np.array([[2, 1], [2, 1]])  # wrong only where unlabeled

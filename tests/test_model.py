@@ -21,27 +21,42 @@ def _tiny(bands=20, classes=3, base=2, **kw):
 
 
 # ---------------------------------------------------------------------------
-# shape plan
+# extents
 # ---------------------------------------------------------------------------
 
 def test_stem_extent_examples():
     m = M.build(_tiny(bands=204, base=4))
-    assert dict(m.shape_plan(64, 64))["stem"] == (4, 41, 64, 64)
+    assert m.stem_conv.spec.out_extents((204, 64, 64)) == (41, 64, 64)
     m = M.build(_tiny(bands=20, base=4))
-    assert dict(m.shape_plan(32, 32))["stem"] == (4, 4, 32, 32)
+    assert m.stem_conv.spec.out_extents((20, 32, 32)) == (4, 32, 32)
 
 
 def test_down_chain_doubles_and_halves():
     m = M.build(M.ModelConfig(in_bands=200, num_classes=3, base_channels=16))
-    plan = dict(m.shape_plan(64, 64))
-    assert plan["stem"] == (16, 40, 64, 64)
-    assert plan["down1"] == (32, 20, 32, 32)
-    assert plan["down2"] == (64, 10, 16, 16)
-    assert plan["down3"] == (128, 5, 8, 8)
-    assert plan["up1"] == (64, 10, 16, 16)
-    assert plan["up2"] == (32, 20, 32, 32)
-    assert plan["up3"] == (16, 40, 64, 64)
-    assert plan["head"] == (3, 64, 64)
+    ext = m.stem_conv.spec.out_extents((200, 64, 64))
+    assert ext == (40, 64, 64)
+    for down, channels, halved in zip(m.downs, (32, 64, 128),
+                                      ((20, 32, 32), (10, 16, 16), (5, 8, 8))):
+        assert down.conv_b.w.shape[0] == channels
+        ext = down.out_extents(ext)
+        assert ext == halved
+    assert m.deepest_extents(64, 64) == (5, 8, 8)
+
+
+@pytest.mark.parametrize("bands,height,width", [(20, 9, 13), (37, 16, 10)])
+def test_deepest_extents_match_the_forward(bands, height, width, monkeypatch):
+    # the first up block joins down3's output with its mirror
+    joined = []
+    join = ops.upsample_concat
+
+    def spy(x, mirror):
+        joined.append(x.shape)
+        return join(x, mirror)
+
+    monkeypatch.setattr(ops, "upsample_concat", spy)
+    m = M.build(_tiny(bands=bands, base=2), np.random.default_rng(3))
+    m.forward(T.zeros((bands, height, width)))
+    assert joined[0][2:] == m.deepest_extents(height, width)
 
 
 def test_down_block_ceil_division():

@@ -49,6 +49,37 @@ def test_nonfinite_rejected():
         T.Tensor([1.0, float("nan")])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "+inf", "-inf"])
+def test_each_nonfinite_value_rejected_in_a_tensor_and_an_op(bad):
+    values = np.zeros((3, 4))
+    values[1, 2] = bad
+    with pytest.raises(T.NumericError, match="tensor"):
+        T.Tensor(values)
+    # every op output goes through record
+    x = T.Tensor(np.zeros((3, 4)), requires_grad=True)
+    with pytest.raises(T.NumericError, match="probe"):
+        T.record("probe", [x], values, lambda g: None)
+    assert T.tape_size() == 0
+
+
+def test_empty_tensor_passes_the_finite_check():
+    assert T.Tensor(np.zeros(0)).size == 0
+
+
+def test_finite_check_allocates_no_temporary():
+    # a bool mask of the values would hold one byte per value, 2 MiB here
+    values = np.random.default_rng(0).uniform(-1, 1, 1 << 21).astype(np.float32)
+    tracemalloc.start()
+    try:
+        T.Tensor(values)
+        T.record("probe", [], values, lambda g: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+
+
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
@@ -150,6 +181,21 @@ def test_backward_requires_scalar():
     y = T.mul(x, T.Tensor(2.0))
     with pytest.raises(T.ShapeError):
         T.backward(y)
+
+
+def test_backward_refuses_a_loss_off_the_tape():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    y = T.reduce_sum(x)
+    with T.no_grad():
+        unrecorded = T.reduce_sum(x)
+    for loss in (T.Tensor(2.0), unrecorded):
+        with pytest.raises(RuntimeError, match="did not record"):
+            T.backward(loss)
+        assert loss.grad is None
+    # the refusal leaves the tape for the real loss
+    assert T.tape_size() == 1 and x.grad is None
+    T.backward(y)
+    assert np.array_equal(x.grad, [1.0, 1.0])
 
 
 def test_second_backward_rejected():

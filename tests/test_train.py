@@ -430,13 +430,34 @@ def test_first_step_reaches_every_parameter(crop, prefixes):
     assert not dead, f"no loss gradient reaches {dead}"
 
 
+def test_minimum_extent_and_single_voxel_rules_both_hold():
+    # at 100 bands and 4x4 the layers would give down3 (3, 1, 1), more than
+    # one voxel, so only the minimum extent rejects that input
+    wide = M.build(M.ModelConfig(in_bands=100, num_classes=3, base_channels=2))
+    ext = wide.stem_conv.spec.out_extents((100, 4, 4))
+    for down in wide.downs:
+        ext = down.out_extents(ext)
+    assert ext == (3, 1, 1)
+    with pytest.raises(T.ShapeError, match="spatial extents must be >= 8, got 4x4"):
+        wide.forward(T.zeros((100, 4, 4)))
+    with pytest.raises(T.ShapeError, match="spatial extents must be >= 8, got 4x4"):
+        TR.fit_crop(wide, (4, 4), 16, 16)
+    # at 20 bands and 8x8 the input is accepted, and only the crop rule
+    # rejects training on it
+    narrow = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=2))
+    assert narrow.forward(T.zeros((20, 8, 8))).shape == (3, 8, 8)
+    with pytest.raises(T.ShapeError, match="leaves down3 a single voxel"):
+        TR.fit_crop(narrow, (8, 8), 16, 16)
+    assert TR.fit_crop(narrow, (9, 9), 16, 16) == (9, 9)
+
+
 def test_train_rejects_crop_with_single_voxel_down3():
     # at 8x8 and 20 bands down3 is 1x1x1: its batchnorm would see one
     # element per channel and pass no gradient to any down3 tensor
     cube, labels = D.synth_scene(classes=3, size=16, bands=20, noise=0.02, seed=21)
     model = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=2,
                                   cspn_steps=2), np.random.default_rng(21))
-    assert dict(model.shape_plan(8, 8))["down3"][1:] == (1, 1, 1)
+    assert model.deepest_extents(8, 8) == (1, 1, 1)
     before = {path: t.data.copy() for path, t in model.params.items()}
     states = [(s.running_mean.copy(), s.running_var.copy())
               for _, s in model.params.states()]
