@@ -17,7 +17,9 @@ with (a, b) running over :data:`OFFSETS` and off-image neighbors reading
 zero.  The implementation uses the algebraically equal form
 ``h + sum_n kappa_n * (shift_n(h) - h)``, which makes a constant map an
 exact fixed point at interior pixels and makes all-zero affinities an exact
-identity.
+identity.  Each step reads its shifts from a zero-padded copy of the map;
+the pullback pads the map it holds again, so the tape keeps no padded copy
+between forward and backward.
 """
 
 from __future__ import annotations
@@ -84,18 +86,21 @@ def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
     hd, kd = h.data, kappa.data
     nh, nw = hd.shape[-2:]
 
-    # every shift is a window of one zero-padded buffer; the h-pullback
-    # scatters into the same layout along the transposed stencil
-    hp = np.pad(hd, ((0, 0),) * (hd.ndim - 2) + ((1, 1), (1, 1)))
+    # every shift is a window of one zero-padded copy of h, and the
+    # h-pullback scatters into the same layout along the transposed stencil.
+    # The forward's copy dies when it returns; the pullback pads h again,
+    # so the tape holds no padded map between forward and backward.
+    pad = ((0, 0),) * (hd.ndim - 2) + ((1, 1), (1, 1))
     windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
                for a, b in OFFSETS]
     inside = (Ellipsis, slice(1, -1), slice(1, -1))
-    shifts = [hp[win] for win in windows]
+    hp = np.pad(hd, pad)
     out = hd.copy()
-    for idx in range(8):
-        out += kd[idx] * (shifts[idx] - hd)
+    for idx, win in enumerate(windows):
+        out += kd[idx] * (hp[win] - hd)
 
     def fn(g):
+        hp = np.pad(hd, pad)
         if h.requires_grad:
             gp = np.zeros_like(hp)
             gp[inside] = g * (1.0 - kd.sum(axis=0))
@@ -103,7 +108,8 @@ def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
                 gp[win] += kd[idx] * g
             accumulate(h, gp[inside])
         if kappa.requires_grad:
-            accumulate(kappa, np.stack([(g * (s - hd)).sum(axis=0) for s in shifts]))
+            accumulate(kappa, np.stack([(g * (hp[win] - hd)).sum(axis=0)
+                                        for win in windows]))
 
     return record("propagate_step", (h, kappa), out, fn)
 
@@ -125,11 +131,12 @@ def refine(logits: Tensor, kappa: Tensor, steps: int) -> Tensor:
 class AffinityBranch:
     """Two-layer head from the decoder's spectral-mean plane to raw affinities.
 
-    Two 3x3 in-plane convolutions (normalization and ReLU between them) turn
-    the (C, N, 1, H, W) plane into one channel per neighbor offset; they are
-    ``ops.Conv``/``ops.Norm`` layers registered under ``path`` like the rest
-    of the network.  The head starts at zero so refinement begins as the
-    identity and cannot disturb the score map early on.
+    Two 3x3 in-plane convolutions, with an ``ops.Norm`` (normalization
+    ending in the ReLU) between them, turn the (C, N, 1, H, W) plane into
+    one channel per neighbor offset; they are ``ops.Conv``/``ops.Norm``
+    layers registered under ``path`` like the rest of the network.  The
+    head starts at zero so refinement begins as the identity and cannot
+    disturb the score map early on.
     """
 
     def __init__(self, params: ops.ModelParams, path: str, channels: int,
@@ -146,5 +153,5 @@ class AffinityBranch:
         if plane.data.ndim not in (4, 5) or plane.shape[-3] != 1:
             raise ShapeError(
                 f"plane must have shape (C, N, 1, H, W) or (C, 1, H, W), got {plane.shape}")
-        raw = self.head(T.relu(self.norm(self.mix(plane), training)))
+        raw = self.head(self.norm(self.mix(plane), training))
         return T.reshape(raw, (8,) + raw.shape[1:-3] + raw.shape[-2:])

@@ -4,7 +4,8 @@ Layout, reading a ``(1, N, B, H, W)`` batch of N cubes (or one cube,
 ``(1, B, H, W)`` or ``(B, H, W)``) down to per-pixel class scores; every
 layer carries the crop axis N and reduces per crop.  One conv pair,
 conv -> norm -> relu -> conv -> norm -> relu with a (kernel, stride) per
-conv, builds every double convolution below:
+conv, builds every double convolution below.  Each norm -> relu is one op,
+``ops.Norm``, so the tape holds one map per normalization:
 
 * stem: conv(5,1,1)/stride(5,1,1) -> norm -> relu, compressing the spectral
   axis by five while widening to ``base_channels``;
@@ -101,8 +102,8 @@ class _ConvPair:
         if mirror is not None:
             x = ops.upsample_concat(x, mirror)
         x = self.conv_a(x)
-        x = T.relu(self.norm_a(x, training))
-        return T.relu(self.norm_b(self.conv_b(x), training))
+        x = self.norm_a(x, training)
+        return self.norm_b(self.conv_b(x), training)
 
     def out_extents(self, extents):
         return self.conv_b.spec.out_extents(self.conv_a.spec.out_extents(extents))
@@ -248,7 +249,7 @@ class FcspnModel:
         """(logits (K, N, H, W), spectral-mean plane (C, N, 1, H, W) of the
         decoder output)."""
         x = self._as_input(x)
-        t = T.relu(self.stem_norm(self.stem_conv(x), training))
+        t = self.stem_norm(self.stem_conv(x), training)
         mirrors = []
         for down in self.downs:
             mirrors.append(t)

@@ -17,11 +17,14 @@ slab by slab for the weight gradient, and computes the input gradient as
 the correlation of the output gradient with the flipped, transposed
 kernel, one call of the routine per stride phase.
 
-:func:`batchnorm` centres its input into one fresh array and divides,
-scales and shifts in place in it.  :func:`upsample_concat`, the decoder's
-join, resamples a map to its mirror's extents and stacks the two on the
-channel axis in one array it allocates once: the last resampling GEMM
-writes straight into the join's first channels.
+:func:`batchnorm` is a normalization and the ReLU that follows it, as one
+op: it centres its input into one fresh array and divides, scales, shifts
+and clamps at zero in place in it.  Its pullback takes the ReLU's mask
+from that output, so the map before the ReLU is never held on the tape.
+:func:`upsample_concat`, the decoder's join, resamples a map to its
+mirror's extents and stacks the two on the channel axis in one array it
+allocates once: the last resampling GEMM writes straight into the join's
+first channels.
 
 :class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
 layers that own their tensors and register them, with the running
@@ -284,8 +287,10 @@ class BatchNormState:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               training: bool) -> Tensor:
-    """Normalize each crop of ``x`` (C,N,D,H,W) over its voxels, then scale
-    and shift; ``x`` may also be the one-crop view (C,D,H,W).
+    """Normalize each crop of ``x`` (C,N,D,H,W) over its voxels, scale and
+    shift, then apply the ReLU that follows every normalization in the
+    network: ``relu(gamma * xhat + beta)``.  ``x`` may also be the
+    one-crop view (C,D,H,W).
 
     Training mode normalizes each (channel, crop) with its biased
     statistics and folds them into the running estimates (0.9 old + 0.1
@@ -294,9 +299,13 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     with the running estimates alone.
 
     The forward allocates one output-sized array, the centred input, and
-    divides, scales and shifts in place in it.  The pullback keeps the
-    input and the per-(channel, crop) statistics, not a normalized copy of
-    the input, and recomputes that copy from them.
+    divides, scales, shifts and clamps at zero in place in it, so the map
+    before the ReLU is never a tape output (one stored map where a norm
+    feeds its activation, as in Rota Bulò et al., arXiv 1712.02616).  The
+    pullback keeps the input, its own output and the per-(channel, crop)
+    statistics, not a normalized copy of the input: it masks the gradient
+    by ``out > 0``, which equals the pre-ReLU ``y > 0``, and recomputes the
+    normalized input from the input and the statistics.
     In eval mode it keeps the running mean array of the forward: an update
     replaces that array and never writes into it.
     """
@@ -314,7 +323,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         if xd[0, 0].size == 1:
             warnings.warn(
                 "batchnorm over a single element per channel; variance is "
-                "zero and the output reduces to the shift parameter",
+                "zero and the output reduces to relu(shift)",
                 RuntimeWarning)
         mu = xd.mean(axis=axes, keepdims=True)
         centered = xd - mu
@@ -330,20 +339,23 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         var = state.running_var[expand]
 
     s = np.sqrt(var + BN_EPS)
-    # centered is a fresh array: divide, scale and shift in place in it, in
-    # the dtypes of ``gamma * xhat + beta`` (a wider scale or shift widens it)
+    # centered is a fresh array: divide, scale, shift and clamp in place in
+    # it, in the dtypes of ``gamma * xhat + beta`` (a wider scale or shift
+    # widens it)
     out = np.divide(centered, s, out=centered)
     out = out.astype(np.result_type(out, gamma.data), copy=False)
     np.multiply(out, gamma.data[expand], out=out)
     out = out.astype(np.result_type(out, beta.data), copy=False)
     np.add(out, beta.data[expand], out=out)
+    np.maximum(out, 0.0, out=out)
     gd = gamma.data
 
     def fn(g):
+        # the ReLU's mask: out > 0 exactly where its input was
+        g = g.reshape(out.shape) * (out > 0)
         # the forward's normalized input, recomputed bitwise from x
         xhat = _crops(x.data) - mu
         np.divide(xhat, s, out=xhat)
-        g = g.reshape(xhat.shape)
         # per (channel, crop) sums, shared by the scale/shift and input terms
         gsum = g.sum(axis=axes, keepdims=True)
         gxsum = (g * xhat).sum(axis=axes, keepdims=True)
@@ -519,7 +531,8 @@ class Conv:
 
 
 class Norm:
-    """:func:`batchnorm` with a registered scale, shift and running statistics."""
+    """:func:`batchnorm`, normalization then ReLU, with a registered scale,
+    shift and running statistics."""
 
     def __init__(self, params: ModelParams, path: str, channels: int):
         self.scale = params.register(

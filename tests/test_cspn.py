@@ -175,6 +175,42 @@ def test_propagate_gradcheck_h_and_raw():
         gradcheck.check_grads(build, [h, raw], nonzero=True)
 
 
+def _padded_buffer_grads(hd, kd, g):
+    """propagate_step's h- and kappa-gradients, computed with the padded copy
+    of ``hd`` made once and read by both, in the op's order of operations."""
+    nh, nw = hd.shape[-2:]
+    hp = np.pad(hd, ((0, 0),) * (hd.ndim - 2) + ((1, 1), (1, 1)))
+    windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
+               for a, b in cspn.OFFSETS]
+    inside = (Ellipsis, slice(1, -1), slice(1, -1))
+    gp = np.zeros_like(hp)
+    gp[inside] = g * (1.0 - kd.sum(axis=0))
+    for idx, win in enumerate(windows):
+        gp[win] += kd[idx] * g
+    gk = np.stack([(g * (hp[win] - hd)).sum(axis=0) for win in windows])
+    return gp[inside], gk
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 7), (3, 2, 6, 7)])
+def test_propagate_pullback_holds_no_padded_map(shape):
+    # the pullback pads h again rather than keep the forward's padded copy
+    # on the tape; its gradients are bitwise those of the padded buffer
+    rng = np.random.default_rng(41)
+    h = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+    raw = T.Tensor(rng.uniform(-1, 1, (8,) + shape[1:]))
+    kappa = T.Tensor(cspn.normalize_affinity(raw).data, requires_grad=True)
+    out = cspn.propagate_step(h, kappa)
+    held = [cell.cell_contents for cell in T._TAPE[-1].fn.__closure__]
+    for value in held:
+        if isinstance(value, np.ndarray):
+            assert value.shape[-2:] != (shape[-2] + 2, shape[-1] + 2), value.shape
+    g = rng.uniform(-1, 1, shape)
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+    want_h, want_kappa = _padded_buffer_grads(h.data, kappa.data, g)
+    assert np.array_equal(h.grad, want_h)
+    assert np.array_equal(kappa.grad, want_kappa)
+
+
 def test_propagate_shape_mismatch():
     aff = cspn.normalize_affinity(T.zeros((8, 4, 4)))
     with pytest.raises(T.ShapeError):

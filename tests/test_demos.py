@@ -4,8 +4,8 @@ Each demo runs in its own interpreter, with ``src`` on the path and a
 scratch working directory, and must exit 0; the three take about a second
 together.  Demos 04 and 05 train a model and take about 20 s each, so they
 are not run here, only checked statically: every settings keyword they pass
-and every config key they or the README name must exist.  Run them by hand
-after a change they cover:
+and every config key they or the README name must exist.  The tier-1 CI
+workflow runs both after the tests; by hand:
 
     PYTHONPATH=src python demos/04_training_loop.py
     PYTHONPATH=src python demos/05_cli_pipeline.py

@@ -119,6 +119,27 @@ def test_forward_refined_peak_memory_is_bounded():
     assert peak < 14.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
+def test_training_forward_tape_memory_is_bounded():
+    # a float64 model, base 8, 24 CSPN steps, on a batch of four 32x32x20
+    # crops in training mode: tracemalloc's current bytes with the tape full
+    # read 33.50 MiB when the tape held each pre-ReLU map and each step's
+    # padded copy, 26.52 MiB with the ReLU folded into its normalization,
+    # 30.08 MiB with the pullback re-padding, and 23.10 MiB with both.  The
+    # bound is 10% over the last, so undoing either half fails it.
+    rng = np.random.default_rng(0)
+    net = M.build(M.ModelConfig(in_bands=20, num_classes=4, base_channels=8,
+                                cspn_steps=24), rng)
+    x = T.Tensor(rng.uniform(-1, 1, (1, 4, 20, 32, 32)))
+    tracemalloc.start()
+    try:
+        net.forward_refined(x, training=True)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert T.tape_size() > 0
+    assert held < 25.4 * 2 ** 20, f"held {held / 2 ** 20:.2f} MiB"
+
+
 def test_cspn_steps_bounded():
     assert _tiny(cspn_steps=M.MAX_CSPN_STEPS).cspn_steps == M.MAX_CSPN_STEPS
     for steps in (-1, M.MAX_CSPN_STEPS + 1):
