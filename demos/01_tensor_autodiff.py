@@ -15,8 +15,8 @@ print("== forward and backward on a small expression ==")
 x = T.Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
 y = T.Tensor(np.array([1.5, 0.25, -0.5]), requires_grad=True)
 
-# loss = sum(relu(x * y) + sigmoid(x))
-loss = T.reduce_sum(T.add(T.relu(T.mul(x, y)), T.sigmoid(x)))
+# loss = sum(sigmoid(x * y) * x); x feeds two ops, so its gradient sums both
+loss = T.reduce_sum(T.mul(T.sigmoid(T.mul(x, y)), x))
 T.backward(loss)
 print("loss      ", float(loss.data))
 print("dloss/dx  ", x.grad)
@@ -29,8 +29,8 @@ print("== the same gradients by central differences ==")
 def f(xv, yv):
     with T.no_grad():
         return T.reduce_sum(
-            T.add(T.relu(T.mul(T.Tensor(xv), T.Tensor(yv))),
-                  T.sigmoid(T.Tensor(xv)))).item()
+            T.mul(T.sigmoid(T.mul(T.Tensor(xv), T.Tensor(yv))),
+                  T.Tensor(xv))).item()
 
 
 h = 1e-6

@@ -133,8 +133,8 @@ def _check_outputs(outputs: Dict[str, str], inputs: Dict[str, Optional[str]]) ->
     """Check a run's paths, each keyed by its flag, before it reads any file.
 
     ConfigError (exit 2) if an output resolves to the same file as another
-    output or as an input (None for an input not given); FileNotFoundError
-    (exit 3) if an output's directory does not exist.
+    output or as an input (None for an input not given); OSError (exit 3)
+    if an output is an existing directory or its directory does not exist.
     """
     taken = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
     for flag, path in outputs.items():
@@ -142,8 +142,11 @@ def _check_outputs(outputs: Dict[str, str], inputs: Dict[str, Optional[str]]) ->
         if real in taken:
             raise ConfigError(f"{flag} and {taken[real]} name one file, {path}")
         taken[real] = flag
+        if os.path.isdir(real):
+            raise IsADirectoryError(f"cannot write {flag} {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(real)):
-            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+            raise FileNotFoundError(
+                f"cannot write {flag} {path}: its directory does not exist")
 
 
 def write_ppm(grid: np.ndarray, classes: int, path) -> None:

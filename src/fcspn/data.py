@@ -2,11 +2,12 @@
 
 Cubes travel as HSC1 files (band-major float32), label maps as HSL1
 (row-major uint16 plus a class-name table), and train/test splits as HSS1
-(row-major uint8: 0 unlabeled, 1 train, 2 test).  All three are little-endian
-and fully specified here.  Readers check each size a header claims against
-the bytes left before reading it, and count trailing bytes without reading
-them (``tensor.BoundedReader``), so a malformed file is
-rejected before any large allocation.  The synthetic generator builds
+(row-major uint8: 0 unlabeled, 1 train, 2 test; ``SplitMask`` holds this
+grid as it is).  All three are little-endian and fully specified here.
+Readers check each size a header claims against the bytes left before
+reading it, and count trailing bytes without reading them
+(``tensor.BoundedReader``), so a malformed file is rejected before any
+large allocation.  The synthetic generator builds
 Voronoi regions with smooth per-class spectra so that a nearest-centroid
 oracle can certify separability before any training happens.
 """
@@ -91,35 +92,27 @@ class LabelMap:
 
 @dataclass
 class SplitMask:
-    """Disjoint boolean train/test masks over the labeled pixels."""
+    """A train/test split as the grid HSS1 stores: 0 unlabeled, 1 train,
+    2 test.  One code per pixel, so train and test cannot overlap."""
 
-    train: np.ndarray
-    test: np.ndarray
+    grid: np.ndarray
 
     def __post_init__(self):
-        train = np.asarray(self.train, dtype=bool)
-        test = np.asarray(self.test, dtype=bool)
-        if train.ndim != 2 or train.shape != test.shape:
-            raise FormatError(
-                f"split masks must be matching (H, W), got {train.shape} "
-                f"and {test.shape}")
-        if np.any(train & test):
-            raise FormatError("train and test masks overlap")
-        self.train = train
-        self.test = test
-
-    def to_grid(self) -> np.ndarray:
-        grid = np.zeros(self.train.shape, dtype=np.uint8)
-        grid[self.train] = 1
-        grid[self.test] = 2
-        return grid
-
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "SplitMask":
-        grid = np.asarray(grid)
-        if grid.max(initial=0) > 2 or grid.min(initial=0) < 0:
+        grid = np.asarray(self.grid)
+        if grid.ndim != 2:
+            raise FormatError(f"split grid must be (H, W), got {grid.shape}")
+        if (grid.dtype.kind not in "iu" or grid.min(initial=0) < 0
+                or grid.max(initial=0) > 2):
             raise FormatError("split grid values must be 0, 1, or 2")
-        return cls(grid == 1, grid == 2)
+        self.grid = grid.astype(np.uint8)
+
+    @property
+    def train(self) -> np.ndarray:
+        return self.grid == 1
+
+    @property
+    def test(self) -> np.ndarray:
+        return self.grid == 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +189,9 @@ def load_labels(path) -> LabelMap:
 def save_split(split: SplitMask, path) -> None:
     with open(path, "wb") as fh:
         fh.write(SPLIT_MAGIC)
-        rows, cols = split.train.shape
+        rows, cols = split.grid.shape
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(split.to_grid().tobytes())
+        fh.write(split.grid.tobytes())
 
 
 def load_split(path) -> SplitMask:
@@ -209,8 +202,7 @@ def load_split(path) -> SplitMask:
         _check_extents((rows, cols), "split")
         payload = src.read(rows * cols, "split payload")
         src.check_end("split payload")
-    grid = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols)
-    return SplitMask.from_grid(grid)
+    return SplitMask(np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +220,7 @@ def normalize(cube: HsiCube) -> HsiCube:
 
 
 def parse_strategy(text: str) -> Tuple[str, float]:
-    """Parse ``per_class:N`` (N >= 1) or ``fraction:F`` (0 < F <= 1); any
+    """Parse ``per_class:N`` (N >= 1) or ``fraction:F`` (0 < F < 1); any
     other text, a bare name included, raises one ValueError naming it."""
     name, _, arg = text.partition(":")
     try:
@@ -238,8 +230,8 @@ def parse_strategy(text: str) -> Tuple[str, float]:
                          "expected per_class:N or fraction:F") from None
     if name == "per_class" and value < 1:
         raise ValueError(f"per_class count must be >= 1, got {value}")
-    if name == "fraction" and not 0.0 < value <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {value}")
+    if name == "fraction" and not 0.0 < value < 1.0:
+        raise ValueError(f"fraction must be in (0, 1), got {value}")
     return name, value
 
 
@@ -252,8 +244,9 @@ def _per_class_count(total: int, requested: int) -> int:
 
 
 def _fraction_count(total: int, frac: float) -> int:
-    # epsilon guards the float product when frac*total lands on an integer
-    return min(total, max(1, math.ceil(frac * total - 1e-9)))
+    # epsilon guards the float product when frac*total lands on an integer;
+    # a class of two or more pixels keeps at least one test pixel
+    return max(1, min(total - 1, math.ceil(frac * total - 1e-9)))
 
 
 def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
@@ -261,14 +254,14 @@ def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
 
     ``strategy`` is ``per_class:N`` (N per class; a class of N pixels or
     fewer gives a fifth of them, at least one) or ``fraction:F``
-    (stratified ceil(F*N) per class), as read by :func:`parse_strategy`.
-    Deterministic for a given seed.
+    (stratified ceil(F*N) per class, at most all but one), as read by
+    :func:`parse_strategy`.  So every class of two or more pixels keeps a
+    test pixel.  Deterministic for a given seed.
     """
     name, arg = parse_strategy(strategy)
-    grid = labels.grid
     rng = np.random.default_rng(seed)
-    train = np.zeros(grid.shape, dtype=bool)
-    flat = grid.ravel()
+    flat = labels.grid.ravel()
+    codes = np.where(flat > 0, 2, 0).astype(np.uint8)
     for cls in range(1, labels.num_classes + 1):
         pixels = np.flatnonzero(flat == cls)
         if pixels.size == 0:
@@ -277,18 +270,18 @@ def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
             count = _per_class_count(pixels.size, arg)
         else:
             count = _fraction_count(pixels.size, arg)
-        chosen = rng.choice(pixels, size=count, replace=False)
-        train.ravel()[chosen] = True
-    return SplitMask(train, (grid > 0) & ~train)
+        codes[rng.choice(pixels, size=count, replace=False)] = 1
+    return SplitMask(codes.reshape(labels.grid.shape))
 
 
 def split_report(labels: LabelMap, split: SplitMask) -> List[Tuple[str, int, int]]:
     """Per-class (name, train count, test count) rows, in class-id order."""
+    train, test = split.train, split.test
     rows = []
     for cls, cls_name in enumerate(labels.class_names, start=1):
         members = labels.grid == cls
-        rows.append((cls_name, int((members & split.train).sum()),
-                     int((members & split.test).sum())))
+        rows.append((cls_name, int((members & train).sum()),
+                     int((members & test).sum())))
     return rows
 
 

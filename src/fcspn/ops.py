@@ -521,7 +521,7 @@ class Conv:
         self.spec = Conv3dSpec(kernel=kernel, stride=stride)
         shape = (cout, cin) + self.spec.kernel
         w = (T.zeros(shape, requires_grad=True) if rng is None else
-             T.kaiming_normal(shape, int(np.prod(shape[1:])), rng, requires_grad=True))
+             T.kaiming_normal(shape, rng, requires_grad=True))
         self.w = params.register(path + ".weights", w, decay=True)
         self.b = params.register(
             path + ".bias", T.zeros((cout,), requires_grad=True)) if bias else None

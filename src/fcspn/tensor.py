@@ -29,6 +29,7 @@ Tensors themselves are safe to share for concurrent reads.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -227,13 +228,13 @@ def full(shape, value: float, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_validate_shape(shape), value, dtype=np.float64), requires_grad)
 
 
-def kaiming_normal(shape, fan_in: int, rng: np.random.Generator,
+def kaiming_normal(shape, rng: np.random.Generator,
                    requires_grad: bool = False) -> Tensor:
-    """Scaled normal fill, std = sqrt(2 / fan_in)."""
-    if fan_in < 1:
-        raise ShapeError("fan_in must be >= 1")
-    std = np.sqrt(2.0 / fan_in)
-    return Tensor(rng.normal(0.0, std, _validate_shape(shape)), requires_grad)
+    """Scaled normal fill, std = sqrt(2 / fan_in), where fan_in is the
+    product of every extent after the first (a conv weight's cin x kernel)."""
+    shape = _validate_shape(shape)
+    std = np.sqrt(2.0 / math.prod(shape[1:]))
+    return Tensor(rng.normal(0.0, std, shape), requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +284,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             accumulate(b, _unbroadcast(g * ad, b.shape))
 
     return record("mul", (a, b), ad * bd, fn)
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0), +0.0 for a -0.0 input.  The pullback rebuilds the mask
-    from the input it holds anyway, so the tape keeps no mask."""
-    ad = a.data
-
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, g * (ad > 0))
-
-    return record("relu", (a,), np.maximum(ad, 0.0), fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:

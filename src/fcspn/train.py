@@ -200,7 +200,7 @@ def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
     writes nothing.
     """
     values, grid = cube.values, labels.grid
-    if grid.shape != values.shape[1:] or split.train.shape != grid.shape:
+    if grid.shape != values.shape[1:] or split.grid.shape != grid.shape:
         raise ShapeError("cube, labels, and split extents disagree")
     train_labels = np.where(split.train, grid, 0)
     if not np.any(train_labels > 0):

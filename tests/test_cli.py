@@ -220,6 +220,7 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
      "unknown strategy 'per_class:abc'; expected per_class:N or fraction:F"),
     ("", ("--strategy", "fraction:x"),
      "unknown strategy 'fraction:x'; expected per_class:N or fraction:F"),
+    ("", ("--strategy", "fraction:1"), "fraction must be in (0, 1), got 1.0"),
     ("train.learning_rate = nan", (), "finite"),
     ("train.learning_rate = inf", (), "finite"),
     ("train.momentum = nan", (), "finite"),
@@ -230,7 +231,8 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     ("train.epochs = 2\ntrain.epochs = 3", (),
      "line 2: train.epochs already set on line 1"),
 ], ids=["base-channels", "batch-size", "strategy", "strategy-no-count",
-        "strategy-bad-count", "strategy-bad-fraction", "rate-nan", "rate-inf",
+        "strategy-bad-count", "strategy-bad-fraction", "strategy-fraction-one",
+        "rate-nan", "rate-inf",
         "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "seed-flag",
         "key-twice"])
 def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys,
@@ -610,8 +612,7 @@ def test_eval_uses_test_half_of_split(workdir, tmp_path, capsys):
 
 
 def test_eval_disjoint_split_errors(workdir, tmp_path):
-    empty = data.SplitMask(np.zeros((16, 16), dtype=bool),
-                           np.zeros((16, 16), dtype=bool))
+    empty = data.SplitMask(np.zeros((16, 16), dtype=np.uint8))
     data.save_split(empty, tmp_path / "empty.hss1")
     rc = cli.main(["eval", "--pred", str(workdir / "scene.hsl1"),
                    "--ref", str(workdir / "scene.hsl1"),
@@ -631,6 +632,30 @@ def test_eval_missing_output_directory_fails_before_any_work(workdir, tmp_path, 
     assert rc == 3
     assert missing in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out-ckpt"), ("classify", "--out-map"), ("eval", "--out-csv")])
+def test_output_naming_a_directory_fails_before_any_work(workdir, tmp_path, capsys,
+                                                         monkeypatch, command, flag):
+    def no_read(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(data, "load_cube", no_read)
+    monkeypatch.setattr(data, "load_labels", no_read)
+    target = tmp_path / "out"
+    target.mkdir()
+    argv = {"train": _train_args(workdir, target),
+            "classify": _classify_args(workdir, target),
+            "eval": ["eval", "--pred", str(workdir / "scene.hsl1"),
+                     "--ref", str(workdir / "scene.hsl1"), "--out-csv", str(target)]}
+    rc = cli.main(argv[command])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert f"{flag} {target}: it is a directory" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [target]  # no trace beside it
+    assert list(target.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,19 @@ def test_labelmap_rejects_non_integer_ids():
         D.LabelMap(np.array([[0.0, 1.0]]), ["a", "b"])
 
 
-def test_split_rejects_overlap():
-    ones = np.ones((2, 2), dtype=bool)
-    with pytest.raises(FormatError):
-        D.SplitMask(ones, ones)
-
-
 def test_split_grid_round_trip():
     grid = np.array([[0, 1], [2, 1]], dtype=np.uint8)
-    split = D.SplitMask.from_grid(grid)
-    assert np.array_equal(split.to_grid(), grid)
+    split = D.SplitMask(grid)
+    assert np.array_equal(split.grid, grid)
+    assert np.array_equal(split.train, [[False, True], [False, True]])
+    assert np.array_equal(split.test, [[False, False], [True, False]])
+
+
+def test_split_rejects_bad_code_and_rank():
+    with pytest.raises(FormatError, match="0, 1, or 2"):
+        D.SplitMask(np.array([[0, 3]]))
+    with pytest.raises(FormatError, match="must be \\(H, W\\)"):
+        D.SplitMask(np.zeros((2, 2, 2), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +195,11 @@ def test_zero_extent_rejected(tmp_path, loader, raw):
 
 
 def test_split_round_trip(tmp_path):
-    split = D.SplitMask.from_grid(np.array([[0, 1, 2], [2, 2, 1]], dtype=np.uint8))
+    split = D.SplitMask(np.array([[0, 1, 2], [2, 2, 1]], dtype=np.uint8))
     path = tmp_path / "split.hss"
     D.save_split(split, path)
     again = D.load_split(path)
-    assert np.array_equal(again.train, split.train)
-    assert np.array_equal(again.test, split.test)
+    assert np.array_equal(again.grid, split.grid)
     assert path.read_bytes()[:4] == b"HSS1"
 
 
@@ -218,7 +220,7 @@ LOADERS = {
     "labels": (D.load_labels,
                lambda p: D.save_labels(D.LabelMap(np.array([[1]]), ["x"]), p)),
     "split": (D.load_split,
-              lambda p: D.save_split(D.SplitMask.from_grid(np.array([[1]])), p)),
+              lambda p: D.save_split(D.SplitMask(np.array([[1]])), p)),
     "checkpoint": (M.load_checkpoint, _save_checkpoint),
 }
 
@@ -304,6 +306,14 @@ def test_fraction_rounds_up():
     assert per_class == [5, 2, 1]
 
 
+def test_fraction_leaves_a_test_pixel():
+    # ceil(0.6 * 2) would take both pixels of the 2-pixel class
+    labels = _uniform_labels([2, 10])
+    split = D.sample_split(labels, "fraction:0.6", seed=0)
+    rows = [(n_train, n_test) for _, n_train, n_test in D.split_report(labels, split)]
+    assert rows == [(1, 1), (6, 4)]
+
+
 def test_split_deterministic_and_disjoint():
     rng = np.random.default_rng(4)
     grid = rng.integers(0, 4, (20, 20))
@@ -326,7 +336,7 @@ def test_empty_class_errors():
 def test_parse_strategy():
     assert D.parse_strategy("per_class:200") == ("per_class", 200)
     assert D.parse_strategy("fraction:0.05") == ("fraction", 0.05)
-    for bad in ("knn:3", "fraction:0", "fraction:1.5", "per_class:0",
+    for bad in ("knn:3", "fraction:0", "fraction:1", "fraction:1.5", "per_class:0",
                 "per_class", "fraction"):
         with pytest.raises(ValueError):
             D.parse_strategy(bad)

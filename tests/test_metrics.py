@@ -17,8 +17,7 @@ def test_confusion_hand_case():
 def test_confusion_counts_test_pixels_only():
     ref = D.LabelMap(np.array([[1, 1], [2, 2]]), ["a", "b"])
     pred = np.array([[1, 2], [2, 2]])
-    mask = D.SplitMask(np.array([[True, False], [False, False]]),
-                       np.array([[False, True], [True, True]]))
+    mask = D.SplitMask(np.array([[1, 2], [2, 2]]))
     cm = ME.confusion(pred, ref, mask.test)
     assert cm.total == 3
     assert np.array_equal(cm.counts, [[0, 1], [0, 2]])

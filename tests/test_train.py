@@ -228,8 +228,7 @@ def _toy_scene(rng, size=12, bands=10, classes=2):
     cube = D.HsiCube(rng.uniform(0, 1, (bands, size, size)))
     labels = D.LabelMap(rng.integers(1, classes + 1, (size, size)),
                         [f"class_{k}" for k in range(1, classes + 1)])
-    everything = np.ones((size, size), dtype=bool)
-    return cube, labels, D.SplitMask(everything, ~everything)
+    return cube, labels, D.SplitMask(np.ones((size, size), dtype=np.uint8))
 
 
 def _toy_model(rng, bands=10, classes=2):
@@ -384,9 +383,9 @@ def test_train_requires_labeled_split():
     rng = np.random.default_rng(15)
     cube, labels, _ = _toy_scene(rng)
     model = _toy_model(np.random.default_rng(16))
-    nothing = np.zeros_like(labels.grid, dtype=bool)
+    nothing = np.zeros_like(labels.grid, dtype=np.uint8)
     with pytest.raises(ValueError):
-        TR.train(cube, labels, D.SplitMask(nothing, nothing),
+        TR.train(cube, labels, D.SplitMask(nothing),
                  model, _fast_cfg())
 
 
@@ -464,7 +463,7 @@ def test_train_rejects_crop_with_single_voxel_down3():
     cfg = TR.TrainConfig(batch_size=2, epochs=1, crop_size=(8, 8), seed=21)
     with pytest.raises(T.ShapeError, match="8x8"):
         TR.train(D.normalize(cube), labels,
-                 D.SplitMask(labels.grid > 0, np.zeros_like(labels.grid, dtype=bool)),
+                 D.SplitMask((labels.grid > 0).astype(np.uint8)),
                  model, cfg)
     for path, t in model.params.items():
         assert np.array_equal(t.data, before[path]), path
