@@ -255,8 +255,9 @@ def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
     ``strategy`` is ``per_class:N`` (N per class; a class of N pixels or
     fewer gives a fifth of them, at least one) or ``fraction:F``
     (stratified ceil(F*N) per class, at most all but one), as read by
-    :func:`parse_strategy`.  So every class of two or more pixels keeps a
-    test pixel.  Deterministic for a given seed.
+    :func:`parse_strategy`.  So every class keeps a training pixel and a
+    test pixel; a class with fewer than two labeled pixels cannot, and
+    raises ``ValueError``.  Deterministic for a given seed.
     """
     name, arg = parse_strategy(strategy)
     rng = np.random.default_rng(seed)
@@ -266,6 +267,9 @@ def sample_split(labels: LabelMap, strategy: str, seed: int) -> SplitMask:
         pixels = np.flatnonzero(flat == cls)
         if pixels.size == 0:
             raise ValueError(f"class {cls} has no labeled pixels")
+        if pixels.size == 1:
+            raise ValueError(f"class {cls} has one labeled pixel: it cannot "
+                             "give both a training and a test pixel")
         if name == "per_class":
             count = _per_class_count(pixels.size, arg)
         else:

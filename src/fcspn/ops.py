@@ -15,7 +15,9 @@ weights by them.  Its scratch memory does not grow with the scene or the
 batch.  The pullback keeps the input, not the columns: it rebuilds them
 slab by slab for the weight gradient, and computes the input gradient as
 the correlation of the output gradient with the flipped, transposed
-kernel, one call of the routine per stride phase.
+kernel, one call of the routine per stride phase.  On a process allowed
+two or more CPUs, a call of two or more slabs shares them with one helper
+thread (:class:`_Helper`), whose slabs are disjoint from the caller's.
 
 :func:`batchnorm` is a normalization and the ReLU that follows it, as one
 op: it centres its input into one fresh array and divides, scales, shifts
@@ -34,6 +36,8 @@ statistics, in a :class:`ModelParams` under a dotted layer path.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -53,6 +57,101 @@ BN_MOMENTUM = 0.9
 # is half of a 2 MiB L2; of 0.5, 1, 2 and 4 MiB it gave the fastest
 # convolutions at the training step's shapes.
 _SLAB_BYTES = 1 << 20
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """One daemon thread that runs part of a convolution's slabs beside
+    the caller.
+
+    numpy releases the GIL while it copies a strided window into columns
+    and while it multiplies, so two threads build and multiply slabs at
+    once.  A caller holds ``busy`` for its whole convolution.  A job only
+    reads arrays and writes its own slabs of an output or a fresh product;
+    it calls only this module's private functions, never a public one or
+    the tape.  The thread drops each job, and so its arrays, before it
+    reports it done, and an exception a job raises is raised again in the
+    caller by :meth:`wait`.
+    """
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._job = None
+        self._error = None
+        threading.Thread(target=self._loop, name="fcspn-conv3d", daemon=True).start()
+
+    def _loop(self):
+        while True:
+            self._go.acquire()
+            job, self._job = self._job, None
+            try:
+                job()
+            except BaseException as exc:  # handed to the caller by wait()
+                self._error = exc
+            job = None
+            self._done.release()
+
+    def start(self, job) -> None:
+        """Run ``job()`` on the thread; the caller then must :meth:`wait`."""
+        self._job = job
+        self._go.release()
+
+    def wait(self) -> None:
+        """Block until the job has finished, even through an interrupt, so
+        no caller frees ``busy`` while the job still runs; then raise what
+        interrupted the wait, else what the job raised."""
+        interrupt = None
+        while True:
+            try:
+                self._done.acquire()
+                break
+            except BaseException as exc:  # KeyboardInterrupt: raised below
+                interrupt = exc
+        error, self._error = self._error, None
+        if interrupt is not None:
+            raise interrupt
+        if error is not None:
+            raise error
+
+
+_helper: Optional[_Helper] = None
+_helper_start = threading.Lock()
+
+
+def _claim_helper() -> Optional[_Helper]:
+    """The helper thread, its ``busy`` lock taken for the caller, who must
+    release it; None when this process may use one CPU only or another
+    caller holds it.  The thread starts on the first claim, never at
+    import."""
+    global _helper
+    if _cpus() < 2:
+        return None
+    with _helper_start:
+        if _helper is None:
+            _helper = _Helper()
+    helper = _helper
+    return helper if helper.busy.acquire(blocking=False) else None
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread, and a lock some other thread
+    # held at the fork stays held in the child
+    global _helper, _helper_start
+    _helper = None
+    _helper_start = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +208,15 @@ def _crops(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 5 else arr[:, None]
 
 
-def _slabs(crops: int, depth: int, height: int, row_bytes: int):
+def _slabs(crops: int, depth: int, height: int, row_bytes: int, threads: int = 1):
     """(crops, planes, rows) slices that tile an output grid of ``crops`` x
-    ``depth`` x ``height`` rows, each slab at most ``_SLAB_BYTES`` of
-    columns at ``row_bytes`` per output row (one row at least): runs of
-    whole crops while one crop fits, else runs of planes within one crop
-    while one plane fits, else bands of rows within one plane."""
-    rows = max(1, _SLAB_BYTES // row_bytes)
+    ``depth`` x ``height`` rows, each slab at most ``_SLAB_BYTES //
+    threads`` of columns at ``row_bytes`` per output row (one row at
+    least), so the slabs ``threads`` threads build at once stay within the
+    budget: runs of whole crops while one crop fits, else runs of planes
+    within one crop while one plane fits, else bands of rows within one
+    plane."""
+    rows = max(1, _SLAB_BYTES // threads // row_bytes)
     if rows < height:
         return [(slice(c, c + 1), slice(z, z + 1), slice(y, min(y + rows, height)))
                 for c in range(crops) for z in range(depth)
@@ -129,55 +230,124 @@ def _slabs(crops: int, depth: int, height: int, row_bytes: int):
             for c in range(0, crops, step)]
 
 
-def _columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Triple,
-             grid: Tuple[int, int, int, int]):
-    """Yield ``(crops, planes, rows, cols)`` for each slab of the output grid
-    ``grid`` = (N, od, oh, ow): ``cols`` is the slab's channel-major column
-    matrix, rows ``(c, i, j, k)`` and columns its output voxels ``(n, z, y,
-    x)``, whose entry is ``src[c, n, origin + stride * (z, y, x) + (i, j,
-    k)]``, zero where that falls outside ``src`` (C, N, D, H, W)."""
-    src = np.ascontiguousarray(src)
+def _slab_columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Triple,
+                  ow: int, slab) -> np.ndarray:
+    """The channel-major column matrix of one slab ``(crops, planes, rows)``
+    of an output grid ``ow`` wide: rows ``(c, i, j, k)`` and columns the
+    slab's output voxels ``(n, z, y, x)``, whose entry is ``src[c, n, origin
+    + stride * (z, y, x) + (i, j, k)]``, zero where that falls outside
+    ``src``, a C-contiguous (C, N, D, H, W) array."""
+    cs, zs, ys = slab
     c = src.shape[0]
-    n, od, oh, ow = grid
     (kd, kh, kw), (sd, sh, sw) = kernel, stride
-    inner = c * kd * kh * kw
-    for cs, zs, ys in _slabs(n, od, oh, inner * ow * src.itemsize):
-        nc, nz, ny = cs.stop - cs.start, zs.stop - zs.start, ys.stop - ys.start
-        lo = (origin[0] + sd * zs.start, origin[1] + sh * ys.start, origin[2])
-        size = (sd * (nz - 1) + kd, sh * (ny - 1) + kh, sw * (ow - 1) + kw)
-        inside = tuple(slice(max(a, 0), max(a, 0, min(a + k, e)))
-                       for a, k, e in zip(lo, size, src.shape[2:]))
-        if all(r.stop - r.start == k for r, k in zip(inside, size)):
-            # the slab reads only inside src: window src itself
-            block = src
-            skip = (cs.start,) + lo
-        else:
-            # the slab reads past an edge of src: copy its part into zeros
-            block = np.zeros((c, nc) + size, dtype=src.dtype)
-            block[(slice(None), slice(None)) + tuple(
-                slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))] = (
-                    src[(slice(None), cs) + inside])
-            skip = (0, 0, 0, 0)
-        s = block.strides
-        win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), src.dtype, block,
-                         sum(i * t for i, t in zip(skip, s[1:])),
-                         (s[0], s[2], s[3], s[4], s[1], s[2] * sd, s[3] * sh, s[4] * sw))
-        yield cs, zs, ys, win.reshape(inner, -1)
+    nc, nz, ny = cs.stop - cs.start, zs.stop - zs.start, ys.stop - ys.start
+    lo = (origin[0] + sd * zs.start, origin[1] + sh * ys.start, origin[2])
+    size = (sd * (nz - 1) + kd, sh * (ny - 1) + kh, sw * (ow - 1) + kw)
+    inside = tuple(slice(max(a, 0), max(a, 0, min(a + k, e)))
+                   for a, k, e in zip(lo, size, src.shape[2:]))
+    if all(r.stop - r.start == k for r, k in zip(inside, size)):
+        # the slab reads only inside src: window src itself
+        block = src
+        skip = (cs.start,) + lo
+    else:
+        # the slab reads past an edge of src: copy its part into zeros
+        block = np.zeros((c, nc) + size, dtype=src.dtype)
+        block[(slice(None), slice(None)) + tuple(
+            slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))] = (
+                src[(slice(None), cs) + inside])
+        skip = (0, 0, 0, 0)
+    s = block.strides
+    win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), src.dtype, block,
+                     sum(i * t for i, t in zip(skip, s[1:])),
+                     (s[0], s[2], s[3], s[4], s[1], s[2] * sd, s[3] * sh, s[4] * sw))
+    return win.reshape(c * kd * kh * kw, -1)
 
 
 def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
                stride: Triple, out: np.ndarray) -> None:
     """Fill ``out`` (M, N, od, oh, ow) with ``wm`` (M, C*kd*kh*kw) times the
-    columns of :func:`_columns`, one GEMM per slab; each product goes
-    straight into its part of ``out`` when ``out`` is one contiguous block
-    (a strided view, one stride phase of an input gradient, takes a copy)."""
+    columns of :func:`_slab_columns`, one GEMM per slab of :func:`_slabs`;
+    each product goes straight into its part of ``out`` when ``out`` is one
+    contiguous block (a strided view, one stride phase of an input
+    gradient, takes a copy).
+
+    A grid of two or more slabs is re-cut into slabs of half the budget
+    when the helper thread is free (:func:`_claim_helper`): it builds and
+    multiplies the odd slabs while the caller does the even ones, so the
+    columns in flight stay within one budget.  Both threads write disjoint
+    parts of ``out``.
+    """
+    src = np.ascontiguousarray(src)
+    n, od, oh, ow = out.shape[1:]
+    row_bytes = wm.shape[1] * ow * src.itemsize
     direct = out.flags.c_contiguous
-    for cs, zs, ys, cols in _columns(src, origin, kernel, stride, out.shape[1:]):
-        part = out[:, cs, zs, ys]
-        if direct:
-            np.matmul(wm, cols, out=part.reshape(len(part), -1))
-        else:
-            part[...] = (wm @ cols).reshape(part.shape)
+
+    def run(slabs):
+        for slab in slabs:
+            cols = _slab_columns(src, origin, kernel, stride, ow, slab)
+            part = out[(slice(None),) + slab]
+            if direct:
+                np.matmul(wm, cols, out=part.reshape(len(part), -1))
+            else:
+                part[...] = (wm @ cols).reshape(part.shape)
+
+    slabs = _slabs(n, od, oh, row_bytes)
+    helper = _claim_helper() if len(slabs) > 1 else None
+    if helper is None:
+        run(slabs)
+        return
+    try:
+        slabs = _slabs(n, od, oh, row_bytes, threads=2)
+        helper.start(lambda: run(slabs[1::2]))
+        try:
+            run(slabs[::2])
+        finally:
+            helper.wait()
+    finally:
+        helper.busy.release()
+
+
+def _weight_grad(src: np.ndarray, g: np.ndarray, origin: Triple, kernel: Triple,
+                 stride: Triple, dtype) -> np.ndarray:
+    """The (M, C*kd*kh*kw) weight gradient: ``g`` (M, N, od, oh, ow) times
+    the transposed columns of ``src``, summed over the slabs of
+    :func:`_slabs` in slab order.
+
+    With the helper thread free (:func:`_claim_helper`), it computes slab
+    2k + 1's product while the caller computes slab 2k's, and the caller
+    adds both in slab order, so the sum does not depend on the thread
+    count.
+    """
+    src = np.ascontiguousarray(src)
+    m, n, od, oh, ow = g.shape
+    inner = src.shape[0] * kernel[0] * kernel[1] * kernel[2]
+    slabs = _slabs(n, od, oh, inner * ow * src.itemsize)
+    gw = np.zeros((m, inner), dtype=dtype)
+
+    def product(slab):
+        cols = _slab_columns(src, origin, kernel, stride, ow, slab)
+        return g[(slice(None),) + slab].reshape(m, -1) @ cols.T
+
+    helper = _claim_helper() if len(slabs) > 1 else None
+    if helper is None:
+        for slab in slabs:
+            gw += product(slab)
+        return gw
+    try:
+        for k in range(0, len(slabs) - 1, 2):
+            odd = []
+            helper.start(lambda slab=slabs[k + 1]: odd.append(product(slab)))
+            try:
+                even = product(slabs[k])
+            finally:
+                helper.wait()
+            gw += even
+            gw += odd[0]
+        if len(slabs) % 2:
+            gw += product(slabs[-1])
+    finally:
+        helper.busy.release()
+    return gw
 
 
 def _phases(extents: Triple, spec: Conv3dSpec):
@@ -221,6 +391,9 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     input positions ``e, e + s, ...`` of one phase see only the taps ``r,
     r + s, ...``, so each phase is a stride-1 correlation through the same
     slab routine, written into that phase's positions of the gradient.
+    The forward and each phase go through :func:`_correlate`, the weight
+    gradient through :func:`_weight_grad`; both share a call's slabs with
+    a helper thread when they can.
     """
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"conv3d input must be rank 4 or 5, got {x.shape}")
@@ -250,10 +423,7 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(1, 2, 3, 4)))
         if w.requires_grad:
-            gw = np.zeros((cout, w.size // cout), dtype=wd_data.dtype)
-            for cs, zs, ys, cols in _columns(xd, origin, spec.kernel, spec.stride, grid):
-                gs = g[:, cs, zs, ys]
-                gw += gs.reshape(cout, -1) @ cols.T
+            gw = _weight_grad(xd, g, origin, spec.kernel, spec.stride, wd_data.dtype)
             accumulate(w, gw.reshape(w.shape))
         if x.requires_grad:
             dx = np.zeros_like(xd)  # phases without taps stay 0

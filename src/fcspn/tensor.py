@@ -24,7 +24,10 @@ Numeric conventions:
   :class:`NumericError` instead of propagating silently.
 
 The tape is process-global and confined to one logical training thread.
-Tensors themselves are safe to share for concurrent reads.
+Tensors themselves are safe to share for concurrent reads.  The helper
+thread inside :func:`fcspn.ops.conv3d` only reads arrays and writes its own
+disjoint slabs of an output or fresh products; it never records or walks
+the tape.
 """
 
 from __future__ import annotations

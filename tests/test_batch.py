@@ -11,6 +11,8 @@ size, and OpenBLAS's small-matrix kernel sums in another order than its
 blocked one, so a product over three crops' columns may round differently
 from three per-crop products.  With integers every sum is exact, and any
 difference is an error in the crop plumbing, not in BLAS's rounding.
+For the same reason conv3d's one-thread and two-thread paths are compared
+on integer-valued data too.
 """
 
 import numpy as np
@@ -82,6 +84,60 @@ def test_conv3d_batch_equals_crops(monkeypatch, kernel, stride, bias, slab):
         return ops.conv3d(x, w, b, spec)
 
     _check(fn, [x], shared, rng)
+
+
+@pytest.mark.parametrize("kernel, stride, bias",
+                         NETWORK_CONVS + [((3, 3, 3), (2, 2, 3), True)])
+def test_conv3d_two_threads_equal_one(monkeypatch, kernel, stride, bias):
+    # every network convolution plus one of 12 stride phases, at a budget
+    # that cuts the forward's grid into an odd number of slabs, and into
+    # more of them, still odd, at the half budget of the two-thread path
+    rng = np.random.default_rng(7)
+    spec = ops.Conv3dSpec(kernel=kernel, stride=stride)
+    x = rng.integers(-4, 5, (2, N, 13, 8, 5)).astype(float)
+    arrays = [x, rng.integers(-4, 5, (3, 2) + kernel).astype(float)]
+    if bias:
+        arrays.append(rng.integers(-4, 5, 3).astype(float))
+    od, oh, ow = spec.out_extents(x.shape[-3:])
+    proj = rng.integers(-3, 4, (3, N, od, oh, ow)).astype(float)
+    row_bytes = int(np.prod(arrays[1].shape[1:])) * ow * 8
+    for rows in range(2, N * od * oh):
+        monkeypatch.setattr(ops, "_SLAB_BYTES", rows * row_bytes)
+        whole, half = (len(ops._slabs(N, od, oh, row_bytes, t)) for t in (1, 2))
+        if whole % 2 and half % 2 and 3 <= whole < half:
+            break
+    else:
+        pytest.fail("no budget gives odd slab counts")
+    handoffs = []
+    start = ops._Helper.start
+
+    def counted(helper, job):
+        handoffs.append(True)
+        start(helper, job)
+
+    monkeypatch.setattr(ops._Helper, "start", counted)
+
+    def fn(x, w, b=None):
+        return ops.conv3d(x, w, b, spec)
+
+    def both(arrays):
+        monkeypatch.setattr(ops, "_cpus", lambda: 1)
+        one = _run(fn, arrays, proj)
+        assert not handoffs
+        monkeypatch.setattr(ops, "_cpus", lambda: 2)
+        two = _run(fn, arrays, proj)
+        assert handoffs
+        handoffs.clear()
+        return one, two
+
+    one, two = both(arrays)
+    assert np.array_equal(one[0], two[0])
+    for want, got in zip(one[1], two[1]):
+        assert np.array_equal(want, got)
+    # the weight gradient adds the same per-slab products in the same order
+    # on both paths, so it is bitwise equal on float data too
+    one, two = both([rng.uniform(-1, 1, x.shape)] + arrays[1:])
+    assert np.array_equal(one[1][1], two[1][1])
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])

@@ -374,6 +374,26 @@ def test_train_missing_output_directory_fails_before_any_work(workdir, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_single_pixel_class_exits_3_before_training(workdir, tmp_path, capsys):
+    labels = data.load_labels(workdir / "scene.hsl1")
+    grid = labels.grid.copy()
+    lone = np.argwhere(grid == 2)[0]
+    grid[grid == 2] = 1
+    grid[tuple(lone)] = 2
+    data.save_labels(data.LabelMap(grid, labels.class_names), tmp_path / "lone.hsl1")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = cli.main(["train", "--cube", str(workdir / "scene.hsc1"),
+                   "--labels", str(tmp_path / "lone.hsl1"),
+                   "--config", str(workdir / "tiny.cfg"),
+                   "--out-ckpt", str(out_dir / "x.ckpt")])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "class 2 has one labeled pixel" in err
+    assert out == ""  # no split report, no step
+    assert list(out_dir.iterdir()) == []  # no checkpoint, trace or split
+
+
 def test_train_missing_cube_is_data_error(workdir, tmp_path):
     rc = cli.main(["train", "--cube", str(tmp_path / "absent.hsc1"),
                    "--labels", str(workdir / "scene.hsl1"),

@@ -333,6 +333,14 @@ def test_empty_class_errors():
         D.sample_split(labels, "per_class:200", seed=0)
 
 
+@pytest.mark.parametrize("strategy", ["per_class:200", "fraction:0.5"])
+def test_single_pixel_class_errors(strategy):
+    # its one pixel would be trained on and never tested
+    labels = D.LabelMap(np.array([[1, 1, 1, 2]]), ["a", "b"])
+    with pytest.raises(ValueError, match="class 2 has one labeled pixel"):
+        D.sample_split(labels, strategy, seed=0)
+
+
 def test_parse_strategy():
     assert D.parse_strategy("per_class:200") == ("per_class", 200)
     assert D.parse_strategy("fraction:0.05") == ("fraction", 0.05)

@@ -1,4 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +289,153 @@ def test_conv_shape_errors():
     with pytest.raises(T.ShapeError):
         ops.conv3d(T.zeros((2, 4, 4, 4)), T.zeros((2, 2, 3, 3, 3)),
                    T.zeros((3,)), spec)
+
+
+# ---------------------------------------------------------------------------
+# conv3d's helper thread
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """A multi-slab conv3d forward with two CPUs allowed, the serial output
+    it must give, and a list that gains an entry per job handed to the
+    helper thread."""
+    rng = np.random.default_rng(12)
+    x = rng.integers(-4, 5, (4, 2, 6, 10, 10)).astype(float)
+    w = rng.integers(-4, 5, (4, 4, 3, 3, 3)).astype(float)
+    spec = ops.Conv3dSpec(kernel=(3, 3, 3))
+    _budget_planes(monkeypatch, 1, x.shape, w.shape, spec)  # 12 slabs, 24 at half
+
+    def conv(xd=x):
+        return ops.conv3d(T.Tensor(xd), T.Tensor(w), None, spec).data
+
+    monkeypatch.setattr(ops, "_cpus", lambda: 1)
+    want = conv()
+    monkeypatch.setattr(ops, "_cpus", lambda: 2)
+    handoffs = []
+    start = ops._Helper.start
+
+    def counted(helper, job):
+        handoffs.append(True)
+        start(helper, job)
+
+    monkeypatch.setattr(ops._Helper, "start", counted)
+    return conv, want, handoffs
+
+
+def test_helper_error_reaches_caller_and_helper_survives(monkeypatch, two_threads):
+    conv, want, handoffs = two_threads
+    caller = threading.current_thread()
+    columns = ops._slab_columns
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("slab failed on the helper")
+        return columns(*args)
+
+    monkeypatch.setattr(ops, "_slab_columns", failing)
+    with pytest.raises(RuntimeError, match="slab failed on the helper"):
+        conv()
+    monkeypatch.setattr(ops, "_slab_columns", columns)
+    assert len(handoffs) == 1
+    assert np.array_equal(conv(), want)
+    assert len(handoffs) == 2
+
+
+def _conv_in_child(conv, want):
+    assert np.array_equal(conv(), want)
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+def test_forked_child_runs_multi_slab_conv(two_threads):
+    conv, want, handoffs = two_threads
+    assert np.array_equal(conv(), want)  # the parent's helper thread runs
+    assert handoffs
+    child = multiprocessing.get_context("fork").Process(
+        target=_conv_in_child, args=(conv, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():  # waiting on a helper thread the fork did not copy
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_two_callers_get_serial_results(two_threads):
+    conv, want, handoffs = two_threads
+    barrier = threading.Barrier(2, timeout=60)
+    results = [[], []]
+
+    def caller(k):
+        barrier.wait()
+        for _ in range(6):
+            results[k].append(conv())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in callers)
+    assert handoffs
+    for got in results:
+        assert len(got) == 6
+        assert all(np.array_equal(out, want) for out in got)
+
+
+def test_importing_fcspn_starts_no_thread():
+    env = dict(os.environ)
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, threading, fcspn.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["1", "False"]
+
+
+def test_interrupted_wait_still_waits_for_the_helper(monkeypatch, two_threads):
+    conv, want, handoffs = two_threads
+    conv()  # start the helper
+    helper = ops._helper
+    done = helper._done
+    interrupts = [KeyboardInterrupt()]
+
+    class InterruptedOnce:
+        def acquire(self):
+            if interrupts:
+                raise interrupts.pop()
+            done.acquire()
+
+        def release(self):
+            done.release()
+
+    monkeypatch.setattr(helper, "_done", InterruptedOnce())
+    with pytest.raises(KeyboardInterrupt):
+        conv()
+    # the helper's job had ended before the caller gave the helper up, so
+    # no stale "done" is left for the next caller to take as its own
+    assert not helper.busy.locked()
+    assert not done.acquire(timeout=0.5)
+    for _ in range(3):
+        assert np.array_equal(conv(), want)
+
+
+def test_conv_keeps_no_array_once_it_returns(two_threads):
+    conv, _, handoffs = two_threads
+    x = np.random.default_rng(13).integers(-4, 5, (4, 2, 6, 10, 10)).astype(float)
+    out = conv(x)
+    assert handoffs
+    while out.base is not None:  # the array conv3d allocated
+        out = out.base
+    refs = [weakref.ref(x), weakref.ref(out)]
+    del x, out
+    assert [r() for r in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------
