@@ -15,9 +15,11 @@ weights by them.  Its scratch memory does not grow with the scene or the
 batch.  The pullback keeps the input, not the columns: it rebuilds them
 slab by slab for the weight gradient, and computes the input gradient as
 the correlation of the output gradient with the flipped, transposed
-kernel, one call of the routine per stride phase.  On a process allowed
-two or more CPUs, a call of two or more slabs shares them with one helper
-thread (:class:`_Helper`), whose slabs are disjoint from the caller's.
+kernel, one call of the routine per stride phase.  Every product splits
+its slabs one way, whatever the CPU count: the even ones and the odd ones
+(:func:`_halves`).  On a process allowed two or more CPUs, one helper
+thread (:class:`_Helper`) runs the odd half beside the caller, so a run
+gives the same bits on one CPU and on two.
 
 :func:`batchnorm` is a normalization and the ReLU that follows it, as one
 op: it centres its input into one fresh array and divides, scales, shifts
@@ -53,10 +55,11 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 # bytes of column matrix conv3d builds per slab of its output grid, forward
-# and pullback: a fixed bound on its scratch memory, not a setting.  1 MiB
-# is half of a 2 MiB L2; of 0.5, 1, 2 and 4 MiB it gave the fastest
-# convolutions at the training step's shapes.
-_SLAB_BYTES = 1 << 20
+# and pullback: a fixed bound on its scratch memory, not a setting.  Two
+# slabs in flight, one per thread, hold 1 MiB, half of a 2 MiB L2; of 0.5,
+# 1, 2 and 4 MiB in flight that gave the fastest convolutions at the
+# training step's shapes.
+_SLAB_BYTES = 1 << 19
 
 
 def _cpus() -> int:
@@ -68,13 +71,13 @@ def _cpus() -> int:
 
 
 class _Helper:
-    """One daemon thread that runs part of a convolution's slabs beside
-    the caller.
+    """One daemon thread that runs the odd half of a convolution's slabs
+    (:func:`_halves`) beside the caller.
 
     numpy releases the GIL while it copies a strided window into columns
     and while it multiplies, so two threads build and multiply slabs at
     once.  A caller holds ``busy`` for its whole convolution.  A job only
-    reads arrays and writes its own slabs of an output or a fresh product;
+    reads arrays and writes its own slabs of an output or a fresh sum;
     it calls only this module's private functions, never a public one or
     the tape.  The thread drops each job, and so its arrays, before it
     reports it done, and an exception a job raises is raised again in the
@@ -208,15 +211,13 @@ def _crops(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 5 else arr[:, None]
 
 
-def _slabs(crops: int, depth: int, height: int, row_bytes: int, threads: int = 1):
+def _slabs(crops: int, depth: int, height: int, row_bytes: int):
     """(crops, planes, rows) slices that tile an output grid of ``crops`` x
-    ``depth`` x ``height`` rows, each slab at most ``_SLAB_BYTES //
-    threads`` of columns at ``row_bytes`` per output row (one row at
-    least), so the slabs ``threads`` threads build at once stay within the
-    budget: runs of whole crops while one crop fits, else runs of planes
-    within one crop while one plane fits, else bands of rows within one
-    plane."""
-    rows = max(1, _SLAB_BYTES // threads // row_bytes)
+    ``depth`` x ``height`` rows, each slab at most ``_SLAB_BYTES`` of
+    columns at ``row_bytes`` per output row (one row at least): runs of
+    whole crops while one crop fits, else runs of planes within one crop
+    while one plane fits, else bands of rows within one plane."""
+    rows = max(1, _SLAB_BYTES // row_bytes)
     if rows < height:
         return [(slice(c, c + 1), slice(z, z + 1), slice(y, min(y + rows, height)))
                 for c in range(crops) for z in range(depth)
@@ -263,23 +264,37 @@ def _slab_columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Tripl
     return win.reshape(c * kd * kh * kw, -1)
 
 
+def _halves(slabs, run):
+    """``(run(slabs[::2]), run(slabs[1::2]))``: the odd slabs run on the
+    helper thread when :func:`_claim_helper` hands it over, else on the
+    caller after the even ones.  Each thread builds one slab at a time, so
+    the columns in flight stay within two slab budgets."""
+    helper = _claim_helper() if len(slabs) > 1 else None
+    if helper is None:
+        return run(slabs[::2]), run(slabs[1::2])
+    try:
+        odd = []
+        helper.start(lambda: odd.append(run(slabs[1::2])))
+        try:
+            even = run(slabs[::2])
+        finally:
+            helper.wait()
+    finally:
+        helper.busy.release()
+    return even, odd[0]
+
+
 def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
                stride: Triple, out: np.ndarray) -> None:
     """Fill ``out`` (M, N, od, oh, ow) with ``wm`` (M, C*kd*kh*kw) times the
     columns of :func:`_slab_columns`, one GEMM per slab of :func:`_slabs`;
     each product goes straight into its part of ``out`` when ``out`` is one
     contiguous block (a strided view, one stride phase of an input
-    gradient, takes a copy).
-
-    A grid of two or more slabs is re-cut into slabs of half the budget
-    when the helper thread is free (:func:`_claim_helper`): it builds and
-    multiplies the odd slabs while the caller does the even ones, so the
-    columns in flight stay within one budget.  Both threads write disjoint
-    parts of ``out``.
+    gradient, takes a copy).  :func:`_halves` splits the slabs between the
+    caller and the helper thread, which write disjoint parts of ``out``.
     """
     src = np.ascontiguousarray(src)
     n, od, oh, ow = out.shape[1:]
-    row_bytes = wm.shape[1] * ow * src.itemsize
     direct = out.flags.c_contiguous
 
     def run(slabs):
@@ -291,63 +306,31 @@ def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
             else:
                 part[...] = (wm @ cols).reshape(part.shape)
 
-    slabs = _slabs(n, od, oh, row_bytes)
-    helper = _claim_helper() if len(slabs) > 1 else None
-    if helper is None:
-        run(slabs)
-        return
-    try:
-        slabs = _slabs(n, od, oh, row_bytes, threads=2)
-        helper.start(lambda: run(slabs[1::2]))
-        try:
-            run(slabs[::2])
-        finally:
-            helper.wait()
-    finally:
-        helper.busy.release()
+    _halves(_slabs(n, od, oh, wm.shape[1] * ow * src.itemsize), run)
 
 
 def _weight_grad(src: np.ndarray, g: np.ndarray, origin: Triple, kernel: Triple,
                  stride: Triple, dtype) -> np.ndarray:
     """The (M, C*kd*kh*kw) weight gradient: ``g`` (M, N, od, oh, ow) times
-    the transposed columns of ``src``, summed over the slabs of
-    :func:`_slabs` in slab order.
-
-    With the helper thread free (:func:`_claim_helper`), it computes slab
-    2k + 1's product while the caller computes slab 2k's, and the caller
-    adds both in slab order, so the sum does not depend on the thread
-    count.
+    the transposed columns of ``src``.  :func:`_halves` splits the slabs of
+    :func:`_slabs`; each half sums its products in slab order, and the
+    gradient is the even sum plus the odd sum whether or not the helper
+    thread ran the odd half, so its bits do not depend on the CPU count.
     """
     src = np.ascontiguousarray(src)
     m, n, od, oh, ow = g.shape
     inner = src.shape[0] * kernel[0] * kernel[1] * kernel[2]
-    slabs = _slabs(n, od, oh, inner * ow * src.itemsize)
-    gw = np.zeros((m, inner), dtype=dtype)
 
-    def product(slab):
-        cols = _slab_columns(src, origin, kernel, stride, ow, slab)
-        return g[(slice(None),) + slab].reshape(m, -1) @ cols.T
-
-    helper = _claim_helper() if len(slabs) > 1 else None
-    if helper is None:
+    def run(slabs):
+        gw = np.zeros((m, inner), dtype=dtype)
         for slab in slabs:
-            gw += product(slab)
+            cols = _slab_columns(src, origin, kernel, stride, ow, slab)
+            gw += g[(slice(None),) + slab].reshape(m, -1) @ cols.T
         return gw
-    try:
-        for k in range(0, len(slabs) - 1, 2):
-            odd = []
-            helper.start(lambda slab=slabs[k + 1]: odd.append(product(slab)))
-            try:
-                even = product(slabs[k])
-            finally:
-                helper.wait()
-            gw += even
-            gw += odd[0]
-        if len(slabs) % 2:
-            gw += product(slabs[-1])
-    finally:
-        helper.busy.release()
-    return gw
+
+    even, odd = _halves(_slabs(n, od, oh, inner * ow * src.itemsize), run)
+    even += odd
+    return even
 
 
 def _phases(extents: Triple, spec: Conv3dSpec):
@@ -392,8 +375,9 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     r + s, ...``, so each phase is a stride-1 correlation through the same
     slab routine, written into that phase's positions of the gradient.
     The forward and each phase go through :func:`_correlate`, the weight
-    gradient through :func:`_weight_grad`; both share a call's slabs with
-    a helper thread when they can.
+    gradient through :func:`_weight_grad`; both split a call's slabs into
+    the even and the odd ones (:func:`_halves`), and run the odd ones on a
+    helper thread when they can.
     """
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"conv3d input must be rank 4 or 5, got {x.shape}")

@@ -25,9 +25,9 @@ Numeric conventions:
 
 The tape is process-global and confined to one logical training thread.
 Tensors themselves are safe to share for concurrent reads.  The helper
-thread inside :func:`fcspn.ops.conv3d` only reads arrays and writes its own
-disjoint slabs of an output or fresh products; it never records or walks
-the tape.
+thread inside :func:`fcspn.ops.conv3d` runs the odd half of a call's slabs:
+it only reads arrays and writes its own disjoint slabs of an output or a
+fresh sum of products; it never records or walks the tape.
 """
 
 from __future__ import annotations

@@ -6,20 +6,29 @@ stacked on that axis.  Parameter gradients sum over crops in another
 order, so they agree to 1e-13 relative.  Batchnorm's running statistics
 must be bitwise equal to folding the crops in one at a time.
 
-conv3d runs on integer-valued data: BLAS picks its GEMM kernel by matrix
-size, and OpenBLAS's small-matrix kernel sums in another order than its
-blocked one, so a product over three crops' columns may round differently
-from three per-crop products.  With integers every sum is exact, and any
-difference is an error in the crop plumbing, not in BLAS's rounding.
-For the same reason conv3d's one-thread and two-thread paths are compared
-on integer-valued data too.
+The conv3d batch test runs on integer-valued data: BLAS picks its GEMM
+kernel by matrix size, and OpenBLAS's small-matrix kernel sums in another
+order than its blocked one, so a product over three crops' columns may
+round differently from three per-crop products.  With integers every sum
+is exact, and any difference is an error in the crop plumbing, not in
+BLAS's rounding.
+
+conv3d's one-thread and two-thread paths run the same slabs and add the
+same products in the same order, so they must be bitwise equal on float
+data, and so must a short training run on one CPU and on two.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from fcspn import cspn, ops
+from fcspn import cspn
+from fcspn import data as D
+from fcspn import model as M
+from fcspn import ops
 from fcspn import tensor as T
+from fcspn import train as TR
 
 N = 3
 
@@ -89,25 +98,21 @@ def test_conv3d_batch_equals_crops(monkeypatch, kernel, stride, bias, slab):
 @pytest.mark.parametrize("kernel, stride, bias",
                          NETWORK_CONVS + [((3, 3, 3), (2, 2, 3), True)])
 def test_conv3d_two_threads_equal_one(monkeypatch, kernel, stride, bias):
-    # every network convolution plus one of 12 stride phases, at a budget
-    # that cuts the forward's grid into an odd number of slabs, and into
-    # more of them, still odd, at the half budget of the two-thread path
+    # every network convolution plus one of 12 stride phases, on float
+    # data, at one output plane per slab: an odd count of at least 3, so
+    # the helper's half is one slab shorter than the caller's
     rng = np.random.default_rng(7)
     spec = ops.Conv3dSpec(kernel=kernel, stride=stride)
-    x = rng.integers(-4, 5, (2, N, 13, 8, 5)).astype(float)
-    arrays = [x, rng.integers(-4, 5, (3, 2) + kernel).astype(float)]
+    arrays = [rng.uniform(-1, 1, (2, N, 13, 8, 5)),
+              rng.uniform(-1, 1, (3, 2) + kernel)]
     if bias:
-        arrays.append(rng.integers(-4, 5, 3).astype(float))
-    od, oh, ow = spec.out_extents(x.shape[-3:])
-    proj = rng.integers(-3, 4, (3, N, od, oh, ow)).astype(float)
-    row_bytes = int(np.prod(arrays[1].shape[1:])) * ow * 8
-    for rows in range(2, N * od * oh):
-        monkeypatch.setattr(ops, "_SLAB_BYTES", rows * row_bytes)
-        whole, half = (len(ops._slabs(N, od, oh, row_bytes, t)) for t in (1, 2))
-        if whole % 2 and half % 2 and 3 <= whole < half:
-            break
-    else:
-        pytest.fail("no budget gives odd slab counts")
+        arrays.append(rng.uniform(-1, 1, 3))
+    od, oh, ow = spec.out_extents(arrays[0].shape[-3:])
+    proj = rng.uniform(-1, 1, (3, N, od, oh, ow))
+    row_bytes = arrays[1][0].size * ow * 8
+    monkeypatch.setattr(ops, "_SLAB_BYTES", oh * row_bytes)
+    slabs = len(ops._slabs(N, od, oh, row_bytes))
+    assert slabs >= 3 and slabs % 2
     handoffs = []
     start = ops._Helper.start
 
@@ -120,24 +125,35 @@ def test_conv3d_two_threads_equal_one(monkeypatch, kernel, stride, bias):
     def fn(x, w, b=None):
         return ops.conv3d(x, w, b, spec)
 
-    def both(arrays):
-        monkeypatch.setattr(ops, "_cpus", lambda: 1)
-        one = _run(fn, arrays, proj)
-        assert not handoffs
-        monkeypatch.setattr(ops, "_cpus", lambda: 2)
-        two = _run(fn, arrays, proj)
-        assert handoffs
-        handoffs.clear()
-        return one, two
-
-    one, two = both(arrays)
+    monkeypatch.setattr(ops, "_cpus", lambda: 1)
+    one = _run(fn, arrays, proj)
+    assert not handoffs
+    monkeypatch.setattr(ops, "_cpus", lambda: 2)
+    two = _run(fn, arrays, proj)
+    assert handoffs
+    # the output and every gradient, the weights' included: both paths add
+    # the same products in the same order
     assert np.array_equal(one[0], two[0])
     for want, got in zip(one[1], two[1]):
         assert np.array_equal(want, got)
-    # the weight gradient adds the same per-slab products in the same order
-    # on both paths, so it is bitwise equal on float data too
-    one, two = both([rng.uniform(-1, 1, x.shape)] + arrays[1:])
-    assert np.array_equal(one[1][1], two[1][1])
+
+
+def test_training_bits_do_not_depend_on_the_cpu_count(monkeypatch):
+    cube, labels = D.synth_scene(classes=4, size=48, bands=20, seed=3)
+    cube = D.normalize(cube)
+    split = D.sample_split(labels, "per_class:15", seed=3)
+    config = TR.TrainConfig(batch_size=2, epochs=2, crop_size=(32, 32), seed=3)
+
+    def digest(cpus):
+        monkeypatch.setattr(ops, "_cpus", lambda: cpus)
+        model = M.build(M.ModelConfig(in_bands=20, num_classes=4, base_channels=8,
+                                      cspn_steps=8), np.random.default_rng(3))
+        rows = TR.train(cube, labels, split, model, config)
+        params = hashlib.sha256(b"".join(a.tobytes() for a in model.params.arrays()))
+        trace = hashlib.sha256(repr([(r.focal, r.l2, r.total) for r in rows]).encode())
+        return params.hexdigest(), trace.hexdigest()
+
+    assert digest(1) == digest(2)
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])

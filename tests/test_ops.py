@@ -304,7 +304,7 @@ def two_threads(monkeypatch):
     x = rng.integers(-4, 5, (4, 2, 6, 10, 10)).astype(float)
     w = rng.integers(-4, 5, (4, 4, 3, 3, 3)).astype(float)
     spec = ops.Conv3dSpec(kernel=(3, 3, 3))
-    _budget_planes(monkeypatch, 1, x.shape, w.shape, spec)  # 12 slabs, 24 at half
+    _budget_planes(monkeypatch, 1, x.shape, w.shape, spec)  # 12 slabs, 6 a thread
 
     def conv(xd=x):
         return ops.conv3d(T.Tensor(xd), T.Tensor(w), None, spec).data
