@@ -16,7 +16,7 @@ from fcspn import tensor as T
 rng = np.random.default_rng(3)
 
 print("== conv3d geometry ==")
-x = T.Tensor(rng.normal(size=(2, 9, 8, 8)))
+x = T.Tensor(rng.normal(size=(2, 1, 9, 8, 8)))  # (channels, crops, D, H, W)
 for kernel, stride in (((3, 3, 3), (1, 1, 1)),
                        ((3, 3, 3), (2, 1, 1)),
                        ((5, 1, 1), (5, 1, 1))):
@@ -28,7 +28,7 @@ for kernel, stride in (((3, 3, 3), (1, 1, 1)),
 
 print()
 print("== batch normalization: training vs inference ==")
-feat = T.Tensor(rng.normal(2.0, 3.0, size=(3, 4, 5, 5)))
+feat = T.Tensor(rng.normal(2.0, 3.0, size=(3, 1, 4, 5, 5)))
 gamma = T.Tensor(np.ones(3))
 beta = T.Tensor(np.zeros(3))
 state = ops.BatchNormState(3)
@@ -48,8 +48,8 @@ print("eval mode reuses running stats; output mean:",
 
 print()
 print("== the decoder join: corner-aligned upsampling, then the mirror ==")
-ramp = T.Tensor(np.arange(4.0).reshape(1, 1, 1, 4))
-mirror = T.Tensor(np.full((1, 1, 1, 7), -1.0))
+ramp = T.Tensor(np.arange(4.0).reshape(1, 1, 1, 1, 4))
+mirror = T.Tensor(np.full((1, 1, 1, 1, 7), -1.0))
 with T.no_grad():
     join = ops.upsample_concat(ramp, mirror)
 print("1D ramp 0..3 resampled to the mirror's 7 points:", join.data[0].ravel())
@@ -58,7 +58,7 @@ print("the mirror's channel follows it in the same array:", join.data[1].ravel()
 print()
 print("== the squeeze-excitation channel gate ==")
 gate = M._Attention(ops.ModelParams(), "attn", 3, rng)
-feat = T.Tensor(rng.normal(size=(3, 4, 5, 5)))
+feat = T.Tensor(rng.normal(size=(3, 1, 4, 5, 5)))
 with T.no_grad():
     gated = gate(feat)
 scale = (gated.data / feat.data).reshape(3, -1)
@@ -81,7 +81,7 @@ print("running statistics in the same registry:",
       ", ".join(path for path, _ in params.states()))
 print(f"weight decay in the SGD step: {len(params.decayed())} conv weights "
       f"of {len(params.paths())} tensors")
-feat = T.Tensor(rng.normal(size=(3, 6, 7, 7)))
+feat = T.Tensor(rng.normal(size=(3, 1, 6, 7, 7)))
 with T.no_grad():
     out = unit(feat, training=True)
 print("residual unit preserves shape:", feat.shape, "->", out.shape)

@@ -14,18 +14,19 @@ from fcspn import tensor as T
 rng = np.random.default_rng(12)
 
 print("== kernel normalization invariants ==")
-raw = T.Tensor(rng.uniform(-1.0, 1.0, (8, 64, 64)))
+# every map is a batch, (channels, crops, H, W); these are single crops
+raw = T.Tensor(rng.uniform(-1.0, 1.0, (8, 1, 64, 64)))
 k = cspn.normalize_affinity(raw).data
 print("neighbor |k| sums to:", f"1 +/- {np.abs(np.abs(k).sum(axis=0) - 1).max():.1e}")
 
 print()
 print("== a constant map does not drift ==")
-flat = T.Tensor(np.full((1, 12, 12), 5.0))
+flat = T.Tensor(np.full((1, 1, 12, 12), 5.0))
 out = cspn.refine(flat, cspn.normalize_affinity(
-    T.Tensor(rng.uniform(0.2, 1.0, (8, 12, 12)))), steps=2)
-print("interior exactly 5.0:", bool(np.all(out.data[0, 2:-2, 2:-2] == 5.0)))
+    T.Tensor(rng.uniform(0.2, 1.0, (8, 1, 12, 12)))), steps=2)
+print("interior exactly 5.0:", bool(np.all(out.data[0, 0, 2:-2, 2:-2] == 5.0)))
 print("border pixels leak toward the zero padding:",
-      f"corner = {out.data[0, 0, 0]:.3f}")
+      f"corner = {out.data[0, 0, 0, 0]:.3f}")
 
 print()
 print("== repairing salt noise on a synthetic scene ==")
@@ -49,16 +50,16 @@ for idx, (dy, dx) in enumerate(cspn.OFFSETS):
     d2[idx] = np.where(valid[idx], dist, 0.0)
 tau = d2[valid].mean() * 0.25
 aff = cspn.normalize_affinity(
-    T.Tensor(np.where(valid, np.exp(-d2 / tau), 0.0)))
+    T.Tensor(np.where(valid, np.exp(-d2 / tau), 0.0)[:, None]))
 
 noisy = truth.astype(np.int64).copy()
 hit = rng.choice(noisy.size, size=noisy.size // 10, replace=False)
 noisy.flat[hit] = (noisy.flat[hit] - 1 + rng.integers(1, 3, hit.size)) % 3 + 1
 
-onehot = T.Tensor(np.eye(3)[noisy - 1].transpose(2, 0, 1))
+onehot = T.Tensor(np.eye(3)[noisy - 1].transpose(2, 0, 1)[:, None])
 with T.no_grad():
     refined = cspn.refine(onehot, aff, steps=2)
-repaired = np.argmax(refined.data, axis=0) + 1
+repaired = np.argmax(refined.data[:, 0], axis=0) + 1
 
 glyphs = np.array([" ", ".", "o", "#"])
 

@@ -253,7 +253,7 @@ def cmd_classify(args) -> int:
     cube = data.normalize(cube)
 
     with no_grad():
-        logits, _ = net.forward_refined(Tensor(cube.values[None]), steps=args.steps)
+        logits, _ = net.forward_refined(Tensor(cube.values), steps=args.steps)
     grid = logits.data.argmax(axis=0).astype(np.uint16) + 1
 
     names = [f"class_{cls}" for cls in range(1, net.config.num_classes + 1)]

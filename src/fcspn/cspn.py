@@ -2,16 +2,16 @@
 
 A small learned branch (:class:`AffinityBranch`, whose layers sit in the
 network's one parameter registry) emits eight raw affinities per pixel, one
-per non-center cell of the 3x3 neighborhood.  :func:`normalize_affinity` rescales
-them so their absolute values sum to one; :func:`propagate_step` then mixes
-every class channel with its shifted neighbors under that shared kernel, the
-center weighted by the complement ``1 - sum_n kappa_n`` of the signed
-neighbor sum, and :func:`refine` repeats the step a fixed number of times.
+per non-center cell of the 3x3 neighborhood.  :func:`normalize_affinity`
+rescales them so their absolute values sum to one; :func:`propagate_step`
+then mixes every class channel of a ``(channels, crops, height, width)``
+batch with its shifted neighbors under its crop's kernel, and
+:func:`refine` repeats the step a fixed number of times.
 
-Update rule, per pixel (i, j) and class channel l:
+Update rule, per crop c, pixel (i, j) and class channel l:
 
-    h[l,i,j] <- (1 - sum_n kappa_n[i,j]) * h[l,i,j]
-                + sum_n kappa_n[i,j] * h[l,i-a,j-b]
+    h[l,c,i,j] <- (1 - sum_n kappa_n[c,i,j]) * h[l,c,i,j]
+                  + sum_n kappa_n[c,i,j] * h[l,c,i-a,j-b]
 
 with (a, b) running over :data:`OFFSETS` and off-image neighbors reading
 zero.  The implementation uses the algebraically equal form
@@ -44,16 +44,14 @@ OFFSETS: Tuple[Tuple[int, int], ...] = (
 def normalize_affinity(raw: Tensor) -> Tensor:
     """Rescale raw affinities per pixel: kappa_n = raw_n / sum_m |raw_m|.
 
-    ``raw`` is (8, N, H, W), one map per crop, or the one-crop view
-    (8, H, W); kappa has its shape.  Wherever any raw value
-    is nonzero the channels sum to one in absolute value and each lies in
-    [-1, 1].  A pixel whose raw vector is all zero gets kappa 0 (the identity
-    kernel) and a zero gradient, the one point where the quotient is
-    undefined.
+    ``raw`` is (8, N, H, W), one map per crop; kappa has its shape.
+    Wherever any raw value is nonzero the channels sum to one in absolute
+    value and each lies in [-1, 1].  A pixel whose raw vector is all zero
+    gets kappa 0 (the identity kernel) and a zero gradient, the one point
+    where the quotient is undefined.
     """
-    if raw.data.ndim not in (3, 4) or raw.shape[0] != 8:
-        raise ShapeError(
-            f"raw affinities must have shape (8, N, H, W) or (8, H, W), got {raw.shape}")
+    if raw.data.ndim != 4 or raw.shape[0] != 8:
+        raise ShapeError(f"raw affinities must have shape (8, N, H, W), got {raw.shape}")
     r = raw.data
     z = np.abs(r).sum(axis=0)
     safe = np.where(z == 0.0, 1.0, z)
@@ -73,13 +71,12 @@ def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
 
     Reads only the incoming map (double-buffered by construction) and writes
     ``h + sum_n kappa_n * (shift_n(h) - h)``, which equals the center-weighted
-    form with center weight ``1 - sum_n kappa_n``.  ``h`` is (c, N, H, W) or
-    the one-crop view (c, H, W), and ``kappa`` the matching (8, N, H, W) or
-    (8, H, W) output of :func:`normalize_affinity`; shifts act on the last
-    two axes only.
+    form with center weight ``1 - sum_n kappa_n``.  ``h`` is (c, N, H, W)
+    and ``kappa`` the matching (8, N, H, W) output of
+    :func:`normalize_affinity`; shifts act on the last two axes only.
     """
-    if h.data.ndim not in (3, 4):
-        raise ShapeError(f"score map must have shape (c, N, H, W) or (c, H, W), got {h.shape}")
+    if h.data.ndim != 4:
+        raise ShapeError(f"score map must have shape (c, N, H, W), got {h.shape}")
     if kappa.shape != (8,) + h.shape[1:]:
         raise ShapeError(
             f"normalized affinities {kappa.shape} do not match score map {h.shape}")
@@ -90,7 +87,7 @@ def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
     # h-pullback scatters into the same layout along the transposed stencil.
     # The forward's copy dies when it returns; the pullback pads h again,
     # so the tape holds no padded map between forward and backward.
-    pad = ((0, 0),) * (hd.ndim - 2) + ((1, 1), (1, 1))
+    pad = ((0, 0), (0, 0), (1, 1), (1, 1))
     windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
                for a, b in OFFSETS]
     inside = (Ellipsis, slice(1, -1), slice(1, -1))
@@ -148,10 +145,8 @@ class AffinityBranch:
                              (1, 3, 3), (1, 1, 1), None, bias=True)
 
     def forward(self, plane: Tensor, training: bool = False) -> Tensor:
-        """Raw affinities (8, N, H, W) of a (C, N, 1, H, W) plane, or
-        (8, H, W) of its one-crop view (C, 1, H, W)."""
-        if plane.data.ndim not in (4, 5) or plane.shape[-3] != 1:
-            raise ShapeError(
-                f"plane must have shape (C, N, 1, H, W) or (C, 1, H, W), got {plane.shape}")
+        """Raw affinities (8, N, H, W) of a (C, N, 1, H, W) plane."""
+        if plane.data.ndim != 5 or plane.shape[2] != 1:
+            raise ShapeError(f"plane must have shape (C, N, 1, H, W), got {plane.shape}")
         raw = self.head(self.norm(self.mix(plane), training))
-        return T.reshape(raw, (8,) + raw.shape[1:-3] + raw.shape[-2:])
+        return T.reshape(raw, raw.shape[:2] + raw.shape[3:])

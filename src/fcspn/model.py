@@ -1,8 +1,9 @@
 """The encoder/decoder 3D network and its checkpoint file.
 
-Layout, reading a ``(1, N, B, H, W)`` batch of N cubes (or one cube,
-``(1, B, H, W)`` or ``(B, H, W)``) down to per-pixel class scores; every
-layer carries the crop axis N and reduces per crop.  One conv pair,
+Layout, reading a ``(1, N, B, H, W)`` batch of N cubes, or one (B, H, W)
+cube as a batch of one (``FcspnModel._as_input`` lists every input form),
+down to per-pixel class scores; every layer carries the crop axis N and
+reduces per crop.  One conv pair,
 conv -> norm -> relu -> conv -> norm -> relu with a (kernel, stride) per
 conv, builds every double convolution below.  Each norm -> relu is one op,
 ``ops.Norm``, so the tape holds one map per normalization:
@@ -141,9 +142,7 @@ class _Attention:
                              (1, 1, 1), (1, 1, 1), rng, bias=True)
 
     def __call__(self, x):
-        rank = x.data.ndim
-        squeezed = T.reshape(T.reduce_mean(x, axes=range(rank - 3, rank)),
-                             x.shape[:-3] + (1, 1, 1))
+        squeezed = T.reshape(T.reduce_mean(x, axes=(2, 3, 4)), x.shape[:2] + (1, 1, 1))
         return T.mul(x, T.sigmoid(self.gate(squeezed)))
 
 
@@ -230,8 +229,8 @@ class FcspnModel:
 
     def _as_input(self, x: Tensor) -> Tensor:
         """``x`` as the (1, N, B, H, W) batch the layers take, in the
-        parameters' dtype; a (B, H, W) or (1, B, H, W) cube is a batch of
-        one."""
+        parameters' dtype; a (B, H, W) cube is a batch of one, and so is the
+        (1, B, H, W) cube perfbench/workload.py's classify_scene passes."""
         if x.data.ndim == 3 or (x.data.ndim == 4 and x.shape[0] == 1):
             x = T.reshape(x, (1, 1) + x.shape[-3:])
         if x.data.ndim != 5 or x.shape[0] != 1:

@@ -2,10 +2,9 @@
 
 Feature maps are channel-major, ``(channels, crops, depth, height,
 width)``: a training batch is one array whose crop axis every op carries,
-so one optimizer step is one forward and one backward pass.  A
-``(channels, depth, height, width)`` map is the one-crop view of the same
-code.  Normalization statistics are per (channel, crop).  Each op
-registers its pullback on the global tape via
+so one optimizer step is one forward and one backward pass, and one scene
+is a batch of one.  Normalization statistics are per (channel, crop).
+Each op registers its pullback on the global tape via
 :func:`fcspn.tensor.record`.
 
 :func:`conv3d` runs all three of its products through one routine: build
@@ -207,7 +206,9 @@ class Conv3dSpec:
 
 
 def _crops(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as (C, N, D, H, W); a (C, D, H, W) map is its one-crop view."""
+    """``arr`` as (C, N, D, H, W); a (C, D, H, W) map is its one-crop view,
+    which only conv3d and batchnorm take: perfbench/test_harness.py calls
+    them on rank-4 maps."""
     return arr if arr.ndim == 5 else arr[:, None]
 
 
@@ -570,7 +571,7 @@ def _resample(arr: np.ndarray, mats, out: Optional[np.ndarray] = None) -> np.nda
 def upsample_concat(x: Tensor, mirror: Tensor) -> Tensor:
     """The decoder's join: ``x`` (Cx,N,D,H,W) resampled to the extents of
     ``mirror`` (Cm,N,D',H',W'), stacked on the channel axis with it, as one
-    (Cx+Cm,N,D',H',W') map; both may also be one-crop (C,D,H,W) views.
+    (Cx+Cm,N,D',H',W') map.
 
     The resampling is corner-aligned and separable: one (target, source)
     tap matrix ``A`` per axis (:func:`_axis_matrix`), applied by
@@ -580,12 +581,9 @@ def upsample_concat(x: Tensor, mirror: Tensor) -> Tensor:
     applies each ``A.T`` to the join gradient's first ``Cx`` channels and
     passes the rest on to the mirror.
     """
-    if x.data.ndim not in (4, 5):
-        raise ShapeError(f"upsample_concat input must be rank 4 or 5, got {x.shape}")
-    if mirror.data.ndim != x.data.ndim:
-        raise ShapeError(f"rank mismatch: {x.shape} vs mirror {mirror.shape}")
-    if x.shape[1:-3] != mirror.shape[1:-3]:
-        raise ShapeError(f"crop counts differ: {x.shape} vs mirror {mirror.shape}")
+    if x.data.ndim != 5 or mirror.data.ndim != 5 or x.shape[1] != mirror.shape[1]:
+        raise ShapeError(f"upsample_concat takes (C, N, D, H, W) maps of one crop "
+                         f"count, got {x.shape} and mirror {mirror.shape}")
     cx = x.shape[0]
     mats = [_axis_matrix(n, m, x.data.dtype) for n, m in zip(x.shape[-3:], mirror.shape[-3:])]
     join = np.empty((cx + mirror.shape[0],) + mirror.shape[1:],

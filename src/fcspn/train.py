@@ -2,8 +2,8 @@
 
 One optimizer step consumes a batch of randomly positioned crops (full
 spectral extent, fixed spatial window), stacked on the network's crop axis:
-the batch runs forward once through the network and the refinement stage,
-the focal loss averages each crop's own mean, and a single backward pass
+the batch runs forward once, the focal loss averages each crop's own mean
+over the ``(classes, crops, H, W)`` logits, and one backward pass
 distributes the gradient.  An epoch is one optimizer step.  Only the focal
 loss is on the tape, so ``.grad`` is the loss gradient; :func:`sgd_step`
 decays the conv weights, for SGD the same update as an L2 penalty's gradient.
@@ -55,18 +55,16 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float) -> Tensor:
     over its labeled pixels.
 
     ``logits`` is (c, N, H, W) with ``labels`` an (N, H, W) integer id
-    array, or the one-crop view: (c, H, W) logits with (H, W) ids.  Id 0
-    marks unlabeled pixels, which contribute nothing to the value or the
-    gradient; every crop needs at least one labeled pixel.
+    array.  Id 0 marks unlabeled pixels, which contribute nothing to the
+    value or the gradient; every crop needs at least one labeled pixel.
     """
-    if logits.data.ndim not in (3, 4):
-        raise ShapeError(f"logits must be (c, N, H, W) or (c, H, W), got {logits.shape}")
+    if logits.data.ndim != 4:
+        raise ShapeError(f"logits must be (c, N, H, W), got {logits.shape}")
     if labels.shape != logits.shape[1:]:
         raise ShapeError(f"labels {labels.shape} do not match logits {logits.shape}")
     if gamma < 0:
         raise ShapeError(f"gamma must be >= 0, got {gamma}")
-    z = logits.data.reshape(logits.shape[:1] + (-1,) + logits.shape[-2:])
-    labels = labels.reshape(z.shape[1:])
+    z = logits.data
     crops = z.shape[1]
     kk, ii, jj = np.nonzero(labels > 0)
     counts = np.bincount(kk, minlength=crops)
@@ -101,7 +99,7 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float) -> Tensor:
         dz = np.zeros_like(z)
         dz[:, kk, ii, jj] = -p[:, kk, ii, jj] * coeff
         dz[tt, kk, ii, jj] += coeff
-        accumulate(logits, dz.reshape(logits.shape))
+        accumulate(logits, dz)
 
     return record("focal_loss", (logits,), value, fn)
 

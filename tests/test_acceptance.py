@@ -85,9 +85,9 @@ def _grad_upsample_concat(rng):
     worst = 0.0
     for _ in range(20):
         c, cm = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        x = rng.normal(0.0, 1.0, (c,) + tuple(
+        x = rng.normal(0.0, 1.0, (c, 1) + tuple(
             int(rng.integers(1, 5)) for _ in range(3)))
-        target = tuple(int(rng.integers(1, 6)) for _ in range(3))
+        target = (1,) + tuple(int(rng.integers(1, 6)) for _ in range(3))
         mirror = rng.normal(0.0, 1.0, (cm,) + target)
         proj = gradcheck.projection((c + cm,) + target, rng)
 
@@ -102,7 +102,7 @@ def _grad_attention(rng):
     worst = 0.0
     for _ in range(20):
         channels = int(rng.integers(1, 4))
-        x = rng.normal(0.0, 1.0, (channels, int(rng.integers(2, 4)),
+        x = rng.normal(0.0, 1.0, (channels, 1, int(rng.integers(2, 4)),
                                   int(rng.integers(3, 5)),
                                   int(rng.integers(3, 5))))
         att = M._Attention(ops.ModelParams(), "att", channels, rng)
@@ -145,9 +145,9 @@ def _grad_focal(rng):
     for i in range(20):
         c = int(rng.integers(2, 4))
         hh, ww = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        logits = rng.normal(0.0, 1.2, (c, hh, ww))
-        labels = rng.integers(0, c + 1, (hh, ww))
-        labels[0, 0] = 1
+        logits = rng.normal(0.0, 1.2, (c, 1, hh, ww))
+        labels = rng.integers(0, c + 1, (1, hh, ww))
+        labels[0, 0, 0] = 1
         gamma = (0.0, 0.5, 1.0, 2.0, 3.0)[i % 5]
 
         def build(lt):
@@ -163,9 +163,9 @@ def _grad_normalize_affinity(rng):
         hh, ww = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         # Magnitudes bounded away from zero keep the |.| kink out of the
         # finite-difference stencil.
-        raw = (rng.uniform(0.2, 1.5, (8, hh, ww))
-               * rng.choice([-1.0, 1.0], (8, hh, ww)))
-        proj = gradcheck.projection((8, hh, ww), rng)
+        raw = (rng.uniform(0.2, 1.5, (8, 1, hh, ww))
+               * rng.choice([-1.0, 1.0], (8, 1, hh, ww)))
+        proj = gradcheck.projection((8, 1, hh, ww), rng)
 
         def build(rt):
             return gradcheck.project(cspn.normalize_affinity(rt), proj)
@@ -179,9 +179,9 @@ def _grad_propagate(rng):
     for _ in range(20):
         c = int(rng.integers(1, 3))
         hh, ww = int(rng.integers(3, 6)), int(rng.integers(3, 6))
-        h0 = rng.normal(0.0, 1.0, (c, hh, ww))
-        k0 = rng.uniform(-0.4, 0.4, (8, hh, ww))
-        proj = gradcheck.projection((c, hh, ww), rng)
+        h0 = rng.normal(0.0, 1.0, (c, 1, hh, ww))
+        k0 = rng.uniform(-0.4, 0.4, (8, 1, hh, ww))
+        proj = gradcheck.projection((c, 1, hh, ww), rng)
 
         def build(ht, kt):
             return gradcheck.project(cspn.propagate_step(ht, kt), proj)
@@ -312,28 +312,28 @@ def test_a4_propagation_identities():
     rng = np.random.default_rng(404)
     with T.no_grad():
         # The normalized kernel sums to one in absolute value on 100k pixels.
-        raw = (rng.uniform(0.2, 1.5, (8, 250, 400))
-               * rng.choice([-1.0, 1.0], (8, 250, 400)))
+        raw = (rng.uniform(0.2, 1.5, (8, 1, 250, 400))
+               * rng.choice([-1.0, 1.0], (8, 1, 250, 400)))
         k = cspn.normalize_affinity(T.Tensor(raw)).data
         inv_err = float(np.max(np.abs(np.abs(k).sum(axis=0) - 1.0)))
         assert inv_err < 1e-12
 
         # A constant map is a bitwise fixed point away from the border.
         for steps in range(1, 6):
-            h = T.Tensor(np.full((2, 16, 16), 3.7))
+            h = T.Tensor(np.full((2, 1, 16, 16), 3.7))
             field = cspn.normalize_affinity(
-                T.Tensor(rng.uniform(0.1, 1.0, (8, 16, 16))))
+                T.Tensor(rng.uniform(0.1, 1.0, (8, 1, 16, 16))))
             out = cspn.refine(h, field, steps)
-            interior = out.data[:, steps:-steps, steps:-steps]
+            interior = out.data[:, :, steps:-steps, steps:-steps]
             assert np.all(interior == 3.7)
 
         # Nonnegative affinities keep every value inside the initial range.
         breach = 0.0
         for _ in range(1000):
-            h0 = rng.normal(0.0, 1.0, (1, 8, 8))
+            h0 = rng.normal(0.0, 1.0, (1, 1, 8, 8))
             h0 -= h0.mean()
             field = cspn.normalize_affinity(
-                T.Tensor(rng.uniform(0.0, 1.0, (8, 8, 8))))
+                T.Tensor(rng.uniform(0.0, 1.0, (8, 1, 8, 8))))
             steps = int(rng.integers(0, 33))
             out = cspn.refine(T.Tensor(h0), field, steps).data
             breach = max(breach, float(np.max(out - h0.max())),
@@ -373,7 +373,7 @@ def test_a5_refinement_benefit(overfit_run):
         logits = net.forward(T.Tensor(cube.values), training=False)
     base_pred = np.argmax(logits.data, axis=0).astype(np.int64) + 1
     field = cspn.normalize_affinity(
-        T.Tensor(_scene_affinity(cube.values.astype(np.float64), sharp=0.25)))
+        T.Tensor(_scene_affinity(cube.values.astype(np.float64), sharp=0.25)[:, None]))
     steps = 3
     ref = labels.grid
     total = ref.size
@@ -385,9 +385,9 @@ def test_a5_refinement_benefit(overfit_run):
         hit = rng.choice(total, size=total // 10, replace=False)
         bump = rng.integers(1, classes, size=hit.size)
         noisy.flat[hit] = (noisy.flat[hit] - 1 + bump) % classes + 1
-        onehot = np.eye(classes)[noisy - 1].transpose(2, 0, 1)
+        onehot = np.eye(classes)[noisy - 1].transpose(2, 0, 1)[:, None]
         with T.no_grad():
-            refined = cspn.refine(T.Tensor(onehot), field, steps).data
+            refined = cspn.refine(T.Tensor(onehot), field, steps).data[:, 0]
         oa_noisy = float(np.mean(noisy == ref))
         oa_refined = float(np.mean(np.argmax(refined, axis=0) + 1 == ref))
         margins.append(oa_refined - oa_noisy)

@@ -1,10 +1,11 @@
 """A batch of crops through each op equals the crops one at a time, stacked.
 
 Every op carries a crop axis (axis 1 of its feature maps).  Outputs and
-input gradients of a batch must be bitwise equal to the per-crop results
-stacked on that axis.  Parameter gradients sum over crops in another
-order, so they agree to 1e-13 relative.  Batchnorm's running statistics
-must be bitwise equal to folding the crops in one at a time.
+input gradients of a batch must be bitwise equal to the results of its
+one-crop slices ``a[:, k:k+1]``, concatenated on that axis.  Parameter
+gradients sum over crops in another order, so they agree to 1e-13
+relative.  Batchnorm's running statistics must be bitwise equal to folding
+the crops in one at a time.
 
 The conv3d batch test runs on integer-valued data: BLAS picks its GEMM
 kernel by matrix size, and OpenBLAS's small-matrix kernel sums in another
@@ -48,15 +49,16 @@ def _run(fn, arrays, proj):
 
 def _check(fn, batched, shared, rng):
     """Compare ``fn`` on ``batched`` arrays (crop axis 1) plus ``shared``
-    parameters against the same call on each crop."""
+    parameters against the same call on each crop's slice of the batch."""
     with T.no_grad():
         shape = fn(*[T.Tensor(a) for a in batched + shared]).shape
     proj = rng.integers(-3, 4, shape).astype(float)
     out, grads = _run(fn, batched + shared, proj)
-    per = [_run(fn, [a[:, k] for a in batched] + shared, proj[:, k]) for k in range(N)]
-    assert np.array_equal(out, np.stack([o for o, _ in per], axis=1))
+    per = [_run(fn, [a[:, k:k + 1] for a in batched] + shared, proj[:, k:k + 1])
+           for k in range(N)]
+    assert np.array_equal(out, np.concatenate([o for o, _ in per], axis=1))
     for i in range(len(batched)):
-        assert np.array_equal(grads[i], np.stack([g[i] for _, g in per], axis=1)), i
+        assert np.array_equal(grads[i], np.concatenate([g[i] for _, g in per], axis=1)), i
     for i in range(len(batched), len(batched) + len(shared)):
         want = sum(g[i] for _, g in per)
         assert np.max(np.abs(grads[i] - want)) <= 1e-13 * np.max(np.abs(want)), i
@@ -174,7 +176,7 @@ def test_batchnorm_batch_equals_crops(training):
     batch, folded = state(), state()
     ops.batchnorm(T.Tensor(x), T.full((4,), 1.0), T.zeros((4,)), batch, training)
     for k in range(N):
-        ops.batchnorm(T.Tensor(x[:, k]), T.full((4,), 1.0), T.zeros((4,)),
+        ops.batchnorm(T.Tensor(x[:, k:k + 1]), T.full((4,), 1.0), T.zeros((4,)),
                       folded, training)
     assert np.array_equal(batch.running_mean, folded.running_mean)
     assert np.array_equal(batch.running_var, folded.running_var)
@@ -204,3 +206,32 @@ def test_propagate_step_batch_equals_crops():
     kappa = cspn.normalize_affinity(
         T.Tensor(rng.uniform(-1, 1, (8, N, 5, 6)))).data
     _check(cspn.propagate_step, [rng.uniform(-1, 1, (3, N, 5, 6)), kappa], [], rng)
+
+
+def test_layers_refuse_the_one_crop_view():
+    # past the model's entrance every map carries its crop axis; only
+    # conv3d and batchnorm still take a rank-4 map
+    rng = np.random.default_rng(8)
+    params = ops.ModelParams()
+    kappa = T.zeros((8, 4, 5))
+    calls = {
+        "upsample_concat": lambda: ops.upsample_concat(T.zeros((2, 2, 3, 3)),
+                                                       T.zeros((1, 4, 5, 5))),
+        "normalize_affinity": lambda: cspn.normalize_affinity(T.zeros((8, 4, 5))),
+        "propagate_step": lambda: cspn.propagate_step(T.zeros((3, 4, 5)), kappa),
+        "refine": lambda: cspn.refine(T.zeros((3, 4, 5)), kappa, 1),
+        "AffinityBranch.forward": lambda: cspn.AffinityBranch(
+            params, "affinity", 4, rng).forward(T.zeros((4, 1, 4, 5))),
+        "focal_loss": lambda: TR.focal_loss(T.zeros((2, 4, 5)),
+                                            np.ones((4, 5), dtype=int), 2.0),
+        "_Attention": lambda: M._Attention(params, "attn", 2, rng)(T.zeros((2, 3, 4, 5))),
+    }
+    taken = []
+    for name, call in calls.items():
+        try:
+            call()
+            taken.append(name)
+        except T.ShapeError:
+            pass
+        T.clear_tape()
+    assert taken == []

@@ -13,7 +13,8 @@ def setup_function(_):
 
 
 def _rand_raw(rng, hw, low=-1.0, high=1.0):
-    return rng.uniform(low, high, (8,) + hw)
+    """Raw affinities of one crop, (8, 1) + hw."""
+    return rng.uniform(low, high, (8, 1) + hw)
 
 
 # ---------------------------------------------------------------------------
@@ -21,19 +22,19 @@ def _rand_raw(rng, hw, low=-1.0, high=1.0):
 # ---------------------------------------------------------------------------
 
 def test_normalize_uniform_example():
-    k = cspn.normalize_affinity(T.full((8, 1, 1), 1.0)).data.ravel()
+    k = cspn.normalize_affinity(T.full((8, 1, 1, 1), 1.0)).data.ravel()
     assert np.allclose(k, 1 / 8, atol=1e-15)
 
 
 def test_normalize_single_support_example():
-    raw = np.zeros((8, 1, 1))
+    raw = np.zeros((8, 1, 1, 1))
     raw[0] = 2.0
     k = cspn.normalize_affinity(T.Tensor(raw)).data.ravel()
     assert np.allclose(k, [1, 0, 0, 0, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_normalize_signed_example():
-    raw = np.zeros((8, 1, 1))
+    raw = np.zeros((8, 1, 1, 1))
     raw[0], raw[1] = 1.0, -1.0
     k = cspn.normalize_affinity(T.Tensor(raw)).data.ravel()
     assert np.allclose(k[:2], [0.5, -0.5], atol=1e-15)
@@ -41,14 +42,14 @@ def test_normalize_signed_example():
 
 
 def test_normalize_all_zero_is_identity_kernel():
-    k = cspn.normalize_affinity(T.zeros((8, 2, 2))).data
-    assert np.array_equal(k, np.zeros((8, 2, 2)))
+    k = cspn.normalize_affinity(T.zeros((8, 1, 2, 2))).data
+    assert np.array_equal(k, np.zeros((8, 1, 2, 2)))
 
 
 def test_normalize_invariants_random():
     rng = np.random.default_rng(31)
     k = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (13, 17)))).data
-    assert k.shape == (8, 13, 17)
+    assert k.shape == (8, 1, 13, 17)
     assert np.max(np.abs(np.abs(k).sum(axis=0) - 1.0)) < 1e-12
     assert np.all(np.abs(k) < 1.0)
 
@@ -57,8 +58,8 @@ def test_normalize_gradcheck():
     rng = np.random.default_rng(32)
     for _ in range(5):
         # keep |raw| away from 0 so finite differences never cross the kink
-        raw = rng.uniform(0.2, 1.0, (8, 3, 4)) * rng.choice([-1.0, 1.0], (8, 3, 4))
-        proj = gradcheck.projection((8, 3, 4), rng)
+        raw = rng.uniform(0.2, 1.0, (8, 1, 3, 4)) * rng.choice([-1.0, 1.0], (8, 1, 3, 4))
+        proj = gradcheck.projection((8, 1, 3, 4), rng)
 
         def build(raw, proj=proj):
             return gradcheck.project(cspn.normalize_affinity(raw), proj)
@@ -67,13 +68,13 @@ def test_normalize_gradcheck():
 
 
 def test_normalize_zero_pixel_gets_zero_grad():
-    raw = np.zeros((8, 1, 2))
-    raw[:, 0, 1] = 0.5
+    raw = np.zeros((8, 1, 1, 2))
+    raw[:, 0, 0, 1] = 0.5
     t = T.Tensor(raw, requires_grad=True)
     T.backward(T.reduce_sum(T.mul(cspn.normalize_affinity(t),
-                                  T.Tensor(np.arange(1.0, 17.0).reshape(8, 1, 2)))))
-    assert np.any(t.grad[:, 0, 1])
-    assert np.array_equal(t.grad[:, 0, 0], np.zeros(8))
+                                  T.Tensor(np.arange(1.0, 17.0).reshape(8, 1, 1, 2)))))
+    assert np.any(t.grad[:, 0, 0, 1])
+    assert np.array_equal(t.grad[:, 0, 0, 0], np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
@@ -83,29 +84,29 @@ def test_normalize_zero_pixel_gets_zero_grad():
 def test_propagate_matches_stencil_oracle():
     rng = np.random.default_rng(33)
     for _ in range(20):
-        h = rng.uniform(-1, 1, (3, 5, 5))
+        h = rng.uniform(-1, 1, (3, 1, 5, 5))
         aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (5, 5))))
-        got = cspn.propagate_step(T.Tensor(h), aff).data
-        want = oracles.propagate_reference(h, aff.data, cspn.OFFSETS)
+        got = cspn.propagate_step(T.Tensor(h), aff).data[:, 0]
+        want = oracles.propagate_reference(h[:, 0], aff.data[:, 0], cspn.OFFSETS)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_propagate_hand_example():
-    h = np.arange(1.0, 10.0).reshape(1, 3, 3)
-    aff = cspn.normalize_affinity(T.full((8, 3, 3), 1.0))
+    h = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)
+    aff = cspn.normalize_affinity(T.full((8, 1, 3, 3), 1.0))
     out = cspn.propagate_step(T.Tensor(h), aff).data
-    assert out[0, 1, 1] == pytest.approx(5.0, abs=1e-12)
-    assert out[0, 0, 0] == pytest.approx(1.375, abs=1e-12)
+    assert out[0, 0, 1, 1] == pytest.approx(5.0, abs=1e-12)
+    assert out[0, 0, 0, 0] == pytest.approx(1.375, abs=1e-12)
 
 
 def test_propagate_uniform_is_neighbor_average():
     rng = np.random.default_rng(34)
-    h = rng.uniform(-1, 1, (2, 6, 7))
-    aff = cspn.normalize_affinity(T.full((8, 6, 7), 0.37))
+    h = rng.uniform(-1, 1, (2, 1, 6, 7))
+    aff = cspn.normalize_affinity(T.full((8, 1, 6, 7), 0.37))
     out = cspn.propagate_step(T.Tensor(h), aff).data
     i, j = 3, 4
-    ring = [h[:, i - a, j - b] for a, b in cspn.OFFSETS]
-    assert np.allclose(out[:, i, j], np.mean(ring, axis=0), atol=1e-12)
+    ring = [h[:, 0, i - a, j - b] for a, b in cspn.OFFSETS]
+    assert np.allclose(out[:, 0, i, j], np.mean(ring, axis=0), atol=1e-12)
 
 
 def test_constant_map_is_exact_interior_fixed_point():
@@ -115,16 +116,16 @@ def test_constant_map_is_exact_interior_fixed_point():
     for _ in range(5):
         c0 = float(rng.uniform(-2, 2))
         steps = int(rng.integers(1, 4))
-        h = T.full((3, 11, 10), c0)
+        h = T.full((3, 1, 11, 10), c0)
         aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (11, 10))))
         out = cspn.refine(h, aff, steps)
-        core = out.data[:, steps:-steps, steps:-steps]
+        core = out.data[:, :, steps:-steps, steps:-steps]
         assert np.array_equal(core, np.full(core.shape, c0))
 
 
 def test_refine_zero_steps_identity():
     rng = np.random.default_rng(36)
-    h = T.Tensor(rng.uniform(-1, 1, (2, 4, 4)))
+    h = T.Tensor(rng.uniform(-1, 1, (2, 1, 4, 4)))
     aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (4, 4))))
     out = cspn.refine(h, aff, 0)
     assert np.array_equal(out.data, h.data)
@@ -132,7 +133,7 @@ def test_refine_zero_steps_identity():
 
 def test_refine_two_steps_is_composition():
     rng = np.random.default_rng(37)
-    h = T.Tensor(rng.uniform(-1, 1, (2, 5, 5)))
+    h = T.Tensor(rng.uniform(-1, 1, (2, 1, 5, 5)))
     aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (5, 5))))
     twice = cspn.refine(h, aff, 2).data
     manual = cspn.propagate_step(cspn.propagate_step(h, aff), aff).data
@@ -141,8 +142,8 @@ def test_refine_two_steps_is_composition():
 
 def test_zero_affinity_refine_is_identity():
     rng = np.random.default_rng(38)
-    h = T.Tensor(rng.uniform(-1, 1, (3, 6, 6)))
-    aff = cspn.normalize_affinity(T.zeros((8, 6, 6)))
+    h = T.Tensor(rng.uniform(-1, 1, (3, 1, 6, 6)))
+    aff = cspn.normalize_affinity(T.zeros((8, 1, 6, 6)))
     out = cspn.refine(h, aff, 7)
     assert out.data.tobytes() == h.data.tobytes()
 
@@ -150,19 +151,19 @@ def test_zero_affinity_refine_is_identity():
 def test_max_principle_nonnegative_affinities():
     rng = np.random.default_rng(39)
     for _ in range(50):
-        h = rng.uniform(-1, 1, (1, 8, 8))
+        h = rng.uniform(-1, 1, (1, 1, 8, 8))
         h -= h.mean()  # keep zero inside the value range (zero boundary reads)
-        aff = cspn.normalize_affinity(T.Tensor(rng.uniform(0, 1, (8, 8, 8))))
+        aff = cspn.normalize_affinity(T.Tensor(rng.uniform(0, 1, (8, 1, 8, 8))))
         steps = int(rng.integers(0, 33))
         out = cspn.refine(T.Tensor(h), aff, steps).data
-        interior = out[:, 1:-1, 1:-1]
+        interior = out[:, :, 1:-1, 1:-1]
         assert interior.min() >= h.min() - 1e-12
         assert interior.max() <= h.max() + 1e-12
 
 
 def test_propagate_gradcheck_h_and_raw():
     rng = np.random.default_rng(40)
-    proj = gradcheck.projection((2, 4, 4), rng)
+    proj = gradcheck.projection((2, 1, 4, 4), rng)
 
     def build(h, raw):
         aff = cspn.normalize_affinity(raw)
@@ -170,8 +171,8 @@ def test_propagate_gradcheck_h_and_raw():
         return gradcheck.project(out, proj)
 
     for _ in range(5):
-        h = rng.uniform(-1, 1, (2, 4, 4))
-        raw = rng.uniform(0.2, 1.0, (8, 4, 4)) * rng.choice([-1.0, 1.0], (8, 4, 4))
+        h = rng.uniform(-1, 1, (2, 1, 4, 4))
+        raw = rng.uniform(0.2, 1.0, (8, 1, 4, 4)) * rng.choice([-1.0, 1.0], (8, 1, 4, 4))
         gradcheck.check_grads(build, [h, raw], nonzero=True)
 
 
@@ -179,7 +180,7 @@ def _padded_buffer_grads(hd, kd, g):
     """propagate_step's h- and kappa-gradients, computed with the padded copy
     of ``hd`` made once and read by both, in the op's order of operations."""
     nh, nw = hd.shape[-2:]
-    hp = np.pad(hd, ((0, 0),) * (hd.ndim - 2) + ((1, 1), (1, 1)))
+    hp = np.pad(hd, ((0, 0), (0, 0), (1, 1), (1, 1)))
     windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
                for a, b in cspn.OFFSETS]
     inside = (Ellipsis, slice(1, -1), slice(1, -1))
@@ -191,7 +192,7 @@ def _padded_buffer_grads(hd, kd, g):
     return gp[inside], gk
 
 
-@pytest.mark.parametrize("shape", [(3, 6, 7), (3, 2, 6, 7)])
+@pytest.mark.parametrize("shape", [(3, 1, 6, 7), (3, 2, 6, 7)])
 def test_propagate_pullback_holds_no_padded_map(shape):
     # the pullback pads h again rather than keep the forward's padded copy
     # on the tape; its gradients are bitwise those of the padded buffer
@@ -212,16 +213,16 @@ def test_propagate_pullback_holds_no_padded_map(shape):
 
 
 def test_propagate_shape_mismatch():
-    aff = cspn.normalize_affinity(T.zeros((8, 4, 4)))
+    aff = cspn.normalize_affinity(T.zeros((8, 1, 4, 4)))
     with pytest.raises(T.ShapeError):
-        cspn.propagate_step(T.zeros((2, 5, 4)), aff)
+        cspn.propagate_step(T.zeros((2, 1, 5, 4)), aff)
     with pytest.raises(T.ShapeError):
-        cspn.propagate_step(T.zeros((2, 4, 4)), T.zeros((9, 4, 4)))
+        cspn.propagate_step(T.zeros((2, 1, 4, 4)), T.zeros((9, 1, 4, 4)))
 
 
 def test_config_validation():
-    h = T.zeros((2, 4, 4))
-    aff = cspn.normalize_affinity(T.zeros((8, 4, 4)))
+    h = T.zeros((2, 1, 4, 4))
+    aff = cspn.normalize_affinity(T.zeros((8, 1, 4, 4)))
     with pytest.raises(T.ShapeError):
         cspn.refine(h, aff, -1)
 
@@ -233,11 +234,11 @@ def test_config_validation():
 def test_branch_zero_init_gives_identity_refine():
     rng = np.random.default_rng(41)
     branch = cspn.AffinityBranch(ops.ModelParams(), "affinity", 4, rng)
-    plane = T.Tensor(rng.uniform(-1, 1, (4, 1, 5, 6)))
+    plane = T.Tensor(rng.uniform(-1, 1, (4, 1, 1, 5, 6)))
     raw = branch.forward(plane)
-    assert raw.shape == (8, 5, 6)
-    assert np.array_equal(raw.data, np.zeros((8, 5, 6)))
-    h = T.Tensor(rng.uniform(-1, 1, (3, 5, 6)))
+    assert raw.shape == (8, 1, 5, 6)
+    assert np.array_equal(raw.data, np.zeros((8, 1, 5, 6)))
+    h = T.Tensor(rng.uniform(-1, 1, (3, 1, 5, 6)))
     out = cspn.refine(h, cspn.normalize_affinity(raw), 4)
     assert out.data.tobytes() == h.data.tobytes()
 
@@ -245,8 +246,8 @@ def test_branch_zero_init_gives_identity_refine():
 def test_branch_takes_the_spectral_mean_plane():
     branch = cspn.AffinityBranch(ops.ModelParams(), "affinity", 4,
                                  np.random.default_rng(43))
-    assert branch.forward(T.zeros((4, 1, 5, 6))).shape == (8, 5, 6)
-    for shape in ((4, 3, 5, 6), (3, 1, 5, 6), (4, 5, 6)):
+    assert branch.forward(T.zeros((4, 1, 1, 5, 6))).shape == (8, 1, 5, 6)
+    for shape in ((4, 1, 3, 5, 6), (3, 1, 1, 5, 6), (4, 1, 5, 6)):
         with pytest.raises(T.ShapeError):
             branch.forward(T.zeros(shape))
 
@@ -258,7 +259,7 @@ def test_branch_gradcheck_through_refine():
     branch.head.w = T.Tensor(rng.uniform(-0.5, 0.5, (8, 3, 1, 3, 3)),
                              requires_grad=True)
     branch.head.b = T.Tensor(rng.uniform(-0.2, 0.2, 8), requires_grad=True)
-    proj = gradcheck.projection((2, 4, 4), rng)
+    proj = gradcheck.projection((2, 1, 4, 4), rng)
 
     def build(plane, head_w, gamma):
         branch.head.w = head_w
@@ -267,8 +268,8 @@ def test_branch_gradcheck_through_refine():
         out = cspn.refine(T.Tensor(base_h), cspn.normalize_affinity(raw), 2)
         return gradcheck.project(out, proj)
 
-    base_h = rng.uniform(-1, 1, (2, 4, 4))
-    arrs = [rng.uniform(-1, 1, (3, 1, 4, 4)),
+    base_h = rng.uniform(-1, 1, (2, 1, 4, 4))
+    arrs = [rng.uniform(-1, 1, (3, 1, 1, 4, 4)),
             rng.uniform(-0.5, 0.5, (8, 3, 1, 3, 3)),
             rng.uniform(0.8, 1.2, 3)]
     gradcheck.check_grads(build, arrs)

@@ -185,9 +185,9 @@ def test_attention_matches_squeeze_excitation():
     rng = np.random.default_rng(4)
     attn = M._Attention(ops.ModelParams(), "attn", 3, rng)
     attn.gate.b.data[:] = rng.uniform(-0.5, 0.5, 3)
-    x = rng.uniform(-1, 1, (3, 2, 4, 4))
-    z = attn.gate.w.data.reshape(3, 3) @ x.mean(axis=(1, 2, 3)) + attn.gate.b.data
-    want = x / (1.0 + np.exp(-z))[:, None, None, None]
+    x = rng.uniform(-1, 1, (3, 1, 2, 4, 4))
+    z = attn.gate.w.data.reshape(3, 3) @ x.mean(axis=(2, 3, 4)) + attn.gate.b.data[:, None]
+    want = x / (1.0 + np.exp(-z))[:, :, None, None, None]
     out = attn(T.Tensor(x)).data
     assert np.allclose(out, want, atol=1e-12)
     # the gate depends on the input, unlike a fixed per-channel scale
@@ -198,7 +198,7 @@ def test_attention_matches_squeeze_excitation():
 def test_attention_bounds():
     rng = np.random.default_rng(5)
     attn = M._Attention(ops.ModelParams(), "attn", 2, rng)
-    x = T.Tensor(rng.uniform(-2, 2, (2, 3, 5, 5)))
+    x = T.Tensor(rng.uniform(-2, 2, (2, 1, 3, 5, 5)))
     out = attn(x)
     ratio = out.data / np.where(x.data == 0, 1, x.data)
     assert np.all(np.abs(out.data) <= np.abs(x.data))
@@ -574,14 +574,14 @@ def test_dsr_gradcheck():
 def test_attention_gradcheck():
     rng = np.random.default_rng(13)
     attn = M._Attention(ops.ModelParams(), "attn", 2, rng)
-    proj = gradcheck.projection((2, 2, 3, 3), rng)
+    proj = gradcheck.projection((2, 1, 2, 3, 3), rng)
 
     def build(x, wg, bg):
         attn.gate.w = wg
         attn.gate.b = bg
         return gradcheck.project(attn(x), proj)
 
-    arrs = [rng.uniform(-1, 1, (2, 2, 3, 3)),
+    arrs = [rng.uniform(-1, 1, (2, 1, 2, 3, 3)),
             rng.uniform(-1, 1, (2, 2, 1, 1, 1)),
             rng.uniform(-0.5, 0.5, 2)]
     gradcheck.check_grads(build, arrs, nonzero=True)

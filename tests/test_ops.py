@@ -597,22 +597,22 @@ def _upsampled(x, target):
 
 
 def test_trilinear_axis_example():
-    x = T.Tensor(np.array([0.0, 2.0]).reshape(1, 2, 1, 1))
+    x = T.Tensor(np.array([0.0, 2.0]).reshape(1, 1, 2, 1, 1))
     out = _upsampled(x, (4, 1, 1)).ravel()
     assert np.allclose(out, [0, 2 / 3, 4 / 3, 2], atol=1e-12)
 
 
 def test_trilinear_identity_and_constant():
     rng = np.random.default_rng(5)
-    x = rng.uniform(-1, 1, (2, 3, 4, 5))
+    x = rng.uniform(-1, 1, (2, 1, 3, 4, 5))
     same = _upsampled(x, (3, 4, 5))
     assert np.allclose(same, x, atol=1e-12)
-    const = _upsampled(T.full((2, 2, 2, 2), 3.5), (5, 7, 3))
+    const = _upsampled(T.full((2, 1, 2, 2, 2), 3.5), (5, 7, 3))
     assert np.allclose(const, 3.5, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape, target, dtype", [
-    ((2, 3, 4, 2), (5, 7, 4), np.float64),
+    ((2, 1, 3, 4, 2), (5, 7, 4), np.float64),
     ((64, 3, 1, 4, 4), (1, 8, 8), np.float64),      # up1 of a 32x32 training batch
     ((32, 3, 1, 8, 8), (2, 16, 16), np.float64),    # up2
     ((16, 3, 2, 16, 16), (4, 32, 32), np.float64),  # up3
@@ -634,16 +634,16 @@ def test_trilinear_matches_separable_oracle(shape, target, dtype):
 
 def test_trilinear_endpoints_pinned():
     rng = np.random.default_rng(8)
-    x = rng.uniform(-1, 1, (1, 4, 3, 3))
+    x = rng.uniform(-1, 1, (1, 1, 4, 3, 3))
     out = _upsampled(x, (9, 3, 3))
-    assert np.allclose(out[:, 0], x[:, 0], atol=1e-12)
-    assert np.allclose(out[:, -1], x[:, -1], atol=1e-12)
+    assert np.allclose(out[:, :, 0], x[:, :, 0], atol=1e-12)
+    assert np.allclose(out[:, :, -1], x[:, :, -1], atol=1e-12)
 
 
 def test_trilinear_gradcheck():
     rng = np.random.default_rng(9)
-    for shape in ((2, 3, 4, 3), (2, 2, 3, 4, 3)):
-        target = shape[1:-3] + (5, 6, 3)  # crops, if any, and extents
+    for shape in ((2, 1, 3, 4, 3), (2, 2, 3, 4, 3)):
+        target = shape[1:-3] + (5, 6, 3)  # crops and extents
         proj = gradcheck.projection((shape[0] + 1,) + target, rng)
 
         def build(x, m):
@@ -658,7 +658,7 @@ def test_trilinear_gradcheck():
     ((64, 3, 1, 4, 4), (1, 8, 8)),     # up1 of a 32x32 training batch
     ((32, 3, 1, 8, 8), (2, 16, 16)),   # up2
     ((16, 3, 2, 16, 16), (4, 32, 32)),  # up3
-    ((16, 2, 64, 64), (4, 128, 128)),  # up3 of a 128x128 scene
+    ((16, 1, 2, 64, 64), (4, 128, 128)),  # up3 of a 128x128 scene
 ])
 def test_trilinear_pullback_is_adjoint(shape, target):
     # <A x, g> = <x, A^T g>: the pullback is the transpose of the forward
@@ -677,12 +677,12 @@ def test_concat_values_and_grads():
     # at equal extents the resampling is the identity: the join is the two
     # maps stacked, and its gradient splits back between them
     rng = np.random.default_rng(13)
-    a = rng.uniform(-1, 1, (2, 3, 3, 3))
-    b = rng.uniform(-1, 1, (4, 3, 3, 3))
+    a = rng.uniform(-1, 1, (2, 1, 3, 3, 3))
+    b = rng.uniform(-1, 1, (4, 1, 3, 3, 3))
     ta = T.Tensor(a, requires_grad=True)
     tb = T.Tensor(b, requires_grad=True)
     out = ops.upsample_concat(ta, tb)
-    assert out.shape == (6, 3, 3, 3)
+    assert out.shape == (6, 1, 3, 3, 3)
     assert np.array_equal(out.data[:2], a)
     assert np.array_equal(out.data[2:], b)
     proj = gradcheck.projection(out.shape, rng)

@@ -22,37 +22,38 @@ def setup_function(_):
 
 def test_focal_single_pixel_half_probability():
     # two equal logits -> p_t = 0.5; gamma 2 -> 0.25 * ln 2
-    logits = T.zeros((2, 1, 1))
-    labels = np.array([[1]])
+    logits = T.zeros((2, 1, 1, 1))
+    labels = np.array([[[1]]])
     loss = TR.focal_loss(logits, labels, gamma=2.0)
     assert loss.item() == pytest.approx(0.25 * math.log(2), abs=1e-12)
 
 
 def test_focal_gamma_zero_is_cross_entropy():
     rng = np.random.default_rng(1)
-    z = rng.uniform(-2, 2, (4, 5, 6))
-    labels = rng.integers(0, 5, (5, 6))
-    ii, jj = np.nonzero(labels > 0)
-    logp = z - (np.log(np.exp(z - z.max(0)).sum(0)) + z.max(0))
-    want = -logp[labels[ii, jj] - 1, ii, jj].mean()
+    z = rng.uniform(-2, 2, (4, 1, 5, 6))
+    labels = rng.integers(0, 5, (1, 5, 6))
+    zc, lc = z[:, 0], labels[0]
+    ii, jj = np.nonzero(lc > 0)
+    logp = zc - (np.log(np.exp(zc - zc.max(0)).sum(0)) + zc.max(0))
+    want = -logp[lc[ii, jj] - 1, ii, jj].mean()
     got = TR.focal_loss(T.Tensor(z), labels, gamma=0.0).item()
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_focal_perfect_prediction_is_zero():
-    labels = np.array([[1, 2]])
-    z = np.full((2, 1, 2), -60.0)
-    z[0, 0, 0] = 60.0
-    z[1, 0, 1] = 60.0
+    labels = np.array([[[1, 2]]])
+    z = np.full((2, 1, 1, 2), -60.0)
+    z[0, 0, 0, 0] = 60.0
+    z[1, 0, 0, 1] = 60.0
     loss = TR.focal_loss(T.Tensor(z), labels, gamma=2.0)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_focal_ignores_unlabeled():
     rng = np.random.default_rng(2)
-    z = rng.uniform(-1, 1, (3, 4, 4))
-    labels = rng.integers(0, 4, (4, 4))
-    labels[0, 0] = 0
+    z = rng.uniform(-1, 1, (3, 1, 4, 4))
+    labels = rng.integers(0, 4, (1, 4, 4))
+    labels[0, 0, 0] = 0
     base = TR.focal_loss(T.Tensor(z), labels, gamma=2.0).item()
     z2 = z.copy()
     z2[:, labels == 0] = 99.0
@@ -62,9 +63,9 @@ def test_focal_ignores_unlabeled():
 
 def test_focal_unlabeled_pixels_get_zero_grad():
     rng = np.random.default_rng(3)
-    labels = rng.integers(0, 3, (4, 4))
-    labels[1, 1] = 0
-    t = T.Tensor(rng.uniform(-1, 1, (2, 4, 4)), requires_grad=True)
+    labels = rng.integers(0, 3, (1, 4, 4))
+    labels[0, 1, 1] = 0
+    t = T.Tensor(rng.uniform(-1, 1, (2, 1, 4, 4)), requires_grad=True)
     T.backward(TR.focal_loss(t, labels, gamma=2.0))
     assert np.array_equal(t.grad[:, labels == 0], np.zeros((2, (labels == 0).sum())))
 
@@ -79,8 +80,8 @@ def test_focal_batch_is_mean_of_crop_means():
     T.backward(TR.focal_loss(batch, labels, gamma=2.0))
     values, grads = [], []
     for k in range(4):
-        crop = T.Tensor(z[:, k], requires_grad=True)
-        part = TR.focal_loss(crop, labels[k], gamma=2.0)
+        crop = T.Tensor(z[:, k:k + 1], requires_grad=True)
+        part = TR.focal_loss(crop, labels[k:k + 1], gamma=2.0)
         T.backward(part)
         values.append(part.item())
         grads.append(crop.grad)
@@ -91,7 +92,7 @@ def test_focal_batch_is_mean_of_crop_means():
     assert abs(pooled - want) > 1e-3  # a pooled mean weighs crops by label count
     assert TR.focal_loss(T.Tensor(z), labels, gamma=2.0).item() == pytest.approx(
         want, rel=1e-15)
-    assert np.allclose(batch.grad, np.stack(grads, axis=1) / 4, rtol=1e-15, atol=0)
+    assert np.allclose(batch.grad, np.concatenate(grads, axis=1) / 4, rtol=1e-15, atol=0)
 
 
 def test_focal_every_crop_needs_a_label():
@@ -103,25 +104,25 @@ def test_focal_every_crop_needs_a_label():
 
 def test_focal_no_labels_errors():
     with pytest.raises(ValueError):
-        TR.focal_loss(T.zeros((2, 3, 3)), np.zeros((3, 3), dtype=int), gamma=2.0)
+        TR.focal_loss(T.zeros((2, 1, 3, 3)), np.zeros((1, 3, 3), dtype=int), gamma=2.0)
 
 
 def test_focal_label_out_of_range():
     with pytest.raises(T.ShapeError):
-        TR.focal_loss(T.zeros((2, 2, 2)), np.full((2, 2), 3), gamma=2.0)
+        TR.focal_loss(T.zeros((2, 1, 2, 2)), np.full((1, 2, 2), 3), gamma=2.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
 def test_focal_gradcheck(gamma):
     rng = np.random.default_rng(4)
-    labels = rng.integers(0, 4, (3, 4))
+    labels = rng.integers(0, 4, (1, 3, 4))
     labels.flat[0] = 1  # at least one labeled pixel
 
     def build(z):
         return TR.focal_loss(z, labels, gamma=gamma)
 
     for _ in range(10):
-        gradcheck.check_grads(build, [rng.uniform(-2, 2, (3, 3, 4))])
+        gradcheck.check_grads(build, [rng.uniform(-2, 2, (3, 1, 3, 4))])
 
 
 # ---------------------------------------------------------------------------
