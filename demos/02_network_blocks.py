@@ -90,7 +90,7 @@ print()
 print("== the assembled network ==")
 cfg = M.ModelConfig(in_bands=20, num_classes=3, base_channels=8, cspn_steps=4)
 net = M.build(cfg, np.random.default_rng(0))
-total = net.params.total_count()
+total = sum(t.size for _, t in net.params.items())
 print(f"parameters: {total} scalars across {len(net.params.paths())} tensors, "
       f"plus {len(net.params.states())} sets of running statistics")
 print("first few ledger entries:")

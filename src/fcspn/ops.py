@@ -16,9 +16,9 @@ slab by slab for the weight gradient, and computes the input gradient as
 the correlation of the output gradient with the flipped, transposed
 kernel, one call of the routine per stride phase.  Every product splits
 its slabs one way, whatever the CPU count: the even ones and the odd ones
-(:func:`_halves`).  On a process allowed two or more CPUs, one helper
-thread (:class:`_Helper`) runs the odd half beside the caller, so a run
-gives the same bits on one CPU and on two.
+(:func:`_halves`).  On a process allowed two or more CPUs, the one thread
+of a standard-library executor (:func:`_worker`) runs the odd half beside
+the caller, so a run gives the same bits on one CPU and on two.
 
 :func:`batchnorm` is a normalization and the ReLU that follows it, as one
 op: it centres its input into one fresh array and divides, scales, shifts
@@ -69,91 +69,40 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Helper:
-    """One daemon thread that runs the odd half of a convolution's slabs
-    (:func:`_halves`) beside the caller.
+_executor = None
+_executor_start = threading.Lock()
+
+
+def _worker():
+    """The one-thread executor that runs the odd half of a convolution's
+    slabs (:func:`_halves`) beside the caller, created on first use, never
+    at import.
 
     numpy releases the GIL while it copies a strided window into columns
     and while it multiplies, so two threads build and multiply slabs at
-    once.  A caller holds ``busy`` for its whole convolution.  A job only
-    reads arrays and writes its own slabs of an output or a fresh sum;
-    it calls only this module's private functions, never a public one or
-    the tape.  The thread drops each job, and so its arrays, before it
-    reports it done, and an exception a job raises is raised again in the
-    caller by :meth:`wait`.
+    once.  A job only reads arrays and writes its own slabs of an output or
+    a fresh sum; it calls only this module's private functions, never a
+    public one or the tape.  A second caller's job waits its turn behind
+    the first's.
     """
-
-    def __init__(self):
-        self.busy = threading.Lock()
-        self._go = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._job = None
-        self._error = None
-        threading.Thread(target=self._loop, name="fcspn-conv3d", daemon=True).start()
-
-    def _loop(self):
-        while True:
-            self._go.acquire()
-            job, self._job = self._job, None
-            try:
-                job()
-            except BaseException as exc:  # handed to the caller by wait()
-                self._error = exc
-            job = None
-            self._done.release()
-
-    def start(self, job) -> None:
-        """Run ``job()`` on the thread; the caller then must :meth:`wait`."""
-        self._job = job
-        self._go.release()
-
-    def wait(self) -> None:
-        """Block until the job has finished, even through an interrupt, so
-        no caller frees ``busy`` while the job still runs; then raise what
-        interrupted the wait, else what the job raised."""
-        interrupt = None
-        while True:
-            try:
-                self._done.acquire()
-                break
-            except BaseException as exc:  # KeyboardInterrupt: raised below
-                interrupt = exc
-        error, self._error = self._error, None
-        if interrupt is not None:
-            raise interrupt
-        if error is not None:
-            raise error
+    global _executor
+    with _executor_start:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fcspn-conv3d")
+    return _executor
 
 
-_helper: Optional[_Helper] = None
-_helper_start = threading.Lock()
-
-
-def _claim_helper() -> Optional[_Helper]:
-    """The helper thread, its ``busy`` lock taken for the caller, who must
-    release it; None when this process may use one CPU only or another
-    caller holds it.  The thread starts on the first claim, never at
-    import."""
-    global _helper
-    if _cpus() < 2:
-        return None
-    with _helper_start:
-        if _helper is None:
-            _helper = _Helper()
-    helper = _helper
-    return helper if helper.busy.acquire(blocking=False) else None
-
-
-def _forget_helper() -> None:
-    # a forked child has no helper thread, and a lock some other thread
+def _forget_worker() -> None:
+    # a forked child has no worker thread, and a lock some other thread
     # held at the fork stays held in the child
-    global _helper, _helper_start
-    _helper = None
-    _helper_start = threading.Lock()
+    global _executor, _executor_start
+    _executor = None
+    _executor_start = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +216,21 @@ def _slab_columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Tripl
 
 def _halves(slabs, run):
     """``(run(slabs[::2]), run(slabs[1::2]))``: the odd slabs run on the
-    helper thread when :func:`_claim_helper` hands it over, else on the
-    caller after the even ones.  Each thread builds one slab at a time, so
-    the columns in flight stay within two slab budgets."""
-    helper = _claim_helper() if len(slabs) > 1 else None
-    if helper is None:
+    thread of :func:`_worker` when this process may use two CPUs, else on
+    the caller after the even ones.  Each thread builds one slab at a time,
+    so the columns in flight stay within two slab budgets."""
+    if len(slabs) < 2 or _cpus() < 2:
+        return run(slabs[::2]), run(slabs[1::2])
+    job = [run]  # emptied by the job, so its arrays are dropped before it completes
+    try:
+        odd = _worker().submit(lambda: job.pop()(slabs[1::2]))
+    except RuntimeError:  # the interpreter is exiting and takes no new jobs
         return run(slabs[::2]), run(slabs[1::2])
     try:
-        odd = []
-        helper.start(lambda: odd.append(run(slabs[1::2])))
-        try:
-            even = run(slabs[::2])
-        finally:
-            helper.wait()
+        even = run(slabs[::2])
     finally:
-        helper.busy.release()
-    return even, odd[0]
+        odd.exception()  # waits for the odd half, whatever the even half raised
+    return even, odd.result()
 
 
 def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
@@ -292,7 +240,7 @@ def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
     each product goes straight into its part of ``out`` when ``out`` is one
     contiguous block (a strided view, one stride phase of an input
     gradient, takes a copy).  :func:`_halves` splits the slabs between the
-    caller and the helper thread, which write disjoint parts of ``out``.
+    caller and the worker thread, which write disjoint parts of ``out``.
     """
     src = np.ascontiguousarray(src)
     n, od, oh, ow = out.shape[1:]
@@ -315,7 +263,7 @@ def _weight_grad(src: np.ndarray, g: np.ndarray, origin: Triple, kernel: Triple,
     """The (M, C*kd*kh*kw) weight gradient: ``g`` (M, N, od, oh, ow) times
     the transposed columns of ``src``.  :func:`_halves` splits the slabs of
     :func:`_slabs`; each half sums its products in slab order, and the
-    gradient is the even sum plus the odd sum whether or not the helper
+    gradient is the even sum plus the odd sum whether or not the worker
     thread ran the odd half, so its bits do not depend on the CPU count.
     """
     src = np.ascontiguousarray(src)
@@ -378,7 +326,7 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     The forward and each phase go through :func:`_correlate`, the weight
     gradient through :func:`_weight_grad`; both split a call's slabs into
     the even and the odd ones (:func:`_halves`), and run the odd ones on a
-    helper thread when they can.
+    worker thread when they can.
     """
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"conv3d input must be rank 4 or 5, got {x.shape}")
@@ -643,9 +591,6 @@ class ModelParams:
 
     def decayed(self) -> List[Tensor]:
         return list(self._decayed)
-
-    def total_count(self) -> int:
-        return sum(t.size for t in self._tensors.values())
 
     def cast(self, dtype) -> None:
         """Convert every tensor and running statistic to ``dtype``."""

@@ -24,7 +24,7 @@ Numeric conventions:
   :class:`NumericError` instead of propagating silently.
 
 The tape is process-global and confined to one logical training thread.
-Tensors themselves are safe to share for concurrent reads.  The helper
+Tensors themselves are safe to share for concurrent reads.  The worker
 thread inside :func:`fcspn.ops.conv3d` runs the odd half of a call's slabs:
 it only reads arrays and writes its own disjoint slabs of an output or a
 fresh sum of products; it never records or walks the tape.

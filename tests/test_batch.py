@@ -20,6 +20,7 @@ data, and so must a short training run on one CPU and on two.
 """
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_conv3d_batch_equals_crops(monkeypatch, kernel, stride, bias, slab):
 def test_conv3d_two_threads_equal_one(monkeypatch, kernel, stride, bias):
     # every network convolution plus one of 12 stride phases, on float
     # data, at one output plane per slab: an odd count of at least 3, so
-    # the helper's half is one slab shorter than the caller's
+    # the worker's half is one slab shorter than the caller's
     rng = np.random.default_rng(7)
     spec = ops.Conv3dSpec(kernel=kernel, stride=stride)
     arrays = [rng.uniform(-1, 1, (2, N, 13, 8, 5)),
@@ -116,13 +117,13 @@ def test_conv3d_two_threads_equal_one(monkeypatch, kernel, stride, bias):
     slabs = len(ops._slabs(N, od, oh, row_bytes))
     assert slabs >= 3 and slabs % 2
     handoffs = []
-    start = ops._Helper.start
+    submit = ThreadPoolExecutor.submit
 
-    def counted(helper, job):
+    def counted(pool, job):
         handoffs.append(True)
-        start(helper, job)
+        return submit(pool, job)
 
-    monkeypatch.setattr(ops._Helper, "start", counted)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
 
     def fn(x, w, b=None):
         return ops.conv3d(x, w, b, spec)

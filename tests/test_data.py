@@ -444,6 +444,17 @@ def test_synth_refuses_more_classes_than_pixels_before_drawing(monkeypatch):
         D.synth_scene(classes=9, size=3, bands=4)
 
 
+def test_synth_refuses_one_band_before_drawing(monkeypatch):
+    # one band rescales every class's spectrum to the same constant, so no
+    # draw of signatures could ever keep two classes apart
+    def no_draw(*args):
+        raise AssertionError("signatures were drawn")
+
+    monkeypatch.setattr(D, "_draw_signatures", no_draw)
+    with pytest.raises(ValueError, match="bands must be >= 2"):
+        D.synth_scene(classes=16, size=256, bands=1)
+
+
 def test_synth_validation():
     with pytest.raises(ValueError):
         D.synth_scene(classes=1)

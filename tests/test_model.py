@@ -267,13 +267,13 @@ def _expected_count(cfg):
 ])
 def test_param_count_closed_form(cfg):
     m = M.build(cfg)
-    assert m.params.total_count() == _expected_count(cfg)
+    assert sum(t.size for _, t in m.params.items()) == _expected_count(cfg)
 
 
 def test_param_count_default_config_regression():
     m = M.build(M.ModelConfig(in_bands=204, num_classes=15))
-    assert m.params.total_count() == _expected_count(m.config)
-    assert m.params.total_count() == 1254455
+    assert sum(t.size for _, t in m.params.items()) == _expected_count(m.config)
+    assert sum(t.size for _, t in m.params.items()) == 1254455
 
 
 def test_duplicate_path_rejected():
@@ -362,7 +362,7 @@ def test_checkpoint_layout(tmp_path):
     assert header == 29 and raw[:4] == M.CHECKPOINT_MAGIC
     statistics = sum(state.running_mean.size + state.running_var.size
                      for _, state in m.params.states())
-    assert len(raw) == header + 4 * m.params.total_count() + 4 * statistics
+    assert len(raw) == header + 4 * sum(t.size for _, t in m.params.items()) + 4 * statistics
     first = m.params.get(sorted(m.params.paths())[0]).data
     assert np.array_equal(np.frombuffer(raw, "<f4", first.size, header),
                           first.astype("<f4").ravel())

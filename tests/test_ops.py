@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -292,14 +293,14 @@ def test_conv_shape_errors():
 
 
 # ---------------------------------------------------------------------------
-# conv3d's helper thread
+# conv3d's worker thread
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def two_threads(monkeypatch):
     """A multi-slab conv3d forward with two CPUs allowed, the serial output
-    it must give, and a list that gains an entry per job handed to the
-    helper thread."""
+    it must give, and a list that gains an entry per job submitted to the
+    worker thread."""
     rng = np.random.default_rng(12)
     x = rng.integers(-4, 5, (4, 2, 6, 10, 10)).astype(float)
     w = rng.integers(-4, 5, (4, 4, 3, 3, 3)).astype(float)
@@ -313,13 +314,13 @@ def two_threads(monkeypatch):
     want = conv()
     monkeypatch.setattr(ops, "_cpus", lambda: 2)
     handoffs = []
-    start = ops._Helper.start
+    submit = ThreadPoolExecutor.submit
 
-    def counted(helper, job):
+    def counted(pool, job):
         handoffs.append(True)
-        start(helper, job)
+        return submit(pool, job)
 
-    monkeypatch.setattr(ops._Helper, "start", counted)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
     return conv, want, handoffs
 
 
@@ -330,11 +331,11 @@ def test_helper_error_reaches_caller_and_helper_survives(monkeypatch, two_thread
 
     def failing(*args):
         if threading.current_thread() is not caller:
-            raise RuntimeError("slab failed on the helper")
+            raise RuntimeError("slab failed on the worker")
         return columns(*args)
 
     monkeypatch.setattr(ops, "_slab_columns", failing)
-    with pytest.raises(RuntimeError, match="slab failed on the helper"):
+    with pytest.raises(RuntimeError, match="slab failed on the worker"):
         conv()
     monkeypatch.setattr(ops, "_slab_columns", columns)
     assert len(handoffs) == 1
@@ -349,13 +350,13 @@ def _conv_in_child(conv, want):
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
 def test_forked_child_runs_multi_slab_conv(two_threads):
     conv, want, handoffs = two_threads
-    assert np.array_equal(conv(), want)  # the parent's helper thread runs
+    assert np.array_equal(conv(), want)  # the parent's worker thread runs
     assert handoffs
     child = multiprocessing.get_context("fork").Process(
         target=_conv_in_child, args=(conv, want))
     child.start()
     child.join(timeout=60)
-    if child.is_alive():  # waiting on a helper thread the fork did not copy
+    if child.is_alive():  # waiting on a worker thread the fork did not copy
         child.kill()
         child.join()
     assert child.exitcode == 0
@@ -388,42 +389,109 @@ def test_two_callers_get_serial_results(two_threads):
         assert all(np.array_equal(out, want) for out in got)
 
 
-def test_importing_fcspn_starts_no_thread():
+def _run_python(code):
+    """The words ``code`` prints, run in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(ops.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, threading, fcspn.cli; "
-            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["1", "False"]
+    return done.stdout.split()
 
 
-def test_interrupted_wait_still_waits_for_the_helper(monkeypatch, two_threads):
+def test_importing_fcspn_starts_no_thread():
+    code = ("import sys, threading, fcspn.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    assert _run_python(code) == ["1", "False"]
+
+
+def test_interrupt_in_the_callers_half_waits_for_the_worker(monkeypatch, two_threads):
     conv, want, handoffs = two_threads
-    conv()  # start the helper
-    helper = ops._helper
-    done = helper._done
-    interrupts = [KeyboardInterrupt()]
+    caller = threading.current_thread()
+    columns = ops._slab_columns
+    interrupted = threading.Event()
+    odd_slabs = []
 
-    class InterruptedOnce:
-        def acquire(self):
-            if interrupts:
-                raise interrupts.pop()
-            done.acquire()
+    def columns_after_an_interrupt(*args):
+        if threading.current_thread() is caller:
+            if not interrupted.is_set():  # the caller's first slab
+                interrupted.set()
+                raise KeyboardInterrupt
+        else:  # the worker's half starts once the caller's has failed
+            assert interrupted.wait(timeout=60)
+            odd_slabs.append(args[-1])
+        return columns(*args)
 
-        def release(self):
-            done.release()
-
-    monkeypatch.setattr(helper, "_done", InterruptedOnce())
+    monkeypatch.setattr(ops, "_slab_columns", columns_after_an_interrupt)
     with pytest.raises(KeyboardInterrupt):
         conv()
-    # the helper's job had ended before the caller gave the helper up, so
-    # no stale "done" is left for the next caller to take as its own
-    assert not helper.busy.locked()
-    assert not done.acquire(timeout=0.5)
+    # the interrupt left the caller only once the worker's half had run
+    assert len(odd_slabs) == 6
+    monkeypatch.setattr(ops, "_slab_columns", columns)
     for _ in range(3):
         assert np.array_equal(conv(), want)
+    assert len(handoffs) == 4
+
+
+# two CPUs allowed and one output plane per slab: the 3x3x3 conv of the
+# (2, 1, 8, 8, 8) map below splits into 8 slabs
+_MULTI_SLAB = """
+import threading
+import numpy as np
+from fcspn import ops, tensor as T
+ops._cpus = lambda: 2
+ops._SLAB_BYTES = 8 * 8 * 2 * 27 * 8
+spec = ops.Conv3dSpec(kernel=(3, 3, 3))
+x = T.Tensor(np.ones((2, 1, 8, 8, 8)))
+w = T.Tensor(np.ones((2, 2, 3, 3, 3)))
+def convs():
+    for _ in range(5):
+        ops.conv3d(x, w, None, spec)
+"""
+
+
+def test_two_callers_share_one_worker_thread():
+    # the threads that built columns, other than the two callers, and the
+    # worker threads alive at the end
+    code = _MULTI_SLAB + """
+builders = set()
+columns = ops._slab_columns
+def spied(*args):
+    builders.add(threading.current_thread())
+    return columns(*args)
+ops._slab_columns = spied
+barrier = threading.Barrier(2)
+def caller():
+    barrier.wait()
+    convs()
+callers = [threading.Thread(target=caller) for _ in range(2)]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join()
+workers = builders - set(callers)
+print(len(workers), all(t.name.startswith("fcspn-conv3d") for t in workers),
+      sum(t.name.startswith("fcspn-conv3d") for t in threading.enumerate()))
+"""
+    assert _run_python(code) == ["1", "True", "1"]
+
+
+def test_conv_runs_after_the_main_thread_has_returned():
+    # the interpreter's exit shuts the worker down before it joins the
+    # other threads; a caller thread still running convs then runs both
+    # halves itself
+    code = _MULTI_SLAB + """
+import time
+convs()
+def late():
+    threading.main_thread().join()
+    while any(t.name.startswith("fcspn-conv3d") for t in threading.enumerate()):
+        time.sleep(0.01)
+    convs()
+    print("done", flush=True)
+threading.Thread(target=late).start()
+"""
+    assert _run_python(code) == ["done"]
 
 
 def test_conv_keeps_no_array_once_it_returns(two_threads):
