@@ -330,14 +330,14 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
 
     Every pixel is labeled and every class has a region; ValueError,
     before anything is drawn, if the scene has fewer pixels than classes
-    or fewer than 2 bands (one band would give every class the same
-    spectrum), and if none of 100 layouts gives each class a pixel.  Same
-    seed, same scene.
+    or fewer than 3 bands (each spectrum spans [0.2, 0.8], so one band
+    gives every class the same spectrum and two bands allow only two), and
+    if none of 100 layouts gives each class a pixel.  Same seed, same scene.
     """
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    if bands < 2 or not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"bands must be >= 2 and noise finite and >= 0, "
+    if bands < 3 or not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"bands must be >= 3 and noise finite and >= 0, "
                          f"got {bands} and {noise}")
     if size < 1:
         raise ValueError(f"scene must be at least 1x1, got {size}x{size}")

@@ -30,10 +30,6 @@ class ConfusionMatrix:
             raise ValueError("confusion counts must be nonnegative")
         self.counts = counts.astype(np.int64)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def _grid(x) -> np.ndarray:
     return np.asarray(getattr(x, "grid", x))

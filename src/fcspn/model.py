@@ -73,6 +73,9 @@ class ModelConfig:
             raise ShapeError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.dsr_per_stage < 0:
             raise ShapeError(f"dsr_per_stage must be >= 0, got {self.dsr_per_stage}")
+        if self.attention_enabled not in (False, True):
+            raise ShapeError(
+                f"attention_enabled must be False or True, got {self.attention_enabled!r}")
         if not 0 <= self.cspn_steps <= MAX_CSPN_STEPS:
             raise ShapeError(f"cspn_steps must be in [0, {MAX_CSPN_STEPS}], "
                              f"got {self.cspn_steps}")

@@ -9,9 +9,10 @@ Each op registers its pullback on the global tape via
 
 :func:`conv3d` runs all three of its products through one routine: build
 the channel-major columns of one slab of the output grid (crops, planes
-or a band of rows, under a cache-sized byte budget) and multiply the
-weights by them.  Its scratch memory does not grow with the scene or the
-batch.  The pullback keeps the input, not the columns: it rebuilds them
+or a band of rows, under a cache-sized byte budget) as windows of one
+zero-padded copy of the part of the input the slab reads, and multiply
+the weights by them.  Its scratch memory does not grow with the scene or
+the batch.  The pullback keeps the input, not the columns: it rebuilds them
 slab by slab for the weight gradient, and computes the input gradient as
 the correlation of the output gradient with the flipped, transposed
 kernel, one call of the routine per stride phase.  Every product splits
@@ -187,7 +188,8 @@ def _slab_columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Tripl
     of an output grid ``ow`` wide: rows ``(c, i, j, k)`` and columns the
     slab's output voxels ``(n, z, y, x)``, whose entry is ``src[c, n, origin
     + stride * (z, y, x) + (i, j, k)]``, zero where that falls outside
-    ``src``, a C-contiguous (C, N, D, H, W) array."""
+    ``src``, a (C, N, D, H, W) array of any strides.  Every slab copies the
+    part of ``src`` it reads into one zero-padded block and windows that."""
     cs, zs, ys = slab
     c = src.shape[0]
     (kd, kh, kw), (sd, sh, sw) = kernel, stride
@@ -196,21 +198,13 @@ def _slab_columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Tripl
     size = (sd * (nz - 1) + kd, sh * (ny - 1) + kh, sw * (ow - 1) + kw)
     inside = tuple(slice(max(a, 0), max(a, 0, min(a + k, e)))
                    for a, k, e in zip(lo, size, src.shape[2:]))
-    if all(r.stop - r.start == k for r, k in zip(inside, size)):
-        # the slab reads only inside src: window src itself
-        block = src
-        skip = (cs.start,) + lo
-    else:
-        # the slab reads past an edge of src: copy its part into zeros
-        block = np.zeros((c, nc) + size, dtype=src.dtype)
-        block[(slice(None), slice(None)) + tuple(
-            slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))] = (
-                src[(slice(None), cs) + inside])
-        skip = (0, 0, 0, 0)
+    block = np.zeros((c, nc) + size, dtype=src.dtype)
+    block[(slice(None), slice(None)) + tuple(
+        slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))] = (
+            src[(slice(None), cs) + inside])
     s = block.strides
-    win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), src.dtype, block,
-                     sum(i * t for i, t in zip(skip, s[1:])),
-                     (s[0], s[2], s[3], s[4], s[1], s[2] * sd, s[3] * sh, s[4] * sw))
+    win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), src.dtype, block, strides=(
+        s[0], s[2], s[3], s[4], s[1], s[2] * sd, s[3] * sh, s[4] * sw))
     return win.reshape(c * kd * kh * kw, -1)
 
 
@@ -242,7 +236,6 @@ def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
     gradient, takes a copy).  :func:`_halves` splits the slabs between the
     caller and the worker thread, which write disjoint parts of ``out``.
     """
-    src = np.ascontiguousarray(src)
     n, od, oh, ow = out.shape[1:]
     direct = out.flags.c_contiguous
 
@@ -266,7 +259,6 @@ def _weight_grad(src: np.ndarray, g: np.ndarray, origin: Triple, kernel: Triple,
     gradient is the even sum plus the odd sum whether or not the worker
     thread ran the odd half, so its bits do not depend on the CPU count.
     """
-    src = np.ascontiguousarray(src)
     m, n, od, oh, ow = g.shape
     inner = src.shape[0] * kernel[0] * kernel[1] * kernel[2]
 

@@ -117,10 +117,10 @@ def test_synth_heavy_noise_degrades(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--classes", "1"), ("--size", "0"),
                                          ("--bands", "0"), ("--bands", "1"),
-                                         ("--noise", "-1"),
+                                         ("--bands", "2"), ("--noise", "-1"),
                                          ("--noise", "nan"), ("--noise", "inf"),
                                          ("--size", "1")],
-                         ids=["classes", "size", "bands", "one-band", "noise",
+                         ids=["classes", "size", "bands", "one-band", "two-bands", "noise",
                               "noise-nan", "noise-inf", "size-below-classes"])
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flag, value):
     rc = cli.main(["synth", "--out", str(tmp_path / "x"), flag, value])

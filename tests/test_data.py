@@ -444,15 +444,17 @@ def test_synth_refuses_more_classes_than_pixels_before_drawing(monkeypatch):
         D.synth_scene(classes=9, size=3, bands=4)
 
 
-def test_synth_refuses_one_band_before_drawing(monkeypatch):
-    # one band rescales every class's spectrum to the same constant, so no
-    # draw of signatures could ever keep two classes apart
+@pytest.mark.parametrize("bands", [1, 2])
+def test_synth_refuses_one_band_before_drawing(monkeypatch, bands):
+    # every spectrum is rescaled to span [0.2, 0.8]: one band gives every
+    # class the same constant, two bands only [0.2, 0.8] and [0.8, 0.2],
+    # so no draw of signatures could keep three classes apart
     def no_draw(*args):
         raise AssertionError("signatures were drawn")
 
     monkeypatch.setattr(D, "_draw_signatures", no_draw)
-    with pytest.raises(ValueError, match="bands must be >= 2"):
-        D.synth_scene(classes=16, size=256, bands=1)
+    with pytest.raises(ValueError, match="bands must be >= 3"):
+        D.synth_scene(classes=16, size=256, bands=bands)
 
 
 def test_synth_validation():

@@ -512,6 +512,14 @@ def test_checkpoint_unbounded_cspn_steps_rejected_before_build(tmp_path, monkeyp
         M.load_checkpoint(p)
 
 
+@pytest.mark.parametrize("value", [2, -1, "yes", None])
+def test_attention_flag_must_be_bool(value):
+    # save_checkpoint writes int() of the flag as one byte that
+    # load_checkpoint reads back only as 0 or 1
+    with pytest.raises(T.ShapeError, match="attention_enabled"):
+        M.ModelConfig(in_bands=20, num_classes=3, base_channels=2, attention_enabled=value)
+
+
 @pytest.mark.parametrize("byte", [2, 7, 255])
 def test_checkpoint_attention_byte_must_be_bool(tmp_path, byte):
     m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(20))

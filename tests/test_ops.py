@@ -1,3 +1,4 @@
+import ast
 import multiprocessing
 import os
 import subprocess
@@ -403,6 +404,27 @@ def test_importing_fcspn_starts_no_thread():
     code = ("import sys, threading, fcspn.cli; "
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
     assert _run_python(code) == ["1", "False"]
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # the pipeline is numpy-only: every absolute import, at any depth of a
+    # module, names numpy or a standard-library module; relative imports
+    # stay inside the package
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = {}
+    for path in sorted(Path(ops.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                where = f"{path.name}:{node.lineno}"
+                found.setdefault(name.split(".")[0], []).append(where)
+    assert "numpy" in found
+    assert {top: where for top, where in found.items() if top not in allowed} == {}
 
 
 def test_interrupt_in_the_callers_half_waits_for_the_worker(monkeypatch, two_threads):
