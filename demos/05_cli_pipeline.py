@@ -1,8 +1,8 @@
 """The command-line pipeline, end to end: synth -> train -> classify -> eval.
 
-Runs the installed entry point as subprocesses inside a temporary directory,
-the way a shell user would drive it, and shows every artifact it leaves
-behind.
+Runs ``python -m fcspn`` as subprocesses inside a temporary directory, the
+way a shell user would drive the ``fcspn`` command, and shows every artifact
+it leaves behind.
 """
 
 import subprocess

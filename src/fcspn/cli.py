@@ -5,15 +5,17 @@ Exit codes: 0 success, 2 usage or configuration, 3 data or file format,
 ``model.ModelConfig`` or ``train.TrainConfig`` and takes its default and type
 from that field.  A flat INI-style config file (``key = value`` lines, ``#``
 comments) overrides the defaults; every value is parsed as the file is read,
-before any data.  ``train --seed`` is the one flag that overrides a file key.
+before any data; a boolean is ``on`` or ``off``, and no flag overrides a key.
+``classify`` runs the network a checkpoint holds, its step count included.
 """
 
 import argparse
 import colorsys
+import inspect
 import os
 import sys
 from dataclasses import fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,12 +54,9 @@ def _default(key: str):
 
 
 def _on_off(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ValueError(text)
+    if text not in ("on", "off"):
+        raise ValueError(text)
+    return text == "on"
 
 
 def _crop(text: str) -> Tuple[int, int]:
@@ -129,15 +128,16 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
 
-def _check_outputs(outputs: Dict[str, str], inputs: Dict[str, Optional[str]]) -> None:
-    """Check a run's paths, each keyed by its flag, before it reads any file.
+def _check_outputs(outputs: Sequence[Tuple[str, str]],
+                   inputs: Dict[str, Optional[str]]) -> None:
+    """Check a run's paths, each with its flag, before it reads any file.
 
     ConfigError (exit 2) if an output resolves to the same file as another
     output or as an input (None for an input not given); OSError (exit 3)
     if an output is an existing directory or its directory does not exist.
     """
     taken = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
-    for flag, path in outputs.items():
+    for flag, path in outputs:
         real = os.path.realpath(path)
         if real in taken:
             raise ConfigError(f"{flag} and {taken[real]} name one file, {path}")
@@ -172,10 +172,12 @@ def write_ppm(grid: np.ndarray, classes: int, path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    _check_outputs([("--out", f"{args.out}.hsc1"), ("--out", f"{args.out}.hsl1")], {})
+    # the flags given; data.synth_scene's signature holds every default
+    given = {name: value for name, value in vars(args).items()
+             if name in inspect.signature(data.synth_scene).parameters}
     try:
-        cube, labels = data.synth_scene(classes=args.classes, size=args.size,
-                                        bands=args.bands, noise=args.noise,
-                                        seed=args.seed)
+        cube, labels = data.synth_scene(**given)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     data.save_cube(cube, f"{args.out}.hsc1")
@@ -191,8 +193,8 @@ def cmd_train(args) -> int:
     # every path and setting is checked before any data is read
     trace = args.out_trace or f"{args.out_ckpt}.trace.csv"
     split_path = args.out_split or f"{args.out_ckpt}.split.hss1"
-    _check_outputs({"--out-ckpt": args.out_ckpt, "--out-trace": trace,
-                    "--out-split": split_path},
+    _check_outputs([("--out-ckpt", args.out_ckpt), ("--out-trace", trace),
+                    ("--out-split", split_path)],
                    {"--cube": args.cube, "--labels": args.labels,
                     "--config": args.config})
     cfg = RunConfig(args.config)
@@ -200,8 +202,7 @@ def cmd_train(args) -> int:
         data.parse_strategy(args.strategy)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    flags = {} if args.seed is None else {"seed": args.seed}
-    tcfg = cfg.build(train.TrainConfig, **flags)
+    tcfg = cfg.build(train.TrainConfig)
     # the model keys, with the smallest valid bands and classes: the data
     # fixes both below
     cfg.build(model.ModelConfig, in_bands=5, num_classes=1)
@@ -243,7 +244,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     ppm = args.out_ppm or f"{args.out_map}.ppm"
-    _check_outputs({"--out-map": args.out_map, "--out-ppm": ppm},
+    _check_outputs([("--out-map", args.out_map), ("--out-ppm", ppm)],
                    {"--cube": args.cube, "--ckpt": args.ckpt})
     cube = data.load_cube(args.cube)
     net = model.load_checkpoint(args.ckpt)
@@ -253,7 +254,7 @@ def cmd_classify(args) -> int:
     cube = data.normalize(cube)
 
     with no_grad():
-        logits, _ = net.forward_refined(Tensor(cube.values), steps=args.steps)
+        logits, _ = net.forward_refined(Tensor(cube.values))
     grid = logits.data.argmax(axis=0).astype(np.uint16) + 1
 
     names = [f"class_{cls}" for cls in range(1, net.config.num_classes + 1)]
@@ -265,7 +266,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_outputs({"--out-csv": args.out_csv} if args.out_csv else {},
+    _check_outputs([("--out-csv", args.out_csv)] if args.out_csv else [],
                    {"--pred": args.pred, "--ref": args.ref, "--split": args.split})
     pred = data.load_labels(args.pred)
     ref = data.load_labels(args.ref)
@@ -299,11 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labeled scene",
                        epilog="prints the nearest-centroid oracle OA")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--bands", type=int, default=20)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    for name, param in inspect.signature(data.synth_scene).parameters.items():
+        p.add_argument(f"--{name}", type=type(param.default),
+                       default=argparse.SUPPRESS, help=f"default {param.default}")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI-style config file")
     p.add_argument("--strategy", default="per_class:200",
                    help="per_class:N or fraction:F")
-    p.add_argument("--seed", type=int, help="overrides train.seed")
     p.add_argument("--out-ckpt", required=True, help="checkpoint path")
     p.add_argument("--out-trace", help="loss CSV (default <ckpt>.trace.csv)")
     p.add_argument("--out-split", help="split file (default <ckpt>.split.hss1)")
@@ -324,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="predict a label map from a cube")
     p.add_argument("--cube", required=True, help="HSC1 cube file")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
-    p.add_argument("--steps", type=int,
-                   help="propagation steps, 0 for the unrefined map (default: checkpoint)")
     p.add_argument("--out-map", required=True, help="HSL1 output path")
     p.add_argument("--out-ppm", help="P6 pixmap (default <out-map>.ppm)")
     p.set_defaults(func=cmd_classify)
@@ -340,11 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.command == "classify" and args.steps is not None
-            and not 0 <= args.steps <= model.MAX_CSPN_STEPS):
-        parser.error(f"--steps must be in 0..{model.MAX_CSPN_STEPS}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

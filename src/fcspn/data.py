@@ -28,7 +28,7 @@ SPLIT_MAGIC = b"HSS1"
 # Extents are u32 in the container headers, but payloads this large would
 # not be addressable anyway; reject early instead of letting numpy try.
 _MAX_ELEMENTS = 1 << 31
-_MAX_CLASS_ID = np.iinfo(np.uint16).max
+MAX_CLASSES = np.iinfo(np.uint16).max
 _MAX_NAME_BYTES = np.iinfo(np.uint16).max  # HSL1 prefixes each name with a u16
 
 
@@ -70,8 +70,8 @@ class LabelMap:
             raise FormatError(f"label grid must be (H, W), got {grid.shape}")
         if grid.dtype.kind not in "iu":
             raise FormatError(f"label ids must be integers, got a {grid.dtype} grid")
-        if len(self.class_names) > _MAX_CLASS_ID:
-            raise FormatError(f"class ids are uint16, so at most {_MAX_CLASS_ID} "
+        if len(self.class_names) > MAX_CLASSES:
+            raise FormatError(f"class ids are uint16, so at most {MAX_CLASSES} "
                               f"classes; got {len(self.class_names)} names")
         for name in self.class_names:
             size = len(str(name).encode("utf-8"))

@@ -40,8 +40,9 @@ def confusion(pred, ref, mask=None,
     """Count (reference, predicted) pairs over the evaluation pixels.
 
     ``mask`` is a boolean array over the grid (a split's ``test`` half, say),
-    or None for every labeled reference pixel.  Predictions at scored pixels
-    must carry ids in 1..c.
+    or None for every labeled reference pixel.  The class count c is
+    ``classes``, else a LabelMap reference's ``num_classes`` (ValueError
+    without either); both grids' ids at scored pixels must lie in 1..c.
     """
     pred_grid = _grid(pred)
     ref_grid = _grid(ref)
@@ -54,7 +55,7 @@ def confusion(pred, ref, mask=None,
     if classes is None:
         classes = getattr(ref, "num_classes", None)
     if classes is None:
-        classes = int(ref_grid.max())
+        raise ValueError("unknown class count: pass classes= or a LabelMap reference")
     scored = ref_grid > 0
     if mask is not None:
         where = np.asarray(mask, dtype=bool)

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import cspn, ops
+from . import cspn, data, ops
 from . import tensor as T
 from .tensor import FormatError, NumericError, ShapeError, Tensor
 
@@ -67,8 +67,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.in_bands < 5:
             raise ShapeError(f"in_bands must be >= 5 (stem kernel), got {self.in_bands}")
-        if self.num_classes < 1:
-            raise ShapeError(f"num_classes must be >= 1, got {self.num_classes}")
+        if not 1 <= self.num_classes <= data.MAX_CLASSES:
+            raise ShapeError(f"num_classes must be in [1, {data.MAX_CLASSES}], the ids "
+                             f"a label map holds, got {self.num_classes}")
         if self.base_channels < 1:
             raise ShapeError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.dsr_per_stage < 0:
@@ -275,14 +276,12 @@ class FcspnModel:
         (num_classes, N, H, W) for a (1, N, B, H, W) batch."""
         return self._shaped_like(x, self._run(x, training)[0])
 
-    def forward_refined(self, x: Tensor, steps: Optional[int] = None,
-                        training: bool = False) -> Tuple[Tensor, Tensor]:
-        """(refined, unrefined) logits, shaped as :meth:`forward`'s;
-        ``steps`` overrides the configured count."""
+    def forward_refined(self, x: Tensor, training: bool = False) -> Tuple[Tensor, Tensor]:
+        """(refined, unrefined): :meth:`forward`'s logits after the configured
+        ``cspn_steps`` of propagation, and those logits as they are."""
         logits, plane = self._run(x, training)
         kappa = cspn.normalize_affinity(self.affinity.forward(plane, training))
-        steps = self.config.cspn_steps if steps is None else steps
-        refined = cspn.refine(logits, kappa, steps)
+        refined = cspn.refine(logits, kappa, self.config.cspn_steps)
         return self._shaped_like(x, refined), self._shaped_like(x, logits)
 
 

@@ -109,6 +109,24 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["s.hsc1", "s.hsl1"]
 
 
+@pytest.mark.parametrize("blocked", ["hsl1-directory", "missing-directory"])
+def test_synth_checks_its_outputs_before_drawing(tmp_path, capsys, monkeypatch, blocked):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the scene was drawn")
+
+    monkeypatch.setattr(data, "synth_scene", no_draw)
+    if blocked == "hsl1-directory":
+        out = tmp_path / "s"
+        (tmp_path / "s.hsl1").mkdir()
+    else:
+        out = tmp_path / "nodir" / "s"
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(["synth", "--out", str(out)])
+    assert rc == 3
+    assert f"cannot write --out {out}." in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_synth_heavy_noise_degrades(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "n"), "--noise", "10"]) == 0
     match = re.search(r"nearest-centroid OA: ([0-9.]+)", capsys.readouterr().out)
@@ -158,23 +176,13 @@ def test_train_split_report_fraction(workdir, tmp_path, capsys):
 
 
 def test_train_same_seed_identical_checkpoints(workdir, tmp_path):
+    seeded = tmp_path / "seed.cfg"
+    seeded.write_text(TINY_CONFIG + "train.seed = 11\n")
     for name in ("a.ckpt", "b.ckpt"):
+        # argparse keeps the last --config, so appending one overrides the helper
         assert cli.main(_train_args(workdir, tmp_path / name,
-                                    "--seed", "11")) == 0
+                                    "--config", str(seeded))) == 0
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-
-
-def test_train_flag_overrides_config_seed(workdir, tmp_path):
-    flagged = tmp_path / "seed.cfg"
-    flagged.write_text(TINY_CONFIG + "train.seed = 5\n")
-    assert cli.main(["train", "--cube", str(workdir / "scene.hsc1"),
-                     "--labels", str(workdir / "scene.hsl1"),
-                     "--config", str(flagged), "--strategy", "per_class:20",
-                     "--seed", "7", "--out-ckpt", str(tmp_path / "flag.ckpt")]) == 0
-    assert cli.main(_train_args(workdir, tmp_path / "plain.ckpt",
-                                "--seed", "7")) == 0
-    assert (tmp_path / "flag.ckpt").read_bytes() == \
-        (tmp_path / "plain.ckpt").read_bytes()
 
 
 def test_train_unknown_config_key(workdir, tmp_path, capsys):
@@ -211,6 +219,18 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["true", "yes", "1", "false", "no", "0", "On"])
+def test_train_boolean_key_takes_only_on_or_off(tmp_path, capsys, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"model.attention_enabled = {value}\n")
+    rc = cli.main(["train", "--cube", str(tmp_path / "absent.hsc1"),
+                   "--labels", str(tmp_path / "absent.hsl1"),
+                   "--config", str(bad), "--out-ckpt", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    assert f"model.attention_enabled expects on/off, got {value!r}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, flags, message", [
     ("model.base_channels = 0", (), "base_channels must be >= 1"),
     ("train.batch_size = 0", (), "batch_size"),
@@ -228,14 +248,12 @@ def test_train_config_checked_before_data_is_read(tmp_path, capsys):
     ("train.weight_decay = inf", (), "finite"),
     ("train.focal_gamma = nan", (), "finite"),
     ("train.seed = -1", (), "seed >= 0"),
-    ("", ("--seed", "-1"), "seed >= 0"),
     ("train.epochs = 2\ntrain.epochs = 3", (),
      "line 2: train.epochs already set on line 1"),
 ], ids=["base-channels", "batch-size", "strategy", "strategy-no-count",
         "strategy-bad-count", "strategy-bad-fraction", "strategy-fraction-one",
         "rate-nan", "rate-inf",
-        "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "seed-flag",
-        "key-twice"])
+        "momentum-nan", "decay-inf", "gamma-nan", "seed-key", "key-twice"])
 def test_train_bad_setting_exits_2_before_data_is_read(workdir, tmp_path, capsys,
                                                       line, flags, message):
     bad = tmp_path / "bad.cfg"
@@ -469,17 +487,6 @@ def test_classify_missing_output_directory_fails_before_any_work(workdir, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_classify_steps_zero_equals_refine_off(workdir, tmp_path):
-    out_map = tmp_path / "zero.hsl1"
-    assert cli.main(_classify_args(workdir, out_map, "--steps", "0")) == 0
-    net = model.load_checkpoint(workdir / "model.ckpt")
-    cube = data.normalize(data.load_cube(workdir / "scene.hsc1"))
-    with no_grad():
-        logits = net.forward(Tensor(cube.values[None]))
-    want = logits.data.argmax(axis=0).astype(np.uint16) + 1
-    assert np.array_equal(data.load_labels(out_map).grid, want)
-
-
 def test_classify_map_equals_float64_inference(workdir, tmp_path):
     # classify computes in the checkpoint's float32; the same f32-rounded
     # weights in float64 give the same map
@@ -590,17 +597,29 @@ def test_classify_band_mismatch(workdir, tmp_path):
     assert rc == 3
 
 
-def test_classify_max_steps_accepted(workdir, tmp_path):
-    steps = str(model.MAX_CSPN_STEPS)
-    assert cli.main(_classify_args(workdir, tmp_path / "s.hsl1", "--steps", steps)) == 0
+def test_classify_more_classes_than_a_label_map_holds_exits_3_before_forward(
+        workdir, tmp_path, capsys, monkeypatch):
+    # base 1, no residual unit, no gate, no propagation: the head holds a
+    # weight and a bias per class, so 70000 classes take 2 * 4465 floats
+    # more than the most a label map holds
+    classes = data.MAX_CLASSES + 4465
+    most = model.ModelConfig(in_bands=8, num_classes=data.MAX_CLASSES, base_channels=1,
+                             dsr_per_stage=0, attention_enabled=False, cspn_steps=0)
+    floats = model._payload_floats(most) + 2 * (classes - data.MAX_CLASSES)
+    wide = tmp_path / "wide.ckpt"
+    wide.write_bytes(struct.pack("<4sIIIIIBI", model.CHECKPOINT_MAGIC,
+                                 model.CHECKPOINT_VERSION, 8, classes, 1, 0, 0, 0)
+                     + bytes(4 * floats))
 
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward_refined ran")
 
-@pytest.mark.parametrize("steps", [-1, model.MAX_CSPN_STEPS + 1])
-def test_classify_steps_out_of_range_is_usage_error(workdir, tmp_path, steps):
-    with pytest.raises(SystemExit) as info:
-        cli.main(_classify_args(workdir, tmp_path / "s.hsl1", "--steps", str(steps)))
-    assert info.value.code == 2
-    assert not (tmp_path / "s.hsl1").exists()
+    monkeypatch.setattr(model.FcspnModel, "forward_refined", no_forward)
+    rc = cli.main(["classify", "--cube", str(workdir / "scene.hsc1"),
+                   "--ckpt", str(wide), "--out-map", str(tmp_path / "pred.hsl1")])
+    assert rc == 3
+    assert f"num_classes must be in [1, {data.MAX_CLASSES}]" in capsys.readouterr().err
+    assert not (tmp_path / "pred.hsl1").exists()
 
 
 # ---------------------------------------------------------------------------

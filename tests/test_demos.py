@@ -4,13 +4,15 @@ Each demo runs in its own interpreter, with ``src`` on the path and a
 scratch working directory, and must exit 0; the three take about a second
 together.  Demos 04 and 05 train a model and take about 20 s each, so they
 are not run here, only checked statically: every settings keyword they pass
-and every config key they or the README name must exist.  The tier-1 CI
-workflow runs both after the tests; by hand:
+and every config key and ``--flag`` they or the README name must exist.  The
+tier-1 CI workflow runs both after the tests, with warnings as errors; by
+hand:
 
-    PYTHONPATH=src python demos/04_training_loop.py
-    PYTHONPATH=src python demos/05_cli_pipeline.py
+    PYTHONPATH=src PYTHONWARNINGS=error python demos/04_training_loop.py
+    PYTHONPATH=src PYTHONWARNINGS=error python demos/05_cli_pipeline.py
 """
 
+import argparse
 import ast
 import os
 import re
@@ -43,10 +45,15 @@ def test_demos_name_only_existing_settings():
     classes = {cls.__name__: cls for cls in (model.ModelConfig, train.TrainConfig)}
     prefixes = "|".join(sorted({key.split(".")[0] for key in cli.CONFIG_KEYS}))
     config_line = re.compile(rf"^\s*((?:{prefixes})\.\w+)\s*=", re.M)
-    calls, keys = [], []
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {option for sub in commands.values() for action in sub._actions
+               for option in action.option_strings}
+    calls, keys, flags = [], [], []
     for path in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]:
         text = path.read_text()
         keys += [(path.name, key) for key in config_line.findall(text)]
+        flags += [(path.name, flag) for flag in re.findall(r"--[a-z][a-z0-9-]*", text)]
         if path.suffix != ".py":
             continue
         for node in ast.walk(ast.parse(text)):
@@ -54,8 +61,9 @@ def test_demos_name_only_existing_settings():
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if name in classes:
                     calls.append((path.name, name, [kw.arg for kw in node.keywords]))
-    assert calls and keys  # demos 04 and 05 set both kinds
+    assert calls and keys and flags  # demos 04 and 05 set both kinds, 05 names flags
     for where, name, given in calls:
         known = {field.name for field in fields(classes[name])}
         assert set(given) <= known, (where, name, set(given) - known)
     assert [(where, key) for where, key in keys if key not in cli.CONFIG_KEYS] == []
+    assert [(where, flag) for where, flag in flags if flag not in options] == []

@@ -10,7 +10,7 @@ def test_confusion_hand_case():
     pred = ref.copy()
     pred[45:50] = 2
     pred[50:60] = 1
-    cm = ME.confusion(pred.reshape(10, 10), ref.reshape(10, 10))
+    cm = ME.confusion(pred.reshape(10, 10), ref.reshape(10, 10), classes=2)
     assert np.array_equal(cm.counts, [[45, 5], [10, 40]])
 
 
@@ -33,10 +33,10 @@ def test_confusion_diagonal_when_perfect():
 
 def test_confusion_empty_selection_errors():
     ref = np.array([[1]])
-    with pytest.raises(ValueError):
-        ME.confusion(ref, ref, mask=np.array([[False]]))
-    with pytest.raises(ValueError):
-        ME.confusion(np.array([[1]]), np.array([[0]]))
+    with pytest.raises(ValueError, match="no pixels selected"):
+        ME.confusion(ref, ref, mask=np.array([[False]]), classes=1)
+    with pytest.raises(ValueError, match="no pixels selected"):
+        ME.confusion(np.array([[1]]), np.array([[0]]), classes=1)
 
 
 def test_confusion_pred_out_of_range():
@@ -45,6 +45,16 @@ def test_confusion_pred_out_of_range():
         ME.confusion(np.array([[1, 3]]), ref, classes=2)
     with pytest.raises(ValueError):
         ME.confusion(np.array([[0, 2]]), ref, classes=2)
+
+
+def test_confusion_class_count_is_given_not_guessed():
+    # the reference's largest id need not be the largest class
+    cm = ME.confusion(np.array([[1, 2, 3]]), np.array([[1, 2, 2]]), classes=3)
+    assert np.array_equal(cm.counts, [[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+    ref = D.LabelMap(np.array([[1, 2, 2]]), ["a", "b", "c"])
+    assert np.array_equal(ME.confusion(np.array([[1, 2, 3]]), ref).counts, cm.counts)
+    with pytest.raises(ValueError, match="class count"):
+        ME.confusion(np.array([[1, 2, 3]]), np.array([[1, 2, 2]]))
 
 
 def test_confusion_rejects_non_integer_ids():
@@ -59,7 +69,7 @@ def test_confusion_rejects_non_integer_ids():
 def test_unlabeled_reference_ignored():
     ref = np.array([[0, 1], [2, 0]])
     pred = np.array([[2, 1], [2, 1]])  # wrong only where unlabeled
-    cm = ME.confusion(pred, ref)
+    cm = ME.confusion(pred, ref, classes=2)
     assert cm.counts.sum() == 2
     assert ME.oa(cm) == 1.0
 

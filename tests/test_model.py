@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gradcheck
+from fcspn import data as D
 from fcspn import model as M
 from fcspn import ops
 from fcspn import tensor as T
@@ -85,6 +86,20 @@ def test_forward_batch_matches_cubes():
         assert np.allclose(refined.data[:, k], one.data, rtol=0, atol=1e-12)
 
 
+def test_forward_refined_unrefined_scores_are_forward(tmp_path):
+    rng = np.random.default_rng(3)
+    built = M.build(_tiny(bands=20, classes=3, base=2, cspn_steps=3), rng)
+    M.save_checkpoint(built, tmp_path / "m.fcsp")
+    loaded = M.load_checkpoint(tmp_path / "m.fcsp")
+    x = T.Tensor(rng.uniform(-1, 1, (20, 12, 12)).astype(np.float32))
+    for net, dtype in ((built, np.float64), (loaded, np.float32)):
+        with T.no_grad():
+            _, unrefined = net.forward_refined(x)
+            plain = net.forward(x)
+        assert unrefined.data.dtype == plain.data.dtype == dtype
+        assert unrefined.data.tobytes() == plain.data.tobytes()
+
+
 def test_forward_rejects_bad_inputs():
     m = M.build(_tiny())
     with pytest.raises(T.ShapeError):
@@ -138,6 +153,13 @@ def test_training_forward_tape_memory_is_bounded():
         tracemalloc.stop()
     assert T.tape_size() > 0
     assert held < 25.4 * 2 ** 20, f"held {held / 2 ** 20:.2f} MiB"
+
+
+def test_num_classes_bounded_by_label_map_ids():
+    assert _tiny(classes=D.MAX_CLASSES).num_classes == D.MAX_CLASSES
+    for classes in (0, D.MAX_CLASSES + 1):
+        with pytest.raises(T.ShapeError, match="num_classes"):
+            _tiny(classes=classes)
 
 
 def test_cspn_steps_bounded():
@@ -449,7 +471,9 @@ def test_checkpoint_roundtrip_every_batchnorm_state(tmp_path):
 
 HUGE_HEADERS = {
     "base_channels": dict(classes=3, base=1 << 20, dsr=1),
-    "num_classes": dict(classes=1 << 30, base=2, dsr=1),
+    # the most a label map holds: one class more is refused by the
+    # num_classes bound before the payload is sized (tested below)
+    "num_classes": dict(classes=D.MAX_CLASSES, base=2, dsr=1),
     "dsr_per_stage": dict(classes=3, base=2, dsr=1 << 30),
 }
 
@@ -509,6 +533,18 @@ def test_checkpoint_unbounded_cspn_steps_rejected_before_build(tmp_path, monkeyp
 
     monkeypatch.setattr(M, "FcspnModel", no_build)
     with pytest.raises(T.FormatError, match="cspn_steps"):
+        M.load_checkpoint(p)
+
+
+def test_checkpoint_more_classes_than_a_label_map_holds_rejected_before_build(
+        tmp_path, monkeypatch):
+    p = _patched_header(tmp_path, struct.calcsize("<4sII"), D.MAX_CLASSES + 1)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("model built before the header was checked")
+
+    monkeypatch.setattr(M, "FcspnModel", no_build)
+    with pytest.raises(T.FormatError, match="num_classes"):
         M.load_checkpoint(p)
 
 
@@ -597,13 +633,13 @@ def test_attention_gradcheck():
 
 def test_end_to_end_directional_gradcheck():
     rng = np.random.default_rng(14)
-    m = M.build(_tiny(bands=10, classes=3, base=2), rng)
+    m = M.build(_tiny(bands=10, classes=3, base=2, cspn_steps=2), rng)
     proj = gradcheck.projection((3, 9, 9), rng)
 
     def build(x, head_w, stem_w):
         m.head_conv.w = head_w
         m.stem_conv.w = stem_w
-        refined, _ = m.forward_refined(x, steps=2, training=True)
+        refined, _ = m.forward_refined(x, training=True)
         return gradcheck.project(refined, proj)
 
     arrs = [rng.uniform(-1, 1, (1, 10, 9, 9)),
