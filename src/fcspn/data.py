@@ -348,13 +348,19 @@ def synth_scene(classes: int = 3, size: int = 32, bands: int = 20,
     rng = np.random.default_rng(seed)
     signatures = _draw_signatures(rng, classes, bands)
 
-    rr, cc = np.mgrid[0:size, 0:size]
+    rows, cols = np.ogrid[0:size, 0:size]
+    site_class = np.arange(3 * classes) % classes + 1
     for _ in range(100):
         sites = rng.uniform((0, 0), (size, size), (3 * classes, 2))
-        site_class = np.arange(3 * classes) % classes + 1
-        dist2 = ((rr[..., None] - sites[:, 0]) ** 2
-                 + (cc[..., None] - sites[:, 1]) ** 2)
-        grid = site_class[dist2.argmin(axis=2)]
+        # each pixel takes its nearest site's class: a running minimum over
+        # the sites, strict < so a tie keeps the first site, as argmin would
+        nearest = np.full((size, size), np.inf)
+        grid = np.zeros((size, size), dtype=site_class.dtype)
+        for (r, c), cls in zip(sites, site_class):
+            dist2 = (rows - r) ** 2 + (cols - c) ** 2
+            closer = dist2 < nearest
+            grid[closer] = cls
+            np.minimum(nearest, dist2, out=nearest)
         if len(np.unique(grid)) == classes:
             break
     else:

@@ -1,9 +1,11 @@
 """Differentiable building blocks for volumetric feature maps.
 
 Feature maps are channel-major, ``(channels, crops, depth, height,
-width)``: a training batch is one array whose crop axis every op carries,
-so one optimizer step is one forward and one backward pass, and one scene
-is a batch of one.  Normalization statistics are per (channel, crop).
+width)``: a batch of crops is one array whose crop axis every op carries,
+so each half of an optimizer step's crops (:mod:`fcspn.train`) is one
+forward and one backward pass, and one scene is a batch of one.
+Normalization statistics are per (channel, crop), so a crop's pass does
+not depend on the other crops of its batch.
 Each op registers its pullback on the global tape via
 :func:`fcspn.tensor.record`.
 
@@ -92,6 +94,17 @@ def _worker():
             from concurrent.futures import ThreadPoolExecutor
             _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fcspn-conv3d")
     return _executor
+
+
+def _stop_worker() -> None:
+    """Shut the worker thread down and wait for it to exit; the next
+    two-CPU convolution starts a new one.  A process forks only once no
+    thread of its own is alive."""
+    global _executor
+    with _executor_start:
+        executor, _executor = _executor, None
+    if executor is not None:
+        executor.shutdown(wait=True)
 
 
 def _forget_worker() -> None:
@@ -367,17 +380,30 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
 # ---------------------------------------------------------------------------
 
 class BatchNormState:
-    """Running statistics for one normalization layer, one entry per channel."""
+    """Running statistics for one normalization layer, one entry per
+    channel, and ``folded``: the (channels, crops) means and variances
+    :meth:`fold` took last, None before the first."""
 
     def __init__(self, channels: int):
         if channels < 1:
             raise ShapeError("channels must be >= 1")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+        self.folded: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def channels(self) -> int:
         return self.running_mean.shape[0]
+
+    def fold(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold per-crop statistics, (channels, crops) each, into the
+        running estimates (0.9 old + 0.1 new), crop by crop in crop order."""
+        for k in range(mean.shape[1]):
+            self.running_mean = (BN_MOMENTUM * self.running_mean
+                                 + (1 - BN_MOMENTUM) * mean[:, k])
+            self.running_var = (BN_MOMENTUM * self.running_var
+                                + (1 - BN_MOMENTUM) * var[:, k])
+        self.folded = (mean, var)
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
@@ -388,8 +414,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     one-crop view (C,D,H,W).
 
     Training mode normalizes each (channel, crop) with its biased
-    statistics and folds them into the running estimates (0.9 old + 0.1
-    new) crop by crop, in crop order, so a batch leaves the same running
+    statistics and folds them into the running estimates
+    (:meth:`BatchNormState.fold`), so a batch leaves the same running
     statistics as its crops passed one at a time; eval mode normalizes
     with the running estimates alone.
 
@@ -423,11 +449,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         mu = xd.mean(axis=axes, keepdims=True)
         centered = xd - mu
         var = (centered * centered).mean(axis=axes, keepdims=True)
-        for k in range(xd.shape[1]):
-            state.running_mean = (BN_MOMENTUM * state.running_mean
-                                  + (1 - BN_MOMENTUM) * mu[:, k, 0, 0, 0])
-            state.running_var = (BN_MOMENTUM * state.running_var
-                                 + (1 - BN_MOMENTUM) * var[:, k, 0, 0, 0])
+        state.fold(mu[:, :, 0, 0, 0], var[:, :, 0, 0, 0])
     else:
         mu = state.running_mean[expand]
         centered = xd - mu

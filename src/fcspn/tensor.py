@@ -27,7 +27,12 @@ The tape is process-global and confined to one logical training thread.
 Tensors themselves are safe to share for concurrent reads.  The worker
 thread inside :func:`fcspn.ops.conv3d` runs the odd half of a call's slabs:
 it only reads arrays and writes its own disjoint slabs of an output or a
-fresh sum of products; it never records or walks the tape.
+fresh sum of products; it never records or walks the tape.  A training
+step splits its crops into two halves, each with a tape of its own: on two
+or more CPUs the second half runs in a forked worker process that has its
+own copy of this module, each process pinned to one CPU; on one CPU
+(``taskset -c 0``, say) the caller runs both halves, one tape after the
+other, with the same bits (:mod:`fcspn.train`).
 """
 
 from __future__ import annotations

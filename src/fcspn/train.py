@@ -1,23 +1,35 @@
 """Masked focal loss, momentum SGD with weight decay, and the crop-batch loop.
 
 One optimizer step consumes a batch of randomly positioned crops (full
-spectral extent, fixed spatial window), stacked on the network's crop axis:
-the batch runs forward once, the focal loss averages each crop's own mean
-over the ``(classes, crops, H, W)`` logits, and one backward pass
-distributes the gradient.  An epoch is one optimizer step.  Only the focal
-loss is on the tape, so ``.grad`` is the loss gradient; :func:`sgd_step`
-decays the conv weights, for SGD the same update as an L2 penalty's gradient.
+spectral extent, fixed spatial window), split into two contiguous halves
+the same way on any CPU count: the first ceil(N/2) crops and the rest.
+Each half is stacked on the network's crop axis and runs forward, focal
+loss (the mean of its crops' own means over the ``(classes, crops, H, W)``
+logits) and backward once, in :func:`_half_step`; the step's loss and
+gradients are ``(n1 * L1 + n2 * L2) / N``, summed in that order, and its
+normalization statistics are folded in crop order, the first half's crops
+first.  On a process allowed two or more CPUs the second half runs in a
+forked worker process (:class:`_Worker`) while the first runs in the
+caller, each pinned to a CPU of its own, so their convolutions take the
+one-thread path; otherwise the caller runs both halves, one after the
+other.  Both ways give the same bits; ``taskset -c 0`` gives one process.
+An epoch is one optimizer step.  Only the focal loss is on the tape, so
+``.grad`` is the loss gradient; :func:`sgd_step` decays the conv weights,
+for SGD the same update as an L2 penalty's gradient.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import ops
 from . import tensor as T
 from .data import HsiCube, LabelMap, SplitMask
 from .model import FcspnModel
@@ -182,6 +194,152 @@ def fit_crop(model: FcspnModel, crop_size: Tuple[int, int],
     return ch, cw
 
 
+def _half_step(model: FcspnModel, values: np.ndarray, train_labels: np.ndarray,
+               origins: List[Tuple[int, int]], crop: Tuple[int, int],
+               gamma: float) -> Tuple[np.ndarray, list]:
+    """Forward, focal loss and backward of the crops at ``origins``, stacked
+    as one batch; returns the loss and each parameter's gradient, in
+    ``params.items()`` order (None where the loss does not reach it).  The
+    normalization layers fold the crops' statistics as they run."""
+    ch, cw = crop
+    T.clear_tape()
+    zero_grads(model.params)
+    # stacked in the model's dtype, so no second copy of the batch is
+    # alive during the step
+    x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw] for r, c in origins],
+                          dtype=model.dtype)[None])
+    crop_labels = np.stack([train_labels[r: r + ch, c: c + cw] for r, c in origins])
+    refined, _ = model.forward_refined(x, training=True)
+    focal = focal_loss(refined, crop_labels, gamma)
+    T.backward(focal)
+    return focal.data, [t.grad for _, t in model.params.items()]
+
+
+# OpenBLAS's thread-count functions under the prefixes and suffixes of its
+# builds; numpy's wheels ship the 64-bit "scipy_openblas" one
+_BLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _blas_threads(count: Optional[int] = None) -> Optional[int]:
+    """How many threads the loaded OpenBLAS runs, None where none is found;
+    then, unless ``count`` is None, make it run ``count``.
+
+    A process pinned to one CPU needs one: after a fork OpenBLAS starts its
+    threads anew from the thread that calls it next, so they share that
+    thread's CPU and spin beside it.  On a 2-core host a batch-20 step of
+    32x32 crops at base 8 took 6.3 s that way, against 0.33 s.
+    """
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _BLAS_THREADS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                before = get()
+                if count is not None:
+                    put(count)
+                return before
+    return None
+
+
+class _Worker:
+    """A forked copy of the caller that runs the second half of each step.
+
+    It inherits the cube, the training labels and the model; each step the
+    caller sends the current parameter values and the half's crop origins,
+    and it returns the half's loss, gradients and per-crop normalization
+    statistics (or the exception it raised).  The caller and the worker are
+    each pinned to one allowed CPU (the same one when only one is allowed)
+    and run one OpenBLAS thread (:func:`_blas_threads`); :meth:`close`
+    restores the caller's affinity and BLAS threads.  The worker ignores
+    Ctrl-C and exits on EOF on its pipe, so it never outlives the caller.
+    """
+
+    def __init__(self, model, values, train_labels, crop, gamma):
+        import multiprocessing  # about 12 ms, paid only by a split step
+
+        self.affinity = os.sched_getaffinity(0)
+        cpus = sorted(self.affinity)
+        context = multiprocessing.get_context("fork")
+        self.conn, there = context.Pipe()
+        self.process = context.Process(
+            target=_serve, name="fcspn-train-worker", daemon=True,
+            args=(there, self.conn, cpus[1 % len(cpus)], model, values,
+                  train_labels, crop, gamma))
+        self.process.start()
+        there.close()
+        os.sched_setaffinity(0, {cpus[0]})
+        self.blas_threads = _blas_threads(1)
+
+    def send(self, params: ModelParams, origins) -> None:
+        self.conn.send(([t.data for _, t in params.items()], origins))
+
+    def receive(self):
+        """(loss, gradients, statistics) of the half last sent."""
+        try:
+            out = self.conn.recv()
+        except EOFError:
+            raise RuntimeError("the training worker exited during a step") from None
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # still in a step whose result nobody reads
+            self.process.terminate()
+            self.process.join()
+        os.sched_setaffinity(0, self.affinity)
+        _blas_threads(self.blas_threads)
+
+
+def _serve(conn, callers_end, cpu, model, values, train_labels, crop, gamma):
+    """:class:`_Worker`'s loop, in the forked process."""
+    import signal  # loaded already, by multiprocessing
+
+    callers_end.close()  # so the caller's exit reaches this process as EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's finally ends it
+    os.sched_setaffinity(0, {cpu})
+    _blas_threads(1)
+    while True:
+        try:
+            arrays, origins = conn.recv()
+        except EOFError:
+            return
+        for (_, t), data in zip(model.params.items(), arrays):
+            t.data = data
+        try:
+            loss, grads = _half_step(model, values, train_labels, origins, crop, gamma)
+            out = loss, grads, [s.folded for _, s in model.params.states()]
+        except Exception as exc:  # re-raised by the caller
+            out = exc
+        try:
+            conn.send(out)
+        except ConnectionError:  # the caller stopped without reading it
+            return
+
+
+def _start_worker(model, values, train_labels, crop, gamma) -> Optional[_Worker]:
+    """A :class:`_Worker`, or None when this process may use one CPU, the
+    platform has no CPU affinity or another thread is alive (a fork copies
+    only the calling thread)."""
+    if ops._cpus() < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    ops._stop_worker()
+    if threading.active_count() > 1:
+        return None
+    return _Worker(model, values, train_labels, crop, gamma)
+
+
 def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
           config: TrainConfig,
           on_epoch: Optional[Callable[[int, TraceRow], bool]] = None,
@@ -189,13 +347,15 @@ def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
     """Optimize ``model`` in place; returns (and optionally writes) the trace.
 
     Each of the ``config.epochs`` steps runs ``batch_size`` crops of the
-    ``split.train`` pixels as one batch, averages their losses and decays
-    the conv weights once, in :func:`sgd_step`.  A crop :func:`fit_crop`
-    rejects raises before the first step.  Deterministic for a given config.
-    ``on_epoch`` may return True to stop early (the target-reached case).
-    ``trace_path`` gets the rows of the finished steps also when a step
-    raises (a non-finite gradient, say); a check before the first step
-    writes nothing.
+    ``split.train`` pixels in two halves (module docstring), averages their
+    losses and decays the conv weights once, in :func:`sgd_step`.  A crop
+    :func:`fit_crop` rejects raises before the first step.  Deterministic
+    for a given config, on any CPU count.  ``on_epoch`` may return True to
+    stop early (the target-reached case).  ``trace_path`` gets the rows of
+    the finished steps also when a step raises (a non-finite gradient, in
+    either half, say); a check before the first step writes nothing.  A
+    worker process lives only as long as this call, and while it does,
+    ``on_epoch`` runs on the caller's one CPU.
     """
     values, grid = cube.values, labels.grid
     if grid.shape != values.shape[1:] or split.grid.shape != grid.shape:
@@ -214,28 +374,44 @@ def train(cube: HsiCube, labels: LabelMap, split: SplitMask, model: FcspnModel,
     rng = np.random.default_rng(config.seed)
     velocity: Dict[str, np.ndarray] = {}
     rows: List[TraceRow] = []
+    n = config.batch_size
+    first = (n + 1) // 2  # the first half's crop count; the second's is n - first
+    params = model.params
+    worker = None
     try:
+        if n > first:
+            worker = _start_worker(model, values, train_labels, (ch, cw),
+                                   config.focal_gamma)
         for epoch in range(config.epochs):
-            T.clear_tape()
-            zero_grads(model.params)
             origins = [_sample_crop(rng, height, width, (ch, cw), train_labels)
-                       for _ in range(config.batch_size)]
-            # stacked in the model's dtype, so no second copy of the
-            # batch is alive during the step
-            x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw]
-                                   for r, c in origins], dtype=model.dtype)[None])
-            crop_labels = np.stack([train_labels[r: r + ch, c: c + cw]
-                                    for r, c in origins])
-            refined, _ = model.forward_refined(x, training=True)
-            focal = focal_loss(refined, crop_labels, config.focal_gamma)
-            T.backward(focal)
-            penalty = l2_penalty(model.params, config.weight_decay)
-            sgd_step(model.params, velocity, config)
-            rows.append(TraceRow(epoch, focal.item(), penalty.item(),
-                                 (focal.data + penalty).item()))
+                       for _ in range(n)]
+            halves = [half for half in (origins[:first], origins[first:]) if half]
+            if worker is not None:
+                worker.send(params, halves[1])
+            here = halves[:1] if worker is not None else halves
+            parts = [_half_step(model, values, train_labels, half, (ch, cw),
+                                config.focal_gamma) for half in here]
+            if worker is not None:
+                loss, grads, stats = worker.receive()
+                for (_, state), (mean, var) in zip(params.states(), stats):
+                    state.fold(mean, var)
+                parts.append((loss, grads))
+            # (n1 * L1 + n2 * L2) / N, the same sums on one CPU or two
+            sizes = [len(half) for half in halves]
+            focal = sum(k * loss for k, (loss, _) in zip(sizes, parts)) / n
+            for i, (_, t) in enumerate(params.items()):
+                per_half = [grads[i] for _, grads in parts]
+                t.grad = None if per_half[0] is None else sum(
+                    k * g for k, g in zip(sizes, per_half)) / n
+            penalty = l2_penalty(params, config.weight_decay)
+            sgd_step(params, velocity, config)
+            rows.append(TraceRow(epoch, float(focal), penalty.item(),
+                                 (focal + penalty).item()))
             if on_epoch is not None and on_epoch(epoch, rows[-1]):
                 break
     finally:
+        if worker is not None:
+            worker.close()
         if trace_path is not None:
             write_trace(rows, trace_path)
     return rows

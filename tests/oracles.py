@@ -2,10 +2,16 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, central finite differences) and never calls into the library's own
-compute paths, so a bug in the fast path cannot hide in its oracle.
+compute paths, so a bug in the fast path cannot hide in its oracle.  The
+one exception is :func:`one_pass_training`, which checks how a training
+step splits its crops, not the layers: it runs the library's layers and
+loss, one forward and one backward over all of a step's crops.
 """
 
 import numpy as np
+
+from fcspn import tensor as T
+from fcspn import train as TR
 
 
 def fd_grad(f, arrays, h=1e-5):
@@ -147,3 +153,31 @@ def trilinear_axis_reference(values, target):
         t = pos - i0
         out[o] = (1.0 - t) * values[i0] + t * values[i1]
     return out
+
+
+def one_pass_training(cube, labels, split, model, config):
+    """``train.train`` with one forward and one backward over all N crops
+    of each step, as one batch; returns the (focal, l2, total) rows.  Same
+    crops, same SGD, same running statistics, each crop folded in order."""
+    values = cube.values
+    train_labels = np.where(split.train, labels.grid, 0)
+    height, width = labels.grid.shape
+    ch, cw = TR.fit_crop(model, config.crop_size, height, width)
+    rng = np.random.default_rng(config.seed)
+    velocity = {}
+    rows = []
+    for _ in range(config.epochs):
+        T.clear_tape()
+        TR.zero_grads(model.params)
+        origins = [TR._sample_crop(rng, height, width, (ch, cw), train_labels)
+                   for _ in range(config.batch_size)]
+        x = T.Tensor(np.stack([values[:, r: r + ch, c: c + cw] for r, c in origins],
+                              dtype=model.dtype)[None])
+        crop_labels = np.stack([train_labels[r: r + ch, c: c + cw] for r, c in origins])
+        refined, _ = model.forward_refined(x, training=True)
+        focal = TR.focal_loss(refined, crop_labels, config.focal_gamma)
+        T.backward(focal)
+        penalty = TR.l2_penalty(model.params, config.weight_decay)
+        TR.sgd_step(model.params, velocity, config)
+        rows.append((focal.item(), penalty.item(), (focal.data + penalty).item()))
+    return rows

@@ -16,15 +16,26 @@ BLAS's rounding.
 
 conv3d's one-thread and two-thread paths run the same slabs and add the
 same products in the same order, so they must be bitwise equal on float
-data, and so must a short training run on one CPU and on two.
+data, and so must a short training run on one CPU and on two: a training
+step runs its crops in the same two halves either way, the second in a
+worker process when two CPUs are allowed.
 """
 
 import hashlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from fcspn import cspn
 from fcspn import data as D
 from fcspn import model as M
@@ -37,6 +48,16 @@ N = 3
 
 def setup_function(_):
     T.clear_tape()
+
+
+@pytest.fixture(autouse=True)
+def _affinity_and_blas_threads_kept():
+    # a training worker pins its caller to one CPU and one BLAS thread; a
+    # test that leaves either behind fails here, not in whichever test
+    # reads them next
+    before = os.sched_getaffinity(0), TR._blas_threads()
+    yield
+    assert (os.sched_getaffinity(0), TR._blas_threads()) == before
 
 
 def _run(fn, arrays, proj):
@@ -156,7 +177,10 @@ def test_training_bits_do_not_depend_on_the_cpu_count(monkeypatch):
         trace = hashlib.sha256(repr([(r.focal, r.l2, r.total) for r in rows]).encode())
         return params.hexdigest(), trace.hexdigest()
 
+    made = _spy_workers(monkeypatch)
     assert digest(1) == digest(2)
+    # digest(2) ran its second halves in a process that then exited by itself
+    assert [w.process.exitcode for w in made] == [0]
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
@@ -236,3 +260,211 @@ def test_layers_refuse_the_one_crop_view():
             pass
         T.clear_tape()
     assert taken == []
+
+
+# ---------------------------------------------------------------------------
+# the training step's worker process
+# ---------------------------------------------------------------------------
+
+def _spy_workers(monkeypatch):
+    """The list every ``train._Worker`` started from now on goes to."""
+    made = []
+
+    class Spy(TR._Worker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(TR, "_Worker", Spy)
+    return made
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    # two CPUs faked, so a batch of two or more starts a worker also under
+    # taskset -c 0, where the caller and the worker share the one CPU
+    monkeypatch.setattr(ops, "_cpus", lambda: 2)
+    return _spy_workers(monkeypatch)
+
+
+def _scene():
+    cube, labels = D.synth_scene(classes=3, size=32, bands=20, seed=4)
+    return D.normalize(cube), labels, D.sample_split(labels, "per_class:30", seed=4)
+
+
+def _model():
+    return M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=4,
+                                 cspn_steps=4), np.random.default_rng(4))
+
+
+def _config(batch_size, epochs=3):
+    return TR.TrainConfig(batch_size=batch_size, epochs=epochs, crop_size=(16, 16), seed=4)
+
+
+def _gone_and_unpinned(affinity):
+    return multiprocessing.active_children() == [] and os.sched_getaffinity(0) == affinity
+
+
+@pytest.mark.parametrize("batch_size", [2, 5])
+def test_worker_steps_match_the_one_pass_oracle(workers, batch_size):
+    # the halves re-associate the loss and gradient sums (a normalization
+    # scale's gradient, a sum that cancels, moves by up to ~1e-14
+    # relative), and each step amplifies what the last one moved: up to
+    # 3e-13 after 3 steps on the seeds tried, so 1e-12 relative
+    cube, labels, split = _scene()
+    model, twin = _model(), _model()
+    rows = TR.train(cube, labels, split, model, _config(batch_size))
+    assert len(workers) == 1
+    want = np.array(oracles.one_pass_training(cube, labels, split, twin, _config(batch_size)))
+    got = np.array([(r.focal, r.l2, r.total) for r in rows])
+    assert got.shape == want.shape == (3, 3)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # every parameter within 1e-12 of the largest parameter magnitude
+    ours = np.concatenate([t.data.ravel() for _, t in model.params.items()])
+    theirs = np.concatenate([t.data.ravel() for _, t in twin.params.items()])
+    assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+    for (path, state), (_, reference) in zip(model.params.states(), twin.params.states()):
+        for a, b in ((state.running_mean, reference.running_mean),
+                     (state.running_var, reference.running_var)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), path
+
+
+def test_batch_of_one_starts_no_worker_and_keeps_the_one_pass_bytes(workers, tmp_path):
+    # one crop is one half: the step is the one-pass step, bit for bit
+    cube, labels, split = _scene()
+    model, twin = _model(), _model()
+    rows = TR.train(cube, labels, split, model, _config(1))
+    want = oracles.one_pass_training(cube, labels, split, twin, _config(1))
+    assert workers == []
+    assert [(r.focal, r.l2, r.total) for r in rows] == want
+    M.save_checkpoint(model, tmp_path / "split.ckpt")
+    M.save_checkpoint(twin, tmp_path / "one-pass.ckpt")
+    assert (tmp_path / "split.ckpt").read_bytes() == (tmp_path / "one-pass.ckpt").read_bytes()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stop", ["return", "early-stop", "on-epoch-raises"])
+def test_worker_is_gone_and_affinity_restored_after_train(workers, stop):
+    cube, labels, split = _scene()
+    affinity, pinned = os.sched_getaffinity(0), []
+    blas, blas_during = TR._blas_threads(), []
+
+    def on_epoch(epoch, row):
+        pinned.append(os.sched_getaffinity(0))
+        blas_during.append(TR._blas_threads())
+        if stop == "on-epoch-raises":
+            raise _Stop("on_epoch raised")
+        return stop == "early-stop"
+
+    try:
+        TR.train(cube, labels, split, _model(), _config(2, 2), on_epoch=on_epoch)
+    except _Stop:
+        assert stop == "on-epoch-raises"
+    assert len(pinned) == (2 if stop == "return" else 1)
+    # the caller ran its half on one of the CPUs it was allowed, with one
+    # BLAS thread where an OpenBLAS is loaded
+    assert all(len(cpus) == 1 and cpus <= affinity for cpus in pinned)
+    assert set(blas_during) == ({None} if blas is None else {1})
+    assert len(workers) == 1
+    assert _gone_and_unpinned(affinity)
+    assert TR._blas_threads() == blas
+
+
+def test_worker_error_reaches_the_caller_with_the_finished_rows(workers, monkeypatch, tmp_path):
+    # the worker's second call of focal_loss raises; the caller re-raises it
+    # with its message, after the first step's row went to the trace
+    caller, calls, focal_loss = os.getpid(), [], TR.focal_loss
+
+    def fails_in_the_worker(logits, crop_labels, gamma):
+        if os.getpid() != caller:
+            calls.append(None)
+            if len(calls) == 2:
+                raise T.NumericError("focal_loss produced non-finite values")
+        return focal_loss(logits, crop_labels, gamma)
+
+    monkeypatch.setattr(TR, "focal_loss", fails_in_the_worker)
+    cube, labels, split = _scene()
+    affinity = os.sched_getaffinity(0)
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(T.NumericError, match="focal_loss produced non-finite values"):
+        TR.train(cube, labels, split, _model(), _config(2, 4), trace_path=trace)
+    assert calls == []  # the caller's own copy never counted
+    lines = trace.read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"]
+    assert len(workers) == 1 and workers[0].process.exitcode == 0
+    assert _gone_and_unpinned(affinity)
+
+
+def test_worker_forks_only_once_no_other_thread_is_alive(workers, monkeypatch):
+    cube, labels, split = _scene()
+    # conv3d's worker thread is alive here: train shuts it down and forks
+    x = np.random.default_rng(1).uniform(-1, 1, (2, 2, 6, 10, 10))
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_SLAB_BYTES", 1)  # one row a slab: many slabs
+        ops.conv3d(T.Tensor(x), T.Tensor(np.ones((2, 2, 3, 3, 3))), None,
+                   ops.Conv3dSpec(kernel=(3, 3, 3), stride=(1, 1, 1)))
+    assert any(t.name.startswith("fcspn-conv3d") for t in threading.enumerate())
+    one = TR.train(cube, labels, split, _model(), _config(2, 1))
+    assert len(workers) == 1
+    # a thread of the caller's own: the caller runs both halves itself
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        two = TR.train(cube, labels, split, _model(), _config(2, 1))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(workers) == 1
+    assert [(r.focal, r.total) for r in one] == [(r.focal, r.total) for r in two]
+
+
+_KILLED_CALLER = """
+import multiprocessing, os, signal
+import numpy as np
+from fcspn import data as D, model as M, ops, train as TR
+ops._cpus = lambda: 2
+cube, labels = D.synth_scene(classes=3, size=32, bands=20, seed=4)
+split = D.sample_split(labels, "per_class:30", seed=4)
+model = M.build(M.ModelConfig(in_bands=20, num_classes=3, base_channels=4,
+                              cspn_steps=4), np.random.default_rng(4))
+
+def on_epoch(epoch, row):
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+TR.train(D.normalize(cube), labels, split, model,
+         TR.TrainConfig(batch_size=2, epochs=5, crop_size=(16, 16)), on_epoch=on_epoch)
+"""
+
+
+def _running(pid) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_worker_exits_when_its_caller_is_killed():
+    # SIGKILL runs no finally in the caller; the worker sees EOF on its pipe
+    env = dict(os.environ)
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    with caller.stdout:
+        pids = [int(word) for word in caller.stdout.readline().split()]
+    assert caller.wait(timeout=120) == -signal.SIGKILL
+    assert len(pids) == 1
+    deadline = time.monotonic() + 30
+    while _running(pids[0]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = _running(pids[0])
+    if left:
+        os.kill(pids[0], signal.SIGKILL)
+    assert not left

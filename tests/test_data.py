@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -442,6 +443,39 @@ def test_synth_refuses_more_classes_than_pixels_before_drawing(monkeypatch):
     # ... which no layout of seed 0 gives every class
     with pytest.raises(ValueError, match="no Voronoi layout .* each of 9 classes"):
         D.synth_scene(classes=9, size=3, bands=4)
+
+
+def test_synth_layout_peak_memory_does_not_grow_with_the_class_count():
+    # the Voronoi layout keeps one running minimum over its 48 sites, not
+    # a distance per pixel and site: 16.8 MiB at 512x512 with a 3 MiB
+    # float32 cube, where a (512, 512, 48) float64 distance array alone
+    # takes 96 MiB (196 MiB peak)
+    tracemalloc.start()
+    try:
+        D.synth_scene(classes=16, size=512, bands=3, noise=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+
+BENCHMARK_SCENES = {  # sha256 of the benchmark's scenes of a seed, drawn by argmin
+    1: "1d2a41b7715274feb1261c5a761c5c294a25becec09cf183ba828ecfbd2f50f4",
+    2: "f0c0df0e335585baecb0ebe447494f38f5069f59c961c557a0fa56838ba7f583",
+    3: "63ad71197a74b082730558eb38465a445aad9ec63c4ce830b6500060ed7db1b1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_SCENES))
+def test_synth_benchmark_scenes_keep_their_bytes(seed):
+    # the 4-class scenes perfbench/prep.py draws, sizes and bands as there;
+    # the digests were taken with the layout's (size, size, sites) argmin
+    digest = hashlib.sha256()
+    for size, bands in ((64, 20), (64, 100), (128, 100), (32, 100)):
+        cube, labels = D.synth_scene(classes=4, size=size, bands=bands, seed=seed)
+        digest.update(cube.values.tobytes())
+        digest.update(labels.grid.tobytes())
+    assert digest.hexdigest() == BENCHMARK_SCENES[seed]
 
 
 @pytest.mark.parametrize("bands", [1, 2])

@@ -406,6 +406,13 @@ def test_importing_fcspn_starts_no_thread():
     assert _run_python(code) == ["1", "False"]
 
 
+def test_importing_fcspn_loads_no_multiprocessing():
+    # the training worker imports it as it starts; at import it would cost
+    # every command, classify included, about 12 ms
+    code = "import sys, fcspn.cli; print('multiprocessing' in sys.modules)"
+    assert _run_python(code) == ["False"]
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     # the pipeline is numpy-only: every absolute import, at any depth of a
     # module, names numpy or a standard-library module; relative imports

@@ -259,8 +259,10 @@ def test_train_trace_is_finite_and_complete(tmp_path):
 
 
 def test_train_grad_is_the_focal_loss_gradient_alone(monkeypatch):
-    # replay the step's batch on an identical model with the focal loss as
-    # the only loss: every gradient, conv weights included, must match
+    # replay the step's two halves on an identical model with the focal
+    # loss as the only loss: every gradient, conv weights included, must
+    # equal (2 * g1 + 1 * g2) / 3; on one CPU both halves run here
+    monkeypatch.setattr(ops, "_cpus", lambda: 1)
     cube, labels, split = _toy_scene(np.random.default_rng(5))
     model = _toy_model(np.random.default_rng(6))
     twin = _toy_model(np.random.default_rng(6))
@@ -278,12 +280,18 @@ def test_train_grad_is_the_focal_loss_gradient_alone(monkeypatch):
     monkeypatch.setattr(model, "forward_refined", spy_forward)
     monkeypatch.setattr(TR, "focal_loss", spy_focal)
     TR.train(cube, labels, split, model, _fast_cfg(epochs=1))
-    x, (crop_labels, gamma) = batch
-    refined, _ = twin.forward_refined(T.Tensor(x), training=True)
-    T.backward(focal_loss(refined, crop_labels, gamma))
+    halves = []
+    for x, (crop_labels, gamma) in zip(batch[::2], batch[1::2]):
+        T.clear_tape()
+        TR.zero_grads(twin.params)
+        refined, _ = twin.forward_refined(T.Tensor(x), training=True)
+        T.backward(focal_loss(refined, crop_labels, gamma))
+        halves.append((x.shape[1], {path: t.grad for path, t in twin.params.items()}))
+    assert [size for size, _ in halves] == [2, 1]
     assert model.params.decayed()
-    for path, t in twin.params.items():
-        assert np.array_equal(model.params.get(path).grad, t.grad), path
+    for path, t in model.params.items():
+        want = (2 * halves[0][1][path] + 1 * halves[1][1][path]) / 3
+        assert np.array_equal(t.grad, want), path
 
 
 def test_train_failed_step_keeps_trace_of_finished_steps(tmp_path, monkeypatch):
@@ -361,8 +369,11 @@ def test_train_crop_clamp_warns():
 
 
 def test_one_pass_per_step(monkeypatch):
-    # the tape just before backward holds one forward pass, whatever the
-    # batch size; crops run one at a time would grow it with the batch
+    # the tape just before each backward holds one forward pass over one
+    # half of the step's crops, whatever the batch size; crops run one at a
+    # time would grow it with the batch.  On one CPU both halves run here:
+    # one backward at batch 1, two at batch 4
+    monkeypatch.setattr(ops, "_cpus", lambda: 1)
     rng = np.random.default_rng(17)
     cube, labels, split = _toy_scene(rng)
     sizes = []
@@ -376,8 +387,8 @@ def test_one_pass_per_step(monkeypatch):
     for batch_size in (1, 4):
         model = _toy_model(np.random.default_rng(18))
         TR.train(cube, labels, split, model, _fast_cfg(batch_size=batch_size, epochs=1))
-    assert len(sizes) == 2
-    assert sizes[0] == sizes[1], sizes
+    assert len(sizes) == 3
+    assert sizes[0] == sizes[1] == sizes[2], sizes
 
 
 def test_train_requires_labeled_split():
