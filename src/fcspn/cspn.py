@@ -3,10 +3,10 @@
 A small learned branch (:class:`AffinityBranch`, whose layers sit in the
 network's one parameter registry) emits eight raw affinities per pixel, one
 per non-center cell of the 3x3 neighborhood.  :func:`normalize_affinity`
-rescales them so their absolute values sum to one; :func:`propagate_step`
-then mixes every class channel of a ``(channels, crops, height, width)``
-batch with its shifted neighbors under its crop's kernel, and
-:func:`refine` repeats the step a fixed number of times.
+rescales them so their absolute values sum to one; :func:`refine` then
+mixes every class channel of a ``(channels, crops, height, width)`` batch
+with its shifted neighbors under its crop's kernel, a fixed number of
+times, and records all of those steps as one tape node.
 
 Update rule, per crop c, pixel (i, j) and class channel l:
 
@@ -18,7 +18,7 @@ zero.  The implementation uses the algebraically equal form
 ``h + sum_n kappa_n * (shift_n(h) - h)``, which makes a constant map an
 exact fixed point at interior pixels and makes all-zero affinities an exact
 identity.  Each step reads its shifts from a zero-padded copy of the map;
-the pullback pads the map it holds again, so the tape keeps no padded copy
+the pullback pads each step's map again, so the tape keeps no padded copy
 between forward and backward.
 """
 
@@ -66,63 +66,63 @@ def normalize_affinity(raw: Tensor) -> Tensor:
     return record("normalize_affinity", (raw,), kap, fn)
 
 
-def propagate_step(h: Tensor, kappa: Tensor) -> Tensor:
-    """One simultaneous stencil update of every class channel.
-
-    Reads only the incoming map (double-buffered by construction) and writes
-    ``h + sum_n kappa_n * (shift_n(h) - h)``, which equals the center-weighted
-    form with center weight ``1 - sum_n kappa_n``.  ``h`` is (c, N, H, W)
-    and ``kappa`` the matching (8, N, H, W) output of
-    :func:`normalize_affinity`; shifts act on the last two axes only.
-    """
-    if h.data.ndim != 4:
-        raise ShapeError(f"score map must have shape (c, N, H, W), got {h.shape}")
-    if kappa.shape != (8,) + h.shape[1:]:
-        raise ShapeError(
-            f"normalized affinities {kappa.shape} do not match score map {h.shape}")
-    hd, kd = h.data, kappa.data
-    nh, nw = hd.shape[-2:]
-
-    # every shift is a window of one zero-padded copy of h, and the
-    # h-pullback scatters into the same layout along the transposed stencil.
-    # The forward's copy dies when it returns; the pullback pads h again,
-    # so the tape holds no padded map between forward and backward.
-    pad = ((0, 0), (0, 0), (1, 1), (1, 1))
-    windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
-               for a, b in OFFSETS]
-    inside = (Ellipsis, slice(1, -1), slice(1, -1))
-    hp = np.pad(hd, pad)
-    out = hd.copy()
-    for idx, win in enumerate(windows):
-        out += kd[idx] * (hp[win] - hd)
-
-    def fn(g):
-        hp = np.pad(hd, pad)
-        if h.requires_grad:
-            gp = np.zeros_like(hp)
-            gp[inside] = g * (1.0 - kd.sum(axis=0))
-            for idx, win in enumerate(windows):
-                gp[win] += kd[idx] * g
-            accumulate(h, gp[inside])
-        if kappa.requires_grad:
-            accumulate(kappa, np.stack([(g * (hp[win] - hd)).sum(axis=0)
-                                        for win in windows]))
-
-    return record("propagate_step", (h, kappa), out, fn)
+def _shifted(hd: np.ndarray, windows):
+    """``shift_n(hd) - hd`` for each of :data:`OFFSETS`, read from one
+    zero-padded copy of ``hd`` that dies with the iterator."""
+    hp = np.pad(hd, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    for win in windows:
+        yield hp[win] - hd
 
 
 def refine(logits: Tensor, kappa: Tensor, steps: int) -> Tensor:
-    """Apply :func:`propagate_step` ``steps`` times; zero steps is the identity.
-
-    The stencil is always the 3x3 one of :data:`OFFSETS`, with off-image
-    neighbors reading zero.
+    """``steps`` updates of every class channel of the (c, N, H, W)
+    ``logits`` under the matching (8, N, H, W) ``kappa`` of
+    :func:`normalize_affinity`, as one tape node; zero steps returns
+    ``logits`` itself.  Each step reads only the incoming map.  The node
+    keeps each step's input map, unpadded, and its pullback drops each map
+    once its step is done; without a node no map is kept.
     """
     if steps < 0:
         raise ShapeError(f"steps must be >= 0, got {steps}")
-    out = logits
+    if logits.data.ndim != 4:
+        raise ShapeError(f"score map must have shape (c, N, H, W), got {logits.shape}")
+    if kappa.shape != (8,) + logits.shape[1:]:
+        raise ShapeError(
+            f"normalized affinities {kappa.shape} do not match score map {logits.shape}")
+    if steps == 0:
+        return logits
+    kd = kappa.data
+    c, n, nh, nw = logits.shape
+    # _shifted's windows; the pullback scatters along them into its layout
+    windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
+               for a, b in OFFSETS]
+    keep = T.will_record((logits, kappa))
+    maps, hd = [], logits.data
     for _ in range(steps):
-        out = propagate_step(out, kappa)
-    return out
+        if keep:
+            maps.append(hd)
+        out = hd.copy()
+        for k, shift in zip(kd, _shifted(hd, windows)):
+            out += k * shift
+        hd = out
+
+    def fn(g):
+        center = 1.0 - kd.sum(axis=0)
+        for step in range(steps, 0, -1):
+            hd = maps.pop()
+            if kappa.requires_grad:
+                accumulate(kappa, np.stack([(g * shift).sum(axis=0)
+                                            for shift in _shifted(hd, windows)]))
+            if step > 1 or logits.requires_grad:
+                gp = np.zeros((c, n, nh + 2, nw + 2), hd.dtype)
+                gp[..., 1:-1, 1:-1] = g * center
+                for k, win in zip(kd, windows):
+                    gp[win] += k * g
+                g = gp[..., 1:-1, 1:-1]
+        if logits.requires_grad:
+            accumulate(logits, g)
+
+    return record("refine", (logits, kappa), hd, fn)
 
 
 class AffinityBranch:

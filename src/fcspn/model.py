@@ -35,6 +35,7 @@ input is cast once to the parameters' dtype.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -53,6 +54,16 @@ CHECKPOINT_VERSION = 3
 MAX_CSPN_STEPS = 1024
 
 
+def check_int(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """ShapeError naming ``name`` unless ``value`` is a Python or numpy
+    integer (a bool is not one) from ``low`` to ``high``, None for no bound."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ShapeError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ShapeError(f"{name} must be {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Static architecture knobs; every parameter count follows from these."""
@@ -65,21 +76,14 @@ class ModelConfig:
     cspn_steps: int = 24
 
     def __post_init__(self):
-        if self.in_bands < 5:
-            raise ShapeError(f"in_bands must be >= 5 (stem kernel), got {self.in_bands}")
-        if not 1 <= self.num_classes <= data.MAX_CLASSES:
-            raise ShapeError(f"num_classes must be in [1, {data.MAX_CLASSES}], the ids "
-                             f"a label map holds, got {self.num_classes}")
-        if self.base_channels < 1:
-            raise ShapeError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.dsr_per_stage < 0:
-            raise ShapeError(f"dsr_per_stage must be >= 0, got {self.dsr_per_stage}")
+        check_int("in_bands", self.in_bands, 5)  # the stem kernel's depth
+        check_int("num_classes", self.num_classes, 1, data.MAX_CLASSES)  # a label map's ids
+        check_int("base_channels", self.base_channels, 1)
+        check_int("dsr_per_stage", self.dsr_per_stage, 0)
         if self.attention_enabled not in (False, True):
             raise ShapeError(
                 f"attention_enabled must be False or True, got {self.attention_enabled!r}")
-        if not 0 <= self.cspn_steps <= MAX_CSPN_STEPS:
-            raise ShapeError(f"cspn_steps must be in [0, {MAX_CSPN_STEPS}], "
-                             f"got {self.cspn_steps}")
+        check_int("cspn_steps", self.cspn_steps, 0, MAX_CSPN_STEPS)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,11 @@ def clear_tape() -> None:
     _TAPE.clear()
 
 
+def will_record(inputs: Sequence[Tensor]) -> bool:
+    """Whether :func:`record` keeps a node for an op on ``inputs``."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
            fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap ``out_data`` in a Tensor, recording a tape node if grads are live.
@@ -161,7 +166,7 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     ``fn`` is only retained (and the output only marked ``requires_grad``)
     when grad mode is enabled and at least one input requires grad.
     """
-    needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    needs = will_record(inputs)
     out = Tensor.__new__(Tensor)
     out.data = _as_float(out_data)
     _check_finite(out.data, op)

@@ -32,7 +32,7 @@ import numpy as np
 from . import ops
 from . import tensor as T
 from .data import HsiCube, LabelMap, SplitMask
-from .model import FcspnModel
+from .model import FcspnModel, check_int
 from .ops import ModelParams
 from .tensor import NumericError, ShapeError, Tensor, accumulate, record
 
@@ -51,15 +51,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.seed < 0:
-            raise ShapeError("batch_size and epochs must be >= 1, seed >= 0")
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 1)
+        check_int("seed", self.seed, 0)
         rates = (self.weight_decay, self.momentum, self.learning_rate, self.focal_gamma)
         if not (np.isfinite(rates).all() and min(rates) >= 0):
             raise ShapeError("rates and exponents must be finite and >= 0")
-        object.__setattr__(self, "crop_size",
-                           (int(self.crop_size[0]), int(self.crop_size[1])))
-        if min(self.crop_size) < 1:
-            raise ShapeError(f"crop_size must be >= 1, got {self.crop_size}")
+        crop = self.crop_size
+        if not (isinstance(crop, (tuple, list)) and len(crop) == 2):
+            raise ShapeError(f"crop_size must be two integers, got {crop!r}")
+        for side in crop:
+            check_int(f"each side of crop_size {tuple(crop)}", side, 1)
+        object.__setattr__(self, "crop_size", (int(crop[0]), int(crop[1])))
 
 
 def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float) -> Tensor:

@@ -174,17 +174,18 @@ def _grad_normalize_affinity(rng):
     return worst
 
 
-def _grad_propagate(rng):
+def _grad_refine(rng):
     worst = 0.0
     for _ in range(20):
         c = int(rng.integers(1, 3))
         hh, ww = int(rng.integers(3, 6)), int(rng.integers(3, 6))
+        steps = int(rng.integers(2, 4))
         h0 = rng.normal(0.0, 1.0, (c, 1, hh, ww))
         k0 = rng.uniform(-0.4, 0.4, (8, 1, hh, ww))
         proj = gradcheck.projection((c, 1, hh, ww), rng)
 
-        def build(ht, kt):
-            return gradcheck.project(cspn.propagate_step(ht, kt), proj)
+        def build(ht, kt, steps=steps):
+            return gradcheck.project(cspn.refine(ht, kt, steps), proj)
 
         worst = max(worst, gradcheck.check_grads(build, [h0, k0],
                                                  nonzero=True))
@@ -203,7 +204,7 @@ def test_a1_gradient_oracle():
         ("dsr_unit", _grad_dsr, 16),
         ("focal_loss", _grad_focal, 18),
         ("normalize_affinity", _grad_normalize_affinity, 19),
-        ("propagate_step", _grad_propagate, 20),
+        ("refine", _grad_refine, 20),
     ]
     start = time.perf_counter()
     worst = {}

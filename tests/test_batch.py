@@ -226,11 +226,15 @@ def test_normalize_affinity_batch_equals_crops():
     _check(cspn.normalize_affinity, [raw], [], rng)
 
 
-def test_propagate_step_batch_equals_crops():
+def test_refine_batch_equals_crops():
     rng = np.random.default_rng(6)
     kappa = cspn.normalize_affinity(
         T.Tensor(rng.uniform(-1, 1, (8, N, 5, 6)))).data
-    _check(cspn.propagate_step, [rng.uniform(-1, 1, (3, N, 5, 6)), kappa], [], rng)
+
+    def fn(h, kappa):
+        return cspn.refine(h, kappa, 3)
+
+    _check(fn, [rng.uniform(-1, 1, (3, N, 5, 6)), kappa], [], rng)
 
 
 def test_layers_refuse_the_one_crop_view():
@@ -243,8 +247,8 @@ def test_layers_refuse_the_one_crop_view():
         "upsample_concat": lambda: ops.upsample_concat(T.zeros((2, 2, 3, 3)),
                                                        T.zeros((1, 4, 5, 5))),
         "normalize_affinity": lambda: cspn.normalize_affinity(T.zeros((8, 4, 5))),
-        "propagate_step": lambda: cspn.propagate_step(T.zeros((3, 4, 5)), kappa),
         "refine": lambda: cspn.refine(T.zeros((3, 4, 5)), kappa, 1),
+        "refine, 0 steps": lambda: cspn.refine(T.zeros((3, 4, 5)), kappa, 0),
         "AffinityBranch.forward": lambda: cspn.AffinityBranch(
             params, "affinity", 4, rng).forward(T.zeros((4, 1, 4, 5))),
         "focal_loss": lambda: TR.focal_loss(T.zeros((2, 4, 5)),

@@ -247,7 +247,7 @@ def test_train_boolean_key_takes_only_on_or_off(tmp_path, capsys, value):
     ("train.momentum = nan", (), "finite"),
     ("train.weight_decay = inf", (), "finite"),
     ("train.focal_gamma = nan", (), "finite"),
-    ("train.seed = -1", (), "seed >= 0"),
+    ("train.seed = -1", (), "seed must be >= 0"),
     ("train.epochs = 2\ntrain.epochs = 3", (),
      "line 2: train.epochs already set on line 1"),
 ], ids=["base-channels", "batch-size", "strategy", "strategy-no-count",

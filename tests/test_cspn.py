@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ def test_propagate_matches_stencil_oracle():
     for _ in range(20):
         h = rng.uniform(-1, 1, (3, 1, 5, 5))
         aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (5, 5))))
-        got = cspn.propagate_step(T.Tensor(h), aff).data[:, 0]
+        got = cspn.refine(T.Tensor(h), aff, 1).data[:, 0]
         want = oracles.propagate_reference(h[:, 0], aff.data[:, 0], cspn.OFFSETS)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -94,7 +96,7 @@ def test_propagate_matches_stencil_oracle():
 def test_propagate_hand_example():
     h = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)
     aff = cspn.normalize_affinity(T.full((8, 1, 3, 3), 1.0))
-    out = cspn.propagate_step(T.Tensor(h), aff).data
+    out = cspn.refine(T.Tensor(h), aff, 1).data
     assert out[0, 0, 1, 1] == pytest.approx(5.0, abs=1e-12)
     assert out[0, 0, 0, 0] == pytest.approx(1.375, abs=1e-12)
 
@@ -103,7 +105,7 @@ def test_propagate_uniform_is_neighbor_average():
     rng = np.random.default_rng(34)
     h = rng.uniform(-1, 1, (2, 1, 6, 7))
     aff = cspn.normalize_affinity(T.full((8, 1, 6, 7), 0.37))
-    out = cspn.propagate_step(T.Tensor(h), aff).data
+    out = cspn.refine(T.Tensor(h), aff, 1).data
     i, j = 3, 4
     ring = [h[:, 0, i - a, j - b] for a, b in cspn.OFFSETS]
     assert np.allclose(out[:, 0, i, j], np.mean(ring, axis=0), atol=1e-12)
@@ -136,7 +138,7 @@ def test_refine_two_steps_is_composition():
     h = T.Tensor(rng.uniform(-1, 1, (2, 1, 5, 5)))
     aff = cspn.normalize_affinity(T.Tensor(_rand_raw(rng, (5, 5))))
     twice = cspn.refine(h, aff, 2).data
-    manual = cspn.propagate_step(cspn.propagate_step(h, aff), aff).data
+    manual = cspn.refine(cspn.refine(h, aff, 1), aff, 1).data
     assert np.array_equal(twice, manual)
 
 
@@ -177,8 +179,8 @@ def test_propagate_gradcheck_h_and_raw():
 
 
 def _padded_buffer_grads(hd, kd, g):
-    """propagate_step's h- and kappa-gradients, computed with the padded copy
-    of ``hd`` made once and read by both, in the op's order of operations."""
+    """One step's h- and kappa-gradients, computed with the padded copy of
+    ``hd`` made once and read by both, in the op's order of operations."""
     nh, nw = hd.shape[-2:]
     hp = np.pad(hd, ((0, 0), (0, 0), (1, 1), (1, 1)))
     windows = [(Ellipsis, slice(1 - a, 1 - a + nh), slice(1 - b, 1 - b + nw))
@@ -192,32 +194,84 @@ def _padded_buffer_grads(hd, kd, g):
     return gp[inside], gk
 
 
+def _held_arrays(fn):
+    """Every array a closure holds, directly or in a list or tuple."""
+    found = []
+    for cell in fn.__closure__:
+        value = cell.cell_contents
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, np.ndarray):
+                found.append(item)
+    return found
+
+
 @pytest.mark.parametrize("shape", [(3, 1, 6, 7), (3, 2, 6, 7)])
 def test_propagate_pullback_holds_no_padded_map(shape):
-    # the pullback pads h again rather than keep the forward's padded copy
-    # on the tape; its gradients are bitwise those of the padded buffer
+    # the node keeps each step's input map but no padded copy of one; its
+    # pullback pads each map again, and its gradients are bitwise those of
+    # the padded buffer applied step by step in reverse
+    steps = 4
     rng = np.random.default_rng(41)
     h = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
     raw = T.Tensor(rng.uniform(-1, 1, (8,) + shape[1:]))
     kappa = T.Tensor(cspn.normalize_affinity(raw).data, requires_grad=True)
-    out = cspn.propagate_step(h, kappa)
-    held = [cell.cell_contents for cell in T._TAPE[-1].fn.__closure__]
+    out = cspn.refine(h, kappa, steps)
+    held = _held_arrays(T._TAPE[-1].fn)
+    assert len(held) >= steps
     for value in held:
-        if isinstance(value, np.ndarray):
-            assert value.shape[-2:] != (shape[-2] + 2, shape[-1] + 2), value.shape
+        assert value.shape[-2:] != (shape[-2] + 2, shape[-1] + 2), value.shape
     g = rng.uniform(-1, 1, shape)
     T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
-    want_h, want_kappa = _padded_buffer_grads(h.data, kappa.data, g)
-    assert np.array_equal(h.grad, want_h)
+    maps = [h.data]  # each step's input
+    with T.no_grad():
+        for _ in range(steps - 1):
+            maps.append(cspn.refine(T.Tensor(maps[-1]), kappa, 1).data)
+    want_kappa = None
+    for hd in reversed(maps):
+        g, gk = _padded_buffer_grads(hd, kappa.data, g)
+        want_kappa = gk if want_kappa is None else want_kappa + gk
+    assert np.array_equal(h.grad, g)
     assert np.array_equal(kappa.grad, want_kappa)
+
+
+@pytest.mark.parametrize("steps, nodes", [(0, 0), (1, 1), (24, 1)])
+def test_refine_is_one_tape_node(steps, nodes):
+    h = T.zeros((2, 1, 4, 4), requires_grad=True)
+    aff = T.zeros((8, 1, 4, 4), requires_grad=True)
+    out = cspn.refine(h, aff, steps)
+    assert T.tape_size() == nodes
+    assert (out is h) == (steps == 0)
+
+
+def test_refine_without_a_node_keeps_no_step_maps():
+    # under no_grad each step's map dies once the next is made, so 24 steps
+    # peak within one map of one step, plus 4 KiB for Python objects
+    # (holding every step's map would add 23 maps)
+    rng = np.random.default_rng(44)
+    shape = (4, 1, 64, 64)
+    h = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+    kappa = cspn.normalize_affinity(T.Tensor(rng.uniform(-1, 1, (8,) + shape[1:])))
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                cspn.refine(h, kappa, steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, many = peak(1), peak(24)
+    assert many - one <= h.data.nbytes + 2 ** 12, (one, many)
+    assert T.tape_size() == 0
 
 
 def test_propagate_shape_mismatch():
     aff = cspn.normalize_affinity(T.zeros((8, 1, 4, 4)))
     with pytest.raises(T.ShapeError):
-        cspn.propagate_step(T.zeros((2, 1, 5, 4)), aff)
+        cspn.refine(T.zeros((2, 1, 5, 4)), aff, 1)
     with pytest.raises(T.ShapeError):
-        cspn.propagate_step(T.zeros((2, 1, 4, 4)), T.zeros((9, 1, 4, 4)))
+        cspn.refine(T.zeros((2, 1, 4, 4)), T.zeros((9, 1, 4, 4)), 1)
 
 
 def test_config_validation():

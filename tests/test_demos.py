@@ -1,12 +1,12 @@
 """Smoke test: demos 01-03 run to completion, and every demo's settings exist.
 
-Each demo runs in its own interpreter, with ``src`` on the path and a
-scratch working directory, and must exit 0; the three take about a second
-together.  Demos 04 and 05 train a model and take about 20 s each, so they
-are not run here, only checked statically: every settings keyword they pass
-and every config key and ``--flag`` they or the README name must exist.  The
-tier-1 CI workflow runs both after the tests, with warnings as errors; by
-hand:
+Each demo runs in its own interpreter, with ``src`` on the path, a scratch
+working directory and warnings as errors, and must exit 0; the three take
+about a second together.  Demos 04 and 05 train a model and take about 20 s
+each, so they are not run here, only checked statically: every settings
+keyword they pass and every config key and ``--flag`` they or the README
+name must exist.  The tier-1 CI workflow runs both after the tests, also
+with warnings as errors; by hand:
 
     PYTHONPATH=src PYTHONWARNINGS=error python demos/04_training_loop.py
     PYTHONPATH=src PYTHONWARNINGS=error python demos/05_cli_pipeline.py
@@ -35,6 +35,7 @@ def test_demo_exits_zero(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error"
     done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)

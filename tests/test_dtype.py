@@ -97,8 +97,8 @@ def test_normalize_affinity_float32_agrees():
            (8, 2, 5, 6))
 
 
-def test_propagate_step_float32_agrees():
-    _agree(cspn.propagate_step, np.random.default_rng(5),
+def test_refine_float32_agrees():
+    _agree(lambda h, kappa: cspn.refine(h, kappa, 3), np.random.default_rng(5),
            [(3, 2, 5, 6), (8, 2, 5, 6)], (3, 2, 5, 6), -0.125, 0.125)
 
 

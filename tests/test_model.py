@@ -556,6 +556,20 @@ def test_attention_flag_must_be_bool(value):
         M.ModelConfig(in_bands=20, num_classes=3, base_channels=2, attention_enabled=value)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("field", ["in_bands", "num_classes", "base_channels",
+                                   "dsr_per_stage", "cspn_steps"])
+def test_integer_fields_must_be_integers(field, value):
+    # refused when the config is built, not later in forward_refined or
+    # save_checkpoint; a numpy integer is an integer
+    good = dict(in_bands=20, num_classes=3, base_channels=2, dsr_per_stage=1,
+                cspn_steps=2)
+    assert getattr(M.ModelConfig(**{**good, field: np.int64(good[field])}),
+                   field) == good[field]
+    with pytest.raises(T.ShapeError, match=field):
+        M.ModelConfig(**{**good, field: value})
+
+
 @pytest.mark.parametrize("byte", [2, 7, 255])
 def test_checkpoint_attention_byte_must_be_bool(tmp_path, byte):
     m = M.build(_tiny(bands=20, classes=3, base=2), np.random.default_rng(20))

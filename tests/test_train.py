@@ -492,3 +492,18 @@ def test_config_validation():
         TR.TrainConfig(momentum=-0.1)
     with pytest.raises(T.ShapeError):
         TR.TrainConfig(crop_size=(0, 8))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.0), ("batch_size", True), ("epochs", 1.5), ("epochs", "3"),
+    ("seed", 1.0), ("seed", False), ("crop_size", (32, 32, 32)),
+    ("crop_size", (32.7, 16)), ("crop_size", (32,)), ("crop_size", 32),
+    ("crop_size", (True, 8))])
+def test_integer_settings_must_be_integers(field, value):
+    # a float side is refused, not truncated, and a crop of one or three
+    # sides is refused, not indexed or cut to two; numpy integers are integers
+    numpy_ints = {"batch_size": np.int64(2), "epochs": np.int32(3),
+                  "seed": np.uint8(4), "crop_size": (np.int64(16), np.int16(8))}
+    assert TR.TrainConfig(**{field: numpy_ints[field]})
+    with pytest.raises(T.ShapeError, match=field):
+        TR.TrainConfig(**{field: value})
