@@ -2,9 +2,9 @@
 
 Shows the 3D convolution geometry, batch normalization's two modes (the
 op ends in the ReLU that follows every normalization), the decoder's
-resample-and-join op, the squeeze-excitation channel gate, the separable
-residual unit with its parameter budget, and finally the assembled network
-with its parameter ledger.
+upsampling and the conv over its join, the squeeze-excitation channel
+gate, the separable residual unit with its parameter budget, and finally
+the assembled network with its parameter ledger.
 """
 
 import numpy as np
@@ -47,13 +47,23 @@ print("eval mode reuses running stats; output mean:",
       f"{evaled.data.mean():+.3f}")
 
 print()
-print("== the decoder join: corner-aligned upsampling, then the mirror ==")
+print("== the decoder join: corner-aligned upsampling, then a conv over the join ==")
 ramp = T.Tensor(np.arange(4.0).reshape(1, 1, 1, 1, 4))
-mirror = T.Tensor(np.full((1, 1, 1, 1, 7), -1.0))
 with T.no_grad():
-    join = ops.upsample_concat(ramp, mirror)
-print("1D ramp 0..3 resampled to the mirror's 7 points:", join.data[0].ravel())
-print("the mirror's channel follows it in the same array:", join.data[1].ravel())
+    up = ops.upsample(ramp, (1, 1, 7))
+print("1D ramp 0..3 resampled to 7 points:", up.data.ravel())
+# the up block's first conv reads the upsampled map and its mirror as one
+# channel join that is never built: each slab of the conv copies its part
+# of both maps into one padded block, so it equals a conv on the stacked pair
+x = T.Tensor(rng.normal(size=(4, 1, 6, 8, 8)))  # an upsampled map
+mirror = T.Tensor(rng.normal(size=(2, 1, 6, 8, 8)))  # the encoder map it joins
+spec = ops.Conv3dSpec(kernel=(5, 1, 1))
+w = T.Tensor(rng.normal(size=(2, 6, 5, 1, 1)) * 0.1)
+with T.no_grad():
+    joined = ops.join_conv3d(x, mirror, w, spec)
+    stacked = ops.conv3d(T.Tensor(np.concatenate([x.data, mirror.data])), w, None, spec)
+print("join conv", joined.shape, "equals the conv on the concatenation, bitwise:",
+      bool(np.array_equal(joined.data, stacked.data)))
 
 print()
 print("== the squeeze-excitation channel gate ==")

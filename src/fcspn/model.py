@@ -14,10 +14,11 @@ conv, builds every double convolution below.  Each norm -> relu is one op,
   -> dual separable residual unit(s) (two pairs each) ->
   squeeze-excitation channel gate; channels double per block, extents
   halve (ceil);
-* three up blocks, each joining its input, resampled to the extents of
-  the matching down block's input, with that input in one op
-  (``ops.upsample_concat``), then a pair conv(5,1,1), conv(3,3,3);
-  channels retrace 8x -> 4x -> 2x -> 1x;
+* three up blocks, each resampling its input to the extents of the
+  matching down block's input (``ops.upsample``), then a pair conv(5,1,1),
+  conv(3,3,3) whose first conv reads the resampled map and that mirror as
+  one channel join without building it (``ops.join_conv3d``); channels
+  retrace 8x -> 4x -> 2x -> 1x;
 * head: mean over the residual spectral axis, then a 1x1 conv to class
   logits of shape ``(num_classes, N, H, W)``, or ``(num_classes, H, W)``
   for one cube; the same mean plane feeds the affinity branch of the
@@ -93,9 +94,11 @@ class ModelConfig:
 class _ConvPair:
     """conv -> norm -> relu -> conv -> norm -> relu; ``halves`` gives each
     conv's (kernel, stride).  Given an up block's ``mirror``, the input is
-    first joined with it by :func:`ops.upsample_concat`; no caller holds
-    that join, the decoder's largest map, so without a tape it is freed as
-    soon as the first conv returns, before the first norm runs.
+    first resampled to the mirror's extents (:func:`ops.upsample`), and the
+    first conv runs over the channel join of the two
+    (:func:`ops.join_conv3d`), which is never allocated; no caller holds
+    the resampled map, so without a tape it is freed as soon as that conv
+    returns, before the first norm runs.
     """
 
     def __init__(self, params, path, cin, cout, halves, rng):
@@ -108,9 +111,11 @@ class _ConvPair:
         self.norm_b = ops.Norm(params, path + ".norm_b", cout)
 
     def __call__(self, x, training, mirror=None):
-        if mirror is not None:
-            x = ops.upsample_concat(x, mirror)
-        x = self.conv_a(x)
+        if mirror is None:
+            x = self.conv_a(x)
+        else:
+            x = ops.join_conv3d(ops.upsample(x, mirror.shape[-3:]), mirror,
+                                self.conv_a.w, self.conv_a.spec)
         x = self.norm_a(x, training)
         return self.norm_b(self.conv_b(x), training)
 
@@ -261,8 +266,9 @@ class FcspnModel:
         for down in self.downs:
             mirrors.append(t)
             t = down(t, training)
-        for up, mirror in zip(self.ups, reversed(mirrors)):
-            t = up(t, training, mirror)
+        # each mirror is released once its up block has used it
+        for up in self.ups:
+            t = up(t, training, mirrors.pop())
         c, n, _, nh, nw = t.shape
         plane = T.reshape(T.reduce_mean(t, axes=(2,)), (c, n, 1, nh, nw))
         logits = T.reshape(self.head_conv(plane), (self.config.num_classes, n, nh, nw))

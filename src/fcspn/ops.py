@@ -27,10 +27,11 @@ the caller, so a run gives the same bits on one CPU and on two.
 op: it centres its input into one fresh array and divides, scales, shifts
 and clamps at zero in place in it.  Its pullback takes the ReLU's mask
 from that output, so the map before the ReLU is never held on the tape.
-:func:`upsample_concat`, the decoder's join, resamples a map to its
-mirror's extents and stacks the two on the channel axis in one array it
-allocates once: the last resampling GEMM writes straight into the join's
-first channels.
+The decoder's join is never built: :func:`upsample` resamples a map to
+its mirror's extents, a few channels at a time, and :func:`join_conv3d`
+convolves the two as if stacked on the channel axis, each slab's padded
+block filled from both maps in place, through the same routine as
+:func:`conv3d`.
 
 :class:`Conv` and :class:`Norm` wrap :func:`conv3d` and :func:`batchnorm` as
 layers that own their tensors and register them, with the running
@@ -40,6 +41,7 @@ statistics, in a :class:`ModelParams` under a dotted layer path.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import warnings
@@ -60,7 +62,8 @@ BN_MOMENTUM = 0.9
 # and pullback: a fixed bound on its scratch memory, not a setting.  Two
 # slabs in flight, one per thread, hold 1 MiB, half of a 2 MiB L2; of 0.5,
 # 1, 2 and 4 MiB in flight that gave the fastest convolutions at the
-# training step's shapes.
+# training step's shapes.  upsample's width and height passes keep to the
+# same budget, one run of channels at a time.
 _SLAB_BYTES = 1 << 19
 
 
@@ -195,28 +198,34 @@ def _slabs(crops: int, depth: int, height: int, row_bytes: int):
             for c in range(0, crops, step)]
 
 
-def _slab_columns(src: np.ndarray, origin: Triple, kernel: Triple, stride: Triple,
+def _slab_columns(parts, origin: Triple, kernel: Triple, stride: Triple,
                   ow: int, slab) -> np.ndarray:
     """The channel-major column matrix of one slab ``(crops, planes, rows)``
     of an output grid ``ow`` wide: rows ``(c, i, j, k)`` and columns the
     slab's output voxels ``(n, z, y, x)``, whose entry is ``src[c, n, origin
     + stride * (z, y, x) + (i, j, k)]``, zero where that falls outside
-    ``src``, a (C, N, D, H, W) array of any strides.  Every slab copies the
-    part of ``src`` it reads into one zero-padded block and windows that."""
+    ``src``, the channel join of ``parts``: (C_i, N, D, H, W) arrays of any
+    strides and equal extents.  Every slab copies the part of each array it
+    reads into that array's channels of one zero-padded block and windows
+    the block, so ``src`` itself is never built."""
     cs, zs, ys = slab
-    c = src.shape[0]
+    c = sum(len(part) for part in parts)
+    dtype = np.result_type(*parts)
     (kd, kh, kw), (sd, sh, sw) = kernel, stride
     nc, nz, ny = cs.stop - cs.start, zs.stop - zs.start, ys.stop - ys.start
     lo = (origin[0] + sd * zs.start, origin[1] + sh * ys.start, origin[2])
     size = (sd * (nz - 1) + kd, sh * (ny - 1) + kh, sw * (ow - 1) + kw)
     inside = tuple(slice(max(a, 0), max(a, 0, min(a + k, e)))
-                   for a, k, e in zip(lo, size, src.shape[2:]))
-    block = np.zeros((c, nc) + size, dtype=src.dtype)
-    block[(slice(None), slice(None)) + tuple(
-        slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))] = (
-            src[(slice(None), cs) + inside])
+                   for a, k, e in zip(lo, size, parts[0].shape[2:]))
+    window = tuple(slice(r.start - a, r.stop - a) for r, a in zip(inside, lo))
+    block = np.zeros((c, nc) + size, dtype=dtype)
+    at = 0
+    for part in parts:
+        block[(slice(at, at + len(part)), slice(None)) + window] = (
+            part[(slice(None), cs) + inside])
+        at += len(part)
     s = block.strides
-    win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), src.dtype, block, strides=(
+    win = np.ndarray((c, kd, kh, kw, nc, nz, ny, ow), dtype, block, strides=(
         s[0], s[2], s[3], s[4], s[1], s[2] * sd, s[3] * sh, s[4] * sw))
     return win.reshape(c * kd * kh * kw, -1)
 
@@ -240,49 +249,53 @@ def _halves(slabs, run):
     return even, odd.result()
 
 
-def _correlate(src: np.ndarray, wm: np.ndarray, origin: Triple, kernel: Triple,
+def _correlate(parts, wm: np.ndarray, origin: Triple, kernel: Triple,
                stride: Triple, out: np.ndarray) -> None:
     """Fill ``out`` (M, N, od, oh, ow) with ``wm`` (M, C*kd*kh*kw) times the
-    columns of :func:`_slab_columns`, one GEMM per slab of :func:`_slabs`;
-    each product goes straight into its part of ``out`` when ``out`` is one
-    contiguous block (a strided view, one stride phase of an input
-    gradient, takes a copy).  :func:`_halves` splits the slabs between the
-    caller and the worker thread, which write disjoint parts of ``out``.
+    columns of :func:`_slab_columns` over the channel parts ``parts``, one
+    GEMM per slab of :func:`_slabs`; each product goes straight into its
+    part of ``out`` when ``out`` is one contiguous block (a strided view,
+    one stride phase of an input gradient, takes a copy).  :func:`_halves`
+    splits the slabs between the caller and the worker thread, which write
+    disjoint parts of ``out``.
     """
     n, od, oh, ow = out.shape[1:]
     direct = out.flags.c_contiguous
 
     def run(slabs):
         for slab in slabs:
-            cols = _slab_columns(src, origin, kernel, stride, ow, slab)
+            cols = _slab_columns(parts, origin, kernel, stride, ow, slab)
             part = out[(slice(None),) + slab]
             if direct:
                 np.matmul(wm, cols, out=part.reshape(len(part), -1))
             else:
                 part[...] = (wm @ cols).reshape(part.shape)
 
-    _halves(_slabs(n, od, oh, wm.shape[1] * ow * src.itemsize), run)
+    itemsize = np.result_type(*parts).itemsize
+    _halves(_slabs(n, od, oh, wm.shape[1] * ow * itemsize), run)
 
 
-def _weight_grad(src: np.ndarray, g: np.ndarray, origin: Triple, kernel: Triple,
+def _weight_grad(parts, g: np.ndarray, origin: Triple, kernel: Triple,
                  stride: Triple, dtype) -> np.ndarray:
     """The (M, C*kd*kh*kw) weight gradient: ``g`` (M, N, od, oh, ow) times
-    the transposed columns of ``src``.  :func:`_halves` splits the slabs of
-    :func:`_slabs`; each half sums its products in slab order, and the
-    gradient is the even sum plus the odd sum whether or not the worker
-    thread ran the odd half, so its bits do not depend on the CPU count.
+    the transposed columns of the channel parts ``parts``.  :func:`_halves`
+    splits the slabs of :func:`_slabs`; each half sums its products in slab
+    order, and the gradient is the even sum plus the odd sum whether or not
+    the worker thread ran the odd half, so its bits do not depend on the
+    CPU count.
     """
     m, n, od, oh, ow = g.shape
-    inner = src.shape[0] * kernel[0] * kernel[1] * kernel[2]
+    inner = sum(len(part) for part in parts) * kernel[0] * kernel[1] * kernel[2]
 
     def run(slabs):
         gw = np.zeros((m, inner), dtype=dtype)
         for slab in slabs:
-            cols = _slab_columns(src, origin, kernel, stride, ow, slab)
+            cols = _slab_columns(parts, origin, kernel, stride, ow, slab)
             gw += g[(slice(None),) + slab].reshape(m, -1) @ cols.T
         return gw
 
-    even, odd = _halves(_slabs(n, od, oh, inner * ow * src.itemsize), run)
+    itemsize = np.result_type(*parts).itemsize
+    even, odd = _halves(_slabs(n, od, oh, inner * ow * itemsize), run)
     even += odd
     return even
 
@@ -335,12 +348,39 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
     """
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"conv3d input must be rank 4 or 5, got {x.shape}")
+    return _conv("conv3d", [x], w, b, spec)
+
+
+def join_conv3d(x: Tensor, mirror: Tensor, w: Tensor, spec: Conv3dSpec) -> Tensor:
+    """:func:`conv3d`, without a bias, of the channel join of ``x``
+    (Cx,N,D,H,W) and ``mirror`` (Cm,N,D,H,W), two maps of equal extents,
+    with ``w`` (M,Cx+Cm,kd,kh,kw), without allocating the join.
+
+    Each slab's zero-padded block takes its first ``Cx`` channels from
+    ``x`` and the rest from ``mirror`` (:func:`_slab_columns`), so the
+    columns, the GEMMs and the bits are those of :func:`conv3d` on
+    ``np.concatenate([x, mirror])``.  The input gradient is computed into
+    one (Cx+Cm)-channel buffer, and each map takes its own channels of it
+    (Pleiss et al., "Memory-Efficient Implementation of DenseNets", arXiv
+    1707.06990: a conv over a concatenation never needs the concatenation).
+    """
+    if (x.data.ndim != 5 or mirror.data.ndim != 5
+            or x.shape[1:] != mirror.shape[1:]):
+        raise ShapeError(f"join_conv3d takes (C, N, D, H, W) maps of one crop count "
+                         f"and extents, got {x.shape} and mirror {mirror.shape}")
+    return _conv("join_conv3d", [x, mirror], w, None, spec)
+
+
+def _conv(op: str, xs, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tensor:
+    """The convolution of :func:`conv3d` over the channel join of the maps
+    ``xs``, recorded on the tape as ``op``."""
     if w.data.ndim != 5:
         raise ShapeError(f"conv3d weights must be rank 5, got {w.shape}")
     if w.shape[2:] != spec.kernel:
         raise ShapeError(f"weights {w.shape} do not match kernel {spec.kernel}")
-    xd = _crops(x.data)
-    cin, n, d, h, wd = xd.shape
+    parts = [_crops(x.data) for x in xs]
+    cin = sum(len(part) for part in parts)
+    n, d, h, wd = parts[0].shape[1:]
     cout = w.shape[0]
     if w.shape[1] != cin:
         raise ShapeError(f"weights expect {w.shape[1]} input channels, got {cin}")
@@ -349,8 +389,8 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
 
     origin = tuple(-p for p in spec.pad())
     grid = (n,) + spec.out_extents((d, h, wd))
-    out = np.empty((cout,) + grid, dtype=np.result_type(xd, w.data))
-    _correlate(xd, w.data.reshape(cout, -1), origin, spec.kernel, spec.stride, out)
+    out = np.empty((cout,) + grid, dtype=np.result_type(*parts, w.data))
+    _correlate(parts, w.data.reshape(cout, -1), origin, spec.kernel, spec.stride, out)
     if b is not None:
         out += b.data[:, None, None, None, None]
 
@@ -361,18 +401,23 @@ def conv3d(x: Tensor, w: Tensor, b: Optional[Tensor], spec: Conv3dSpec) -> Tenso
         if b is not None and b.requires_grad:
             accumulate(b, g.sum(axis=(1, 2, 3, 4)))
         if w.requires_grad:
-            gw = _weight_grad(xd, g, origin, spec.kernel, spec.stride, wd_data.dtype)
+            gw = _weight_grad(parts, g, origin, spec.kernel, spec.stride, wd_data.dtype)
             accumulate(w, gw.reshape(w.shape))
-        if x.requires_grad:
-            dx = np.zeros_like(xd)  # phases without taps stay 0
+        if any(x.requires_grad for x in xs):
+            # phases without taps stay 0
+            dx = np.zeros((cin,) + parts[0].shape[1:], dtype=np.result_type(*parts))
             for pos, taps, kernel, start in _phases((d, h, wd), spec):
                 wt = wd_data[(slice(None), slice(None)) + taps][:, :, ::-1, ::-1, ::-1]
-                _correlate(g, wt.transpose(1, 0, 2, 3, 4).reshape(cin, -1), start,
+                _correlate([g], wt.transpose(1, 0, 2, 3, 4).reshape(cin, -1), start,
                            kernel, (1, 1, 1), dx[(slice(None), slice(None)) + pos])
-            accumulate(x, dx.reshape(x.shape))
+            at = 0
+            for x in xs:
+                if x.requires_grad:
+                    accumulate(x, dx[at:at + x.shape[0]].reshape(x.shape))
+                at += x.shape[0]
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record("conv3d", inputs, out.reshape((cout,) + x.shape[1:-3] + grid[1:]), fn)
+    inputs = (*xs, w) if b is None else (*xs, w, b)
+    return record(op, inputs, out.reshape((cout,) + xs[0].shape[1:-3] + grid[1:]), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -513,53 +558,47 @@ def _axis_matrix(n: int, m: int, dtype) -> np.ndarray:
     return a
 
 
-def _resample(arr: np.ndarray, mats, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _resample(arr: np.ndarray, mats) -> np.ndarray:
     """Apply the depth, height and width matrices ``mats`` to the last three
-    axes of ``arr``, one GEMM per axis (width, height, then depth), over any
-    leading axes.  The depth GEMM writes into ``out`` when one is given: a
-    C-contiguous array of the result's shape."""
+    axes of ``arr`` (C, ...), one GEMM per axis (width, height, then depth),
+    over runs of whole channels whose width and height passes together hold
+    at most ``_SLAB_BYTES``, one channel at least; the depth GEMM writes each
+    run straight into its channels of the result."""
     a_d, a_h, a_w = mats
-    *lead, d, h, w = arr.shape
-    shape = (*lead, a_d.shape[0], a_h.shape[0], a_w.shape[0])
-    if out is None:
-        out = np.empty(shape, dtype=np.result_type(arr, *mats))
-    part = arr.reshape(-1, w) @ a_w.T
-    part = a_h @ part.reshape(-1, h, a_w.shape[0])
-    np.matmul(a_d, part.reshape(-1, d, a_h.shape[0] * a_w.shape[0]),
-              out=out.reshape(-1, a_d.shape[0], a_h.shape[0] * a_w.shape[0]))
+    c, *lead, d, h, w = arr.shape
+    dd, hh, ww = a_d.shape[0], a_h.shape[0], a_w.shape[0]
+    out = np.empty((c, *lead, dd, hh, ww), dtype=np.result_type(arr, *mats))
+    passes = math.prod(lead) * d * (h + hh) * ww * out.itemsize  # per channel
+    step = max(1, _SLAB_BYTES // passes)
+    for at in range(0, c, step):
+        part = arr[at:at + step].reshape(-1, w) @ a_w.T
+        part = a_h @ part.reshape(-1, h, ww)
+        np.matmul(a_d, part.reshape(-1, d, hh * ww),
+                  out=out[at:at + step].reshape(-1, dd, hh * ww))
     return out
 
 
-def upsample_concat(x: Tensor, mirror: Tensor) -> Tensor:
-    """The decoder's join: ``x`` (Cx,N,D,H,W) resampled to the extents of
-    ``mirror`` (Cm,N,D',H',W'), stacked on the channel axis with it, as one
-    (Cx+Cm,N,D',H',W') map.
+def upsample(x: Tensor, extents) -> Tensor:
+    """``x`` (C,N,D,H,W) resampled to ``extents`` (D',H',W'), the decoder's
+    upsampling before each join.
 
     The resampling is corner-aligned and separable: one (target, source)
     tap matrix ``A`` per axis (:func:`_axis_matrix`), applied by
-    :func:`_resample`, whose last GEMM writes straight into the join's
-    first ``Cx`` channels; the mirror is copied into the rest.  So the
-    join is the one full-size array the op allocates.  The pullback
-    applies each ``A.T`` to the join gradient's first ``Cx`` channels and
-    passes the rest on to the mirror.
+    :func:`_resample` over runs of channels, so its scratch memory stays
+    within one slab budget (or one channel's passes, where those exceed
+    it).  The pullback applies each ``A.T`` through the
+    same routine.
     """
-    if x.data.ndim != 5 or mirror.data.ndim != 5 or x.shape[1] != mirror.shape[1]:
-        raise ShapeError(f"upsample_concat takes (C, N, D, H, W) maps of one crop "
-                         f"count, got {x.shape} and mirror {mirror.shape}")
-    cx = x.shape[0]
-    mats = [_axis_matrix(n, m, x.data.dtype) for n, m in zip(x.shape[-3:], mirror.shape[-3:])]
-    join = np.empty((cx + mirror.shape[0],) + mirror.shape[1:],
-                    dtype=np.result_type(x.data, mirror.data))
-    _resample(x.data, mats, out=join[:cx])
-    join[cx:] = mirror.data
+    extents = tuple(int(e) for e in extents)
+    if x.data.ndim != 5 or len(extents) != 3 or min(extents) < 1:
+        raise ShapeError(f"upsample takes a (C, N, D, H, W) map and three extents, "
+                         f"got {x.shape} and {extents}")
+    mats = [_axis_matrix(n, m, x.data.dtype) for n, m in zip(x.shape[-3:], extents)]
 
     def fn(g):
-        if x.requires_grad:
-            accumulate(x, _resample(g[:cx], [a.T for a in mats]))
-        if mirror.requires_grad:
-            accumulate(mirror, g[cx:])
+        accumulate(x, _resample(g, [a.T for a in mats]))
 
-    return record("upsample_concat", (x, mirror), join, fn)
+    return record("upsample", (x,), _resample(x.data, mats), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -81,20 +81,38 @@ def _grad_batchnorm(rng):
     return worst
 
 
-def _grad_upsample_concat(rng):
+def _grad_upsample(rng):
     worst = 0.0
     for _ in range(20):
-        c, cm = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        c = int(rng.integers(1, 3))
         x = rng.normal(0.0, 1.0, (c, 1) + tuple(
             int(rng.integers(1, 5)) for _ in range(3)))
-        target = (1,) + tuple(int(rng.integers(1, 6)) for _ in range(3))
-        mirror = rng.normal(0.0, 1.0, (cm,) + target)
-        proj = gradcheck.projection((c + cm,) + target, rng)
+        target = tuple(int(rng.integers(1, 6)) for _ in range(3))
+        proj = gradcheck.projection((c, 1) + target, rng)
 
-        def build(xt, mt):
-            return gradcheck.project(ops.upsample_concat(xt, mt), proj)
+        def build(xt):
+            return gradcheck.project(ops.upsample(xt, target), proj)
 
-        worst = max(worst, gradcheck.check_grads(build, [x, mirror]))
+        worst = max(worst, gradcheck.check_grads(build, [x]))
+    return worst
+
+
+def _grad_join_conv3d(rng):
+    worst = 0.0
+    for _ in range(20):
+        c, cm, cout = (int(rng.integers(1, 3)) for _ in range(3))
+        extents = tuple(int(rng.integers(1, 5)) for _ in range(3))
+        kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
+        spec = ops.Conv3dSpec(kernel=kernel)
+        x = rng.normal(0.0, 1.0, (c, 1) + extents)
+        mirror = rng.normal(0.0, 1.0, (cm, 1) + extents)
+        w = rng.normal(0.0, 0.5, (cout, c + cm) + kernel)
+        proj = gradcheck.projection((cout, 1) + spec.out_extents(extents), rng)
+
+        def build(xt, mt, wt):
+            return gradcheck.project(ops.join_conv3d(xt, mt, wt, spec), proj)
+
+        worst = max(worst, gradcheck.check_grads(build, [x, mirror, w]))
     return worst
 
 
@@ -199,7 +217,8 @@ def test_a1_gradient_oracle():
     checks = [
         ("conv3d", _grad_conv3d, 11),
         ("batchnorm", _grad_batchnorm, 12),
-        ("upsample_concat", _grad_upsample_concat, 13),
+        ("upsample", _grad_upsample, 13),
+        ("join_conv3d", _grad_join_conv3d, 14),
         ("attention", _grad_attention, 15),
         ("dsr_unit", _grad_dsr, 16),
         ("focal_loss", _grad_focal, 18),

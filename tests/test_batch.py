@@ -210,14 +210,24 @@ def test_batchnorm_batch_equals_crops(training):
 
 def test_trilinear_batch_equals_crops():
     rng = np.random.default_rng(3)
-    _check(ops.upsample_concat, [rng.uniform(-1, 1, (2, N, 2, 5, 4)),
-                                 rng.uniform(-1, 1, (1, N, 4, 9, 7))], [], rng)
+
+    def fn(x):
+        return ops.upsample(x, (4, 9, 7))
+
+    _check(fn, [rng.uniform(-1, 1, (2, N, 2, 5, 4))], [], rng)
 
 
 def test_concat_batch_equals_crops():
+    # integer-valued, as the conv3d batch test is
     rng = np.random.default_rng(4)
-    _check(ops.upsample_concat, [rng.uniform(-1, 1, (2, N, 2, 3, 3)),
-                                 rng.uniform(-1, 1, (3, N, 2, 3, 3))], [], rng)
+    spec = ops.Conv3dSpec(kernel=(5, 1, 1))
+
+    def fn(x, mirror, w):
+        return ops.join_conv3d(x, mirror, w, spec)
+
+    _check(fn, [rng.integers(-4, 5, (2, N, 2, 3, 3)).astype(float),
+                rng.integers(-4, 5, (3, N, 2, 3, 3)).astype(float)],
+           [rng.integers(-4, 5, (2, 5, 5, 1, 1)).astype(float)], rng)
 
 
 def test_normalize_affinity_batch_equals_crops():
@@ -244,8 +254,10 @@ def test_layers_refuse_the_one_crop_view():
     params = ops.ModelParams()
     kappa = T.zeros((8, 4, 5))
     calls = {
-        "upsample_concat": lambda: ops.upsample_concat(T.zeros((2, 2, 3, 3)),
-                                                       T.zeros((1, 4, 5, 5))),
+        "upsample": lambda: ops.upsample(T.zeros((2, 2, 3, 3)), (4, 5, 5)),
+        "join_conv3d": lambda: ops.join_conv3d(
+            T.zeros((2, 4, 5, 5)), T.zeros((1, 4, 5, 5)), T.zeros((1, 3, 1, 1, 1)),
+            ops.Conv3dSpec(kernel=(1, 1, 1))),
         "normalize_affinity": lambda: cspn.normalize_affinity(T.zeros((8, 4, 5))),
         "refine": lambda: cspn.refine(T.zeros((3, 4, 5)), kappa, 1),
         "refine, 0 steps": lambda: cspn.refine(T.zeros((3, 4, 5)), kappa, 0),

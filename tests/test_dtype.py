@@ -88,8 +88,15 @@ def test_batchnorm_float32_agrees(training):
 
 
 def test_trilinear_upsample_float32_agrees():
-    _agree(ops.upsample_concat, np.random.default_rng(3),
-           [(2, 2, 3, 4, 5), (1, 2, 5, 7, 9)], (3, 2, 5, 7, 9))
+    _agree(lambda x: ops.upsample(x, (5, 7, 9)), np.random.default_rng(3),
+           [(2, 2, 3, 4, 5)], (2, 2, 5, 7, 9))
+
+
+def test_join_conv3d_float32_agrees():
+    spec = ops.Conv3dSpec(kernel=(5, 1, 1))
+    _agree(lambda x, mirror, w: ops.join_conv3d(x, mirror, w, spec),
+           np.random.default_rng(7), [(2, 2, 5, 7, 9), (1, 2, 5, 7, 9), (4, 3, 5, 1, 1)],
+           (4, 2, 5, 7, 9))
 
 
 def test_normalize_affinity_float32_agrees():

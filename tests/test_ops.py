@@ -676,21 +676,13 @@ def test_bn_eval_allocates_one_output():
 
 
 # ---------------------------------------------------------------------------
-# the decoder join: resampling, then the mirror on the channel axis
+# the decoder join: upsample, then a conv over the unbuilt channel join
 # ---------------------------------------------------------------------------
 
-def _mirror(x, target, rng=None):
-    """A one-channel mirror for ``x`` at extents ``target``, in ``x``'s
-    dtype: zeros, or uniform draws from ``rng``."""
-    shape = (1,) + x.shape[1:-3] + tuple(target)
-    values = np.zeros(shape) if rng is None else rng.uniform(-1, 1, shape)
-    return T.Tensor(values.astype(x.data.dtype))
-
-
 def _upsampled(x, target):
-    """``x`` resampled to ``target``: the first channels of its join."""
+    """``x`` resampled to ``target``."""
     x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    return ops.upsample_concat(x, _mirror(x, target)).data[:x.shape[0]]
+    return ops.upsample(x, target).data
 
 
 def test_trilinear_axis_example():
@@ -740,15 +732,13 @@ def test_trilinear_endpoints_pinned():
 def test_trilinear_gradcheck():
     rng = np.random.default_rng(9)
     for shape in ((2, 1, 3, 4, 3), (2, 2, 3, 4, 3)):
-        target = shape[1:-3] + (5, 6, 3)  # crops and extents
-        proj = gradcheck.projection((shape[0] + 1,) + target, rng)
+        target = (5, 6, 3)
+        proj = gradcheck.projection(shape[:-3] + target, rng)
 
-        def build(x, m):
-            return gradcheck.project(ops.upsample_concat(x, m), proj)
+        def build(x):
+            return gradcheck.project(ops.upsample(x, target), proj)
 
-        gradcheck.check_grads(build, [rng.uniform(-1, 1, shape),
-                                      rng.uniform(-1, 1, (1,) + target)],
-                              nonzero=True)
+        gradcheck.check_grads(build, [rng.uniform(-1, 1, shape)], nonzero=True)
 
 
 @pytest.mark.parametrize("shape, target", [
@@ -761,24 +751,74 @@ def test_trilinear_pullback_is_adjoint(shape, target):
     # <A x, g> = <x, A^T g>: the pullback is the transpose of the forward
     rng = np.random.default_rng(10)
     x = T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
-    mirror = _mirror(x, target, rng=rng)
-    g = rng.uniform(-1, 1, (shape[0] + 1,) + shape[1:-3] + target)
-    out = ops.upsample_concat(x, mirror)
+    g = rng.uniform(-1, 1, shape[:-3] + target)
+    out = ops.upsample(x, target)
     T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
-    cx = shape[0]
-    forward, adjoint = np.sum(out.data[:cx] * g[:cx]), np.sum(x.data * x.grad)
+    forward, adjoint = np.sum(out.data * g), np.sum(x.data * x.grad)
     assert abs(forward - adjoint) <= 1e-14 * abs(forward)
 
 
+@pytest.mark.parametrize("shape, target, dtype", [
+    ((16, 3, 2, 16, 16), (4, 32, 32), np.float64),   # up3 of a 32x32 training batch
+    ((16, 3, 2, 16, 16), (4, 32, 32), np.float32),
+    ((4, 1, 10, 64, 64), (20, 128, 128), np.float64),  # a 128x128 scene's up3
+    ((32, 1, 5, 32, 32), (10, 64, 64), np.float32),    # a 128x128 scene's up2
+])
+def test_upsample_chunks_keep_results_bitwise(monkeypatch, shape, target, dtype):
+    # runs of several channels (the training batch), of one channel (the
+    # scene's up3, whose one channel's passes exceed the budget) and runs
+    # that end on a short one, against the whole map as one run
+    rng = np.random.default_rng(16)
+    x = rng.uniform(-1, 1, shape).astype(dtype)
+    g = rng.uniform(-1, 1, shape[:-3] + target).astype(dtype)
+
+    def run():
+        T.clear_tape()
+        xt = T.Tensor(x, requires_grad=True)
+        out = ops.upsample(xt, target)
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        return out.data, xt.grad
+
+    chunked = run()
+    monkeypatch.setattr(ops, "_SLAB_BYTES", 1 << 40)
+    whole = run()
+    for want, got in zip(whole, chunked):
+        assert np.array_equal(want, got)
+
+
+def test_upsample_allocates_only_its_output_and_one_chunks_passes():
+    # the output, plus the width and height passes of one run of channels
+    # while they run (record's finiteness mask, one byte per value, comes
+    # after); the passes of the whole map at once are 768 KiB here, more
+    # than the 512 KiB budget of one run
+    rng = np.random.default_rng(14)
+    x = T.Tensor(rng.uniform(-1, 1, (8, 2, 4, 16, 16)))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = ops.upsample(x, (8, 32, 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    width = 2 * x.data.nbytes   # (8, 2, 4, 16, 32); upsampled (8, 2, 8, 32, 32) is 8x
+    height = 4 * x.data.nbytes  # (8, 2, 4, 32, 32)
+    assert out.shape == (8, 2, 8, 32, 32)
+    assert width + height > ops._SLAB_BYTES
+    assert peak <= out.data.nbytes + ops._SLAB_BYTES + (64 << 10), peak
+
+
 def test_concat_values_and_grads():
-    # at equal extents the resampling is the identity: the join is the two
-    # maps stacked, and its gradient splits back between them
+    # at equal extents the resampling is the identity, and a 1x1x1 conv
+    # with identity weights returns its input: the join is the two maps
+    # stacked, and its gradient splits back between them
     rng = np.random.default_rng(13)
     a = rng.uniform(-1, 1, (2, 1, 3, 3, 3))
     b = rng.uniform(-1, 1, (4, 1, 3, 3, 3))
     ta = T.Tensor(a, requires_grad=True)
     tb = T.Tensor(b, requires_grad=True)
-    out = ops.upsample_concat(ta, tb)
+    assert np.array_equal(ops.upsample(ta, (3, 3, 3)).data, a)
+    eye = T.Tensor(np.eye(6).reshape(6, 6, 1, 1, 1))
+    out = ops.join_conv3d(ta, tb, eye, ops.Conv3dSpec(kernel=(1, 1, 1)))
     assert out.shape == (6, 1, 3, 3, 3)
     assert np.array_equal(out.data[:2], a)
     assert np.array_equal(out.data[2:], b)
@@ -789,30 +829,106 @@ def test_concat_values_and_grads():
 
 
 def test_concat_extent_mismatch():
-    # the spatial extents may differ (x is resampled); rank and crops may not
+    # upsample takes any extents of a rank-5 map; the join's two maps must
+    # agree in rank, crops and extents, and the weights must span both
+    spec = ops.Conv3dSpec(kernel=(1, 1, 1))
+    w = T.zeros((1, 4, 1, 1, 1))
     with pytest.raises(T.ShapeError):
-        ops.upsample_concat(T.zeros((2, 3, 3, 3)), T.zeros((2, 1, 3, 3, 4)))
+        ops.upsample(T.zeros((2, 3, 3, 3)), (3, 3, 4))
     with pytest.raises(T.ShapeError):
-        ops.upsample_concat(T.zeros((2, 2, 3, 3, 3)), T.zeros((2, 3, 3, 3, 4)))
+        ops.upsample(T.zeros((2, 3, 3)), (3, 3, 3))
     with pytest.raises(T.ShapeError):
-        ops.upsample_concat(T.zeros((2, 3, 3)), T.zeros((2, 3, 3)))
+        ops.upsample(T.zeros((2, 1, 3, 3, 3)), (3, 3))
+    with pytest.raises(T.ShapeError):
+        ops.join_conv3d(T.zeros((2, 3, 3, 3)), T.zeros((2, 1, 3, 3, 3)), w, spec)
+    with pytest.raises(T.ShapeError):
+        ops.join_conv3d(T.zeros((2, 2, 3, 3, 3)), T.zeros((2, 3, 3, 3, 3)), w, spec)
+    with pytest.raises(T.ShapeError):
+        ops.join_conv3d(T.zeros((2, 1, 3, 3, 3)), T.zeros((2, 1, 3, 3, 4)), w, spec)
+    with pytest.raises(T.ShapeError):
+        ops.join_conv3d(T.zeros((2, 1, 3, 3, 3)), T.zeros((1, 1, 3, 3, 3)), w, spec)
 
 
-def test_upsample_concat_allocates_only_the_join_and_two_passes():
-    # the join, plus the width and height passes of the resampling while
-    # they run; resampling into a map of its own and then copying that into
-    # the join also holds the upsampled map, larger than both passes
-    rng = np.random.default_rng(14)
-    x = T.Tensor(rng.uniform(-1, 1, (8, 2, 4, 16, 16)))
-    mirror = T.Tensor(rng.uniform(-1, 1, (4, 2, 8, 32, 32)))
+def test_join_conv3d_gradcheck():
+    rng = np.random.default_rng(17)
+    spec = ops.Conv3dSpec(kernel=(5, 1, 1))
+    for shape, target in (((2, 1, 2, 3, 2), (4, 5, 3)), ((2, 2, 1, 2, 2), (2, 4, 4))):
+        mshape = (1,) + shape[1:-3] + target
+        proj = gradcheck.projection((2,) + mshape[1:], rng)
+
+        def build(x, m, w):
+            up = ops.upsample(x, target)
+            return gradcheck.project(ops.join_conv3d(up, m, w, spec), proj)
+
+        gradcheck.check_grads(build, [rng.uniform(-1, 1, shape),
+                                      rng.uniform(-1, 1, mshape),
+                                      rng.uniform(-1, 1, (2, 3, 5, 1, 1))],
+                              nonzero=True)
+
+
+# (x, mirror) shapes of the up blocks' joins, and the up conv's kernel
+_UP_JOINS = {
+    # a batch of three 32x32x20 crops at base 8, the training step's model
+    "train-up1": ((64, 3, 1, 8, 8), (32, 3, 1, 8, 8)),
+    "train-up2": ((32, 3, 2, 16, 16), (16, 3, 2, 16, 16)),
+    "train-up3": ((16, 3, 4, 32, 32), (8, 3, 4, 32, 32)),
+    # a 128x128x100 scene's extents at base 4, a quarter of the classify
+    # model's channels: the full width needs half a GiB of float64 here
+    "scene-up1": ((32, 1, 5, 32, 32), (16, 1, 5, 32, 32)),
+    "scene-up2": ((16, 1, 10, 64, 64), (8, 1, 10, 64, 64)),
+    "scene-up3": ((8, 1, 20, 128, 128), (4, 1, 20, 128, 128)),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("block", list(_UP_JOINS))
+def test_join_conv3d_equals_conv3d_on_the_concatenation(monkeypatch, block, dtype, cpus):
+    # the same columns, the same GEMMs, the same bits: the output and the
+    # x, mirror and weight gradients, on one CPU and with the worker thread
+    monkeypatch.setattr(ops, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(18)
+    xs, ms = _UP_JOINS[block]
+    x, m = (rng.uniform(-1, 1, s).astype(dtype) for s in (xs, ms))
+    w = (rng.uniform(-1, 1, (ms[0], xs[0] + ms[0], 5, 1, 1)) / xs[0]).astype(dtype)
+    g = rng.uniform(-1, 1, (ms[0],) + ms[1:]).astype(dtype)
+    spec = ops.Conv3dSpec(kernel=(5, 1, 1))
+
+    def backward(out):
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        return out.data
+
+    T.clear_tape()
+    cat, wt = (T.Tensor(a, requires_grad=True) for a in (np.concatenate([x, m]), w))
+    out = backward(ops.conv3d(cat, wt, None, spec))
+    stacked = out, cat.grad[:len(x)], cat.grad[len(x):], wt.grad
+    ts = [T.Tensor(a, requires_grad=True) for a in (x, m, w)]
+    out = backward(ops.join_conv3d(*ts, spec))
+    for want, got in zip(stacked, [out] + [t.grad for t in ts]):
+        assert got.dtype == dtype
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_join_conv3d_allocates_no_join(monkeypatch, cpus):
+    # without a tape: the output, record's finiteness mask and what the two
+    # threads' slabs hold, each thread at most one slab's padded block and
+    # columns and the columns of the slab before (a slab budget each);
+    # building the join first, as a concatenation and a conv over it do,
+    # holds 6 MiB here
+    monkeypatch.setattr(ops, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(19)
+    x = T.Tensor(rng.uniform(-1, 1, (32, 2, 8, 32, 32)))
+    mirror = T.Tensor(rng.uniform(-1, 1, (16, 2, 8, 32, 32)))
+    w = T.Tensor(rng.uniform(-1, 1, (8, 48, 5, 1, 1)))
     tracemalloc.start()
     try:
         with T.no_grad():
-            join = ops.upsample_concat(x, mirror)
+            out = ops.join_conv3d(x, mirror, w, ops.Conv3dSpec(kernel=(5, 1, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    width = 2 * x.data.nbytes   # (8, 2, 4, 16, 32); upsampled (8, 2, 8, 32, 32) is 8x
-    height = 4 * x.data.nbytes  # (8, 2, 4, 32, 32)
-    assert join.shape == (12, 2, 8, 32, 32)
-    assert peak <= join.data.nbytes + width + height + (64 << 10), peak
+    join = x.data.nbytes + mirror.data.nbytes
+    bound = out.data.nbytes + out.size + 6 * ops._SLAB_BYTES
+    assert bound < join
+    assert peak <= bound, peak
