@@ -342,9 +342,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as err:
         print(f"fcspn: config error: {err}", file=sys.stderr)
         return 2
-    except FormatError as err:
-        print(f"fcspn: data error: {err}", file=sys.stderr)
-        return 3
     except NumericError as err:
         print(f"fcspn: numeric error: {err}", file=sys.stderr)
         return 4

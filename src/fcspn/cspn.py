@@ -58,10 +58,9 @@ def normalize_affinity(raw: Tensor) -> Tensor:
     kap = r / safe
 
     def fn(g):
-        if raw.requires_grad:
-            inner = (g * kap).sum(axis=0)
-            dr = (g - np.sign(r) * inner) / safe
-            accumulate(raw, np.where(z == 0.0, 0.0, dr))
+        inner = (g * kap).sum(axis=0)
+        dr = (g - np.sign(r) * inner) / safe
+        accumulate(raw, np.where(z == 0.0, 0.0, dr))
 
     return record("normalize_affinity", (raw,), kap, fn)
 

@@ -243,7 +243,8 @@ class FcspnModel:
     def _as_input(self, x: Tensor) -> Tensor:
         """``x`` as the (1, N, B, H, W) batch the layers take, in the
         parameters' dtype; a (B, H, W) cube is a batch of one, and so is the
-        (1, B, H, W) cube perfbench/workload.py's classify_scene passes."""
+        (1, B, H, W) cube perfbench/workload.py's classify_scene passes.
+        The input is data: it is cast with numpy and never differentiated."""
         if x.data.ndim == 3 or (x.data.ndim == 4 and x.shape[0] == 1):
             x = T.reshape(x, (1, 1) + x.shape[-3:])
         if x.data.ndim != 5 or x.shape[0] != 1:
@@ -253,7 +254,7 @@ class FcspnModel:
             raise ShapeError(
                 f"model expects {self.config.in_bands} bands, got {x.shape[2]}")
         self.deepest_extents(x.shape[3], x.shape[4])  # validates spatial extents
-        return T.astype(x, self.dtype)
+        return x if x.data.dtype == self.dtype else Tensor(x.data.astype(self.dtype))
 
     # -- inference -----------------------------------------------------------
 

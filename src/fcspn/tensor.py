@@ -23,16 +23,10 @@ Numeric conventions:
 * every public operation checks its output for NaN/Inf and raises
   :class:`NumericError` instead of propagating silently.
 
-The tape is process-global and confined to one logical training thread.
-Tensors themselves are safe to share for concurrent reads.  The worker
-thread inside :func:`fcspn.ops.conv3d` runs the odd half of a call's slabs:
-it only reads arrays and writes its own disjoint slabs of an output or a
-fresh sum of products; it never records or walks the tape.  A training
-step splits its crops into two halves, each with a tape of its own: on two
-or more CPUs the second half runs in a forked worker process that has its
-own copy of this module, each process pinned to one CPU; on one CPU
-(``taskset -c 0``, say) the caller runs both halves, one tape after the
-other, with the same bits (:mod:`fcspn.train`).
+The tape is process-global and confined to one logical training thread;
+tensors are safe to share for concurrent reads, and how :mod:`fcspn.ops`'
+conv3d thread stays off the tape and :mod:`fcspn.train` gives each half
+of a step a tape of its own is told in those modules.
 """
 
 from __future__ import annotations
@@ -306,8 +300,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def fn(g):
-        if a.requires_grad:
-            accumulate(a, g * out * (1.0 - out))
+        accumulate(a, g * out * (1.0 - out))
 
     return record("sigmoid", (a,), out, fn)
 
@@ -333,8 +326,7 @@ def reduce_sum(a: Tensor, axes=None) -> Tensor:
     shape = a.shape
 
     def fn(g):
-        if a.requires_grad:
-            accumulate(a, np.broadcast_to(np.expand_dims(g, axes), shape))
+        accumulate(a, np.broadcast_to(np.expand_dims(g, axes), shape))
 
     return record("sum", (a,), a.data.sum(axis=axes), fn)
 
@@ -347,23 +339,9 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
         n *= shape[ax]
 
     def fn(g):
-        if a.requires_grad:
-            accumulate(a, np.broadcast_to(np.expand_dims(g, axes), shape) / n)
+        accumulate(a, np.broadcast_to(np.expand_dims(g, axes), shape) / n)
 
     return record("mean", (a,), a.data.mean(axis=axes), fn)
-
-
-def astype(a: Tensor, dtype) -> Tensor:
-    """``a`` in ``dtype``, float32 or float64; ``a`` itself, not a copy,
-    when it already has that dtype."""
-    if a.data.dtype == dtype:
-        return a
-
-    def fn(g):
-        if a.requires_grad:
-            accumulate(a, g)
-
-    return record("astype", (a,), a.data.astype(dtype), fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -371,8 +349,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
 
     def fn(g):
-        if a.requires_grad:
-            accumulate(a, g.reshape(old))
+        accumulate(a, g.reshape(old))
 
     return record("reshape", (a,), a.data.reshape(shape), fn)
 

@@ -102,8 +102,6 @@ def focal_loss(logits: Tensor, labels: np.ndarray, gamma: float) -> Tensor:
                        dtype=z.dtype)
 
     def fn(g):
-        if not logits.requires_grad:
-            return
         # d/dz_k of -(1-p)^g log p is (A - B) * (delta_tk - p_k), where the
         # A term vanishes both at gamma = 0 and in the p -> 1 limit
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -109,13 +109,28 @@ def test_refine_float32_agrees():
            [(3, 2, 5, 6), (8, 2, 5, 6)], (3, 2, 5, 6), -0.125, 0.125)
 
 
-def test_astype_is_identity_at_the_same_dtype():
-    x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-    assert T.astype(x, np.float32) is x
-    wide = T.astype(x, np.float64)
-    assert wide.data.dtype == np.float64
-    T.backward(T.reduce_sum(wide))
-    assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.ones((2, 3)))
+def test_model_input_is_cast_with_numpy_and_never_recorded():
+    """The model's input is data: a batch already in the model's dtype comes
+    back as the same Tensor, a float32 cube gives a float64 model the scores
+    its float64 copy gives, and the cast records nothing, even on an input
+    that requires grad."""
+    rng = np.random.default_rng(7)
+    net = M.build(M.ModelConfig(in_bands=10, num_classes=3, base_channels=2,
+                                cspn_steps=2), rng)
+    batch = T.Tensor(rng.uniform(0.0, 1.0, (1, 2, 10, 8, 8)))
+    assert net._as_input(batch) is batch
+
+    cube = rng.uniform(0.0, 1.0, (10, 12, 12)).astype(np.float32)
+    with T.no_grad():
+        narrow = net.forward_refined(T.Tensor(cube))
+        wide = net.forward_refined(T.Tensor(cube.astype(np.float64)))
+    for got, want in zip(narrow, wide):
+        assert got.data.dtype == np.float64 and got.data.tobytes() == want.data.tobytes()
+
+    leaf = T.Tensor(batch.data.astype(np.float32), requires_grad=True)
+    cast = net._as_input(leaf)
+    assert T.tape_size() == 0 and not cast.requires_grad
+    assert cast.data.dtype == np.float64 and np.array_equal(cast.data, leaf.data)
 
 
 # ---------------------------------------------------------------------------

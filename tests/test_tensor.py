@@ -7,7 +7,9 @@ import pytest
 
 import gradcheck
 import oracles
+from fcspn import cspn
 from fcspn import tensor as T
+from fcspn import train as TR
 
 
 def setup_function(_):
@@ -306,6 +308,29 @@ def test_gradcheck_reductions():
 
     for i in range(10):
         gradcheck.check_grads(build, [rng.uniform(-1, 1, (2, 4, 3))])
+
+
+# each op's input shape; the pullbacks read no requires_grad, so a node
+# must exist only for an input that requires grad
+SINGLE_INPUT_OPS = {
+    "sigmoid": (T.sigmoid, (2, 3)),
+    "reduce_sum": (lambda t: T.reduce_sum(t, axes=(1,)), (2, 3)),
+    "reduce_mean": (lambda t: T.reduce_mean(t, axes=(0,)), (2, 3)),
+    "reshape": (lambda t: T.reshape(t, (3, 2)), (2, 3)),
+    "normalize_affinity": (cspn.normalize_affinity, (8, 1, 3, 3)),
+    "focal_loss": (lambda t: TR.focal_loss(t, np.array([[[1, 2], [3, 0]]]), 2.0),
+                   (3, 1, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_INPUT_OPS))
+def test_single_input_op_records_only_an_input_that_requires_grad(name):
+    op, shape = SINGLE_INPUT_OPS[name]
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, shape)
+    out = op(T.Tensor(values))
+    assert T.tape_size() == 0 and not out.requires_grad
+    out = op(T.Tensor(values, requires_grad=True))
+    assert T.tape_size() == 1 and out.requires_grad
 
 
 def test_no_grad_suppresses_tape():
